@@ -10,7 +10,7 @@ Layers:
   cli       batch experiment driver
 """
 
-from .loading import effective_delay, path_delay, run_dnl
+from .loading import effective_delay, run_dnl
 from .metrics import ConvergenceLog, od_gap, relative_energy
 from .network import Network, load_network, load_network_dir, save_network
 from .operators import affine_operator, dnl_operator, scaled_pseudo_monotone
@@ -42,7 +42,6 @@ __all__ = [
     "load_network_dir",
     "norm",
     "od_gap",
-    "path_delay",
     "project_feasible",
     "relative_energy",
     "residual_norm",

@@ -107,7 +107,7 @@ class RunConfig:
         _reject_unknown(
             sspec,
             {"algorithm", "max_iterations", "tolerance", "tau0", "tau", "mu",
-             "lambda", "alpha", "alpha_n", "beta_n", "eps_n", "seed"},
+             "lambda", "alpha", "alpha_n", "beta_n", "eps_n"},
             f"{where}:solver",
         )
         solver = SolverConfig(
@@ -122,7 +122,6 @@ class RunConfig:
             alpha_schedule=sspec.get("alpha_n"),
             beta_schedule=sspec.get("beta_n"),
             eps_schedule=sspec.get("eps_n"),
-            seed=sspec.get("seed"),
         )
 
         network_dir = (base_dir / raw["network_dir"]).resolve() \
@@ -151,24 +150,24 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+# CSV cells are formatted from Python floats (`.tolist()`), because the repr
+# of a numpy scalar reads `np.float64(...)` under numpy 2
 def _write_flow_csv(path: Path, net: Network, grid: TimeGrid, rates: np.ndarray) -> None:
     lines = ["path_id,od_id,interval,t_start,rate"]
-    starts = grid.starts()
-    for r, p in enumerate(net.paths):
+    starts = grid.starts().tolist()
+    for p, row in zip(net.paths, rates.tolist()):
         for k in range(grid.num_intervals):
-            lines.append(f"{p.id},{p.od},{k},{starts[k]!r},{rates[r, k]!r}")
+            lines.append(f"{p.id},{p.od},{k},{starts[k]!r},{row[k]!r}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _write_delay_csv(path: Path, net: Network, grid: TimeGrid,
                      delays: np.ndarray, effective: np.ndarray) -> None:
     lines = ["path_id,od_id,interval,t_start,delay,effective_delay"]
-    starts = grid.starts()
-    for r, p in enumerate(net.paths):
+    starts = grid.starts().tolist()
+    for p, d, a in zip(net.paths, delays.tolist(), effective.tolist()):
         for k in range(grid.num_intervals):
-            lines.append(
-                f"{p.id},{p.od},{k},{starts[k]!r},{delays[r, k]!r},{effective[r, k]!r}"
-            )
+            lines.append(f"{p.id},{p.od},{k},{starts[k]!r},{d[k]!r},{a[k]!r}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -181,21 +180,19 @@ def _write_gaps_csv(path: Path, gaps: dict) -> None:
 
 def _dump_dnl(outdir: Path, result) -> None:
     engine = result.engine
-    bt = result.grid_ext.boundaries()
+    bt = result.grid_ext.boundaries().tolist()
     lines = ["link_id,t,n_up,n_down"]
-    for e, lid in enumerate(engine.link_ids):
-        for i, t in enumerate(bt):
-            lines.append(f"{lid},{t!r},{result.n_up[e, i]!r},{result.n_down[e, i]!r}")
+    for lid, up, down in zip(engine.link_ids, result.n_up.tolist(), result.n_down.tolist()):
+        for t, u, d in zip(bt, up, down):
+            lines.append(f"{lid},{t!r},{u!r},{d!r}")
     _atomic_write(outdir / "dnl_curves.csv", "\n".join(lines) + "\n")
     lines = ["origin,link_id,t,arrivals,releases,queue"]
-    for qi, q in enumerate(engine.queues):
+    queues = (result.q_arrivals - result.q_releases).tolist()
+    for q, arr, rel, queue in zip(engine.queues, result.q_arrivals.tolist(),
+                                  result.q_releases.tolist(), queues):
         lid = engine.link_ids[q.link_idx]
-        for i, t in enumerate(bt):
-            queue = result.q_arrivals[qi, i] - result.q_releases[qi, i]
-            lines.append(
-                f"{q.node},{lid},{t!r},{result.q_arrivals[qi, i]!r},"
-                f"{result.q_releases[qi, i]!r},{queue!r}"
-            )
+        for t, a, r, n in zip(bt, arr, rel, queue):
+            lines.append(f"{q.node},{lid},{t!r},{a!r},{r!r},{n!r}")
     _atomic_write(outdir / "dnl_queues.csv", "\n".join(lines) + "\n")
 
 
@@ -221,13 +218,7 @@ def _execute_run(cfg: RunConfig) -> dict:
 
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    log_text_lines = [",".join(log.CSV_FIELDS)]
-    for r in log.records:
-        log_text_lines.append(
-            f"{r.n},{r.tau!r},{r.alpha!r},{r.beta!r},{r.residual!r},"
-            f"{r.energy!r},{r.operator_calls}"
-        )
-    _atomic_write(out / "iterations.csv", "\n".join(log_text_lines) + "\n")
+    _atomic_write(out / "iterations.csv", log.csv_text())
     _write_flow_csv(out / "final_flows.csv", net, cfg.grid, h_final.rates)
     _write_delay_csv(out / "final_delays.csv", net, cfg.grid, delays, eff.delays)
     _write_gaps_csv(out / "od_gaps.csv", gaps)
@@ -240,7 +231,6 @@ def _execute_run(cfg: RunConfig) -> dict:
                        "num_intervals": cfg.grid.num_intervals}
     summary["gamma"] = cfg.gamma
     summary["operator_evaluations"] = op.eval_count
-    summary["dnl_runs"] = op.dnl_runs + 1  # +1 for final reporting
     summary["total_wall_time"] = time.perf_counter() - t_begin
     _atomic_write(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
@@ -354,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("-c", "--config", required=True, help="run config JSON")
     p_run.add_argument("--dump-dnl", action="store_true",
                        help="also dump cumulative curves and origin queues")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="reserved; no randomized tie-breaks exist")
 
     p_val = sub.add_parser("validate", help="check an instance directory")
     p_val.add_argument("network_dir")
@@ -364,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("-c", "--config", action="append", required=True,
                        help="run config JSON (repeat)")
     p_cmp.add_argument("-o", "--out", default="compare_out", help="output directory")
-    p_cmp.add_argument("--seed", type=int, default=None, help="reserved")
     return parser
 
 

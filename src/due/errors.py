@@ -27,12 +27,6 @@ class ConfigurationError(DueError):
     category = "config"
 
 
-class SequencingError(DueError):
-    """Query ahead of the loading front."""
-
-    category = "numeric"
-
-
 class UnfinishedTripError(DueError):
     """A departing vehicle did not exit within the loading horizon."""
 

@@ -18,253 +18,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    SequencingError,
-    UnfinishedTripError,
-    ValidationError,
-)
-from .network import Link, Network
+from .errors import ConfigurationError, UnfinishedTripError, ValidationError
+from .network import Network
 from .space import DelayProfile, PathFlowProfile, TimeGrid, TripTable
 
 __all__ = [
-    "CumulativeCurve",
     "DelayProfile",
-    "LinkState",
-    "OriginQueue",
     "LoadingResult",
-    "fundamental_flow",
-    "link_demand",
-    "link_supply",
-    "junction_flows",
-    "origin_demand",
-    "step_origin_queue",
     "run_dnl",
-    "exit_time",
-    "path_delay",
     "effective_delay",
     "DEFAULT_BUFFER_FACTOR",
 ]
 
-# tolerance for testing the branch conditions of the boundary-curve formulas
+# count dust tolerated when inverting a cumulative curve
 EPS_COUNT = 1e-9
 
 DEFAULT_BUFFER_FACTOR = 2.0
-
-
-# --------------------------------------------------------------------------
-# public containers
-
-
-@dataclass(frozen=True)
-class CumulativeCurve:
-    """Nondecreasing vehicle count sampled at grid boundaries, starting at 0."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size != self.grid.num_intervals + 1:
-            raise ValidationError(
-                f"curve needs {self.grid.num_intervals + 1} samples, got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("curve contains non-finite samples")
-        if abs(arr[0]) > EPS_COUNT:
-            raise ValidationError(f"curve must start at zero, got {arr[0]}")
-        if np.any(np.diff(arr) < -EPS_COUNT):
-            raise ValidationError("curve must be nondecreasing")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def at(self, t: float) -> float:
-        """Linear interpolation; zero before t0, error past the sampled range."""
-        if t < self.grid.t0:
-            return 0.0
-        if t > self.grid.t1 + 1e-12:
-            raise SequencingError(f"curve not advanced to t={t} (ends at {self.grid.t1})")
-        return float(np.interp(t, self.grid.boundaries(), self.values))
-
-    def rate_at(self, t: float) -> float:
-        """Piecewise-constant flow of the interval containing t; zero outside."""
-        if t < self.grid.t0 or t >= self.grid.t1:
-            return 0.0
-        k = int((t - self.grid.t0) / self.grid.dt)
-        k = min(k, self.grid.num_intervals - 1)
-        return float(self.values[k + 1] - self.values[k]) / self.grid.dt
-
-
-@dataclass(frozen=True)
-class LinkState:
-    """Boundary curves of one link plus their per-path decomposition."""
-
-    link_id: str
-    n_up: CumulativeCurve
-    n_down: CumulativeCurve
-    path_up: Mapping[str, CumulativeCurve]
-    path_down: Mapping[str, CumulativeCurve]
-
-
-@dataclass(frozen=True)
-class OriginQueue:
-    """Point queue in front of one first link of an origin node."""
-
-    node: str
-    link_id: str
-    arrivals: CumulativeCurve
-    releases: CumulativeCurve
-    queue: np.ndarray
-    path_queues: Mapping[str, np.ndarray]
-
-
-# --------------------------------------------------------------------------
-# elementary operations
-
-
-def fundamental_flow(link: Link, rho: float) -> float:
-    """Triangular flow-density relation; peaks at capacity, zero at 0 and kjam."""
-    if rho < 0 or rho > link.kjam:
-        raise ValidationError(
-            f"density {rho} outside [0, {link.kjam}] on link {link.id!r}"
-        )
-    if rho <= link.critical_density:
-        return link.vf * rho
-    return -link.w * (rho - link.kjam)
-
-
-def link_demand(state: LinkState, link: Link, t: float) -> float:
-    """Sending flow at the downstream boundary at time t.
-
-    Free-flowing traffic sends the lagged inflow trace; a queue at the exit
-    sends capacity.  Branch equality is tested with an absolute count
-    tolerance, ties resolving to the free-flow branch.
-    """
-    grid = state.n_up.grid
-    lag = t - link.free_flow_time
-    if lag < grid.t0:
-        return 0.0
-    n_up_lag = state.n_up.at(lag)
-    n_down_t = state.n_down.at(t)
-    if n_up_lag <= n_down_t + EPS_COUNT:
-        return min(max(state.n_up.rate_at(lag), 0.0), link.capacity)
-    return link.capacity
-
-
-def link_supply(state: LinkState, link: Link, t: float) -> float:
-    """Receiving flow at the upstream boundary at time t.
-
-    When the back of the queue reaches the entrance (the link stores its full
-    jam content relative to the lagged outflow), the lagged outflow trace is
-    all that can be accepted; otherwise capacity.
-    """
-    grid = state.n_up.grid
-    lag = t - link.length / link.w
-    n_down_lag = state.n_down.at(lag) if lag >= grid.t0 else 0.0
-    bound = n_down_lag + link.storage
-    n_up_t = state.n_up.at(t)
-    if n_up_t >= bound - EPS_COUNT:
-        rate = state.n_down.rate_at(lag) if lag >= grid.t0 else 0.0
-        return min(max(rate, 0.0), link.capacity)
-    return link.capacity
-
-
-def junction_flows(
-    demands: np.ndarray, supplies: np.ndarray, split: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve boundary flows at one junction.
-
-    demands: sending flows of the m incoming approaches.
-    supplies: receiving flows of the n outgoing links (may contain inf).
-    split: m x n row-stochastic turning fractions for rows with demand.
-
-    Each incoming approach keeps a single reduction factor (FIFO across its
-    turning movements); binding outgoing supplies are relaxed by scaling all
-    their contributors proportionally, most violated first.  Conservation is
-    exact by construction.
-    """
-    d = np.asarray(demands, dtype=float)
-    s = np.asarray(supplies, dtype=float)
-    w = np.atleast_2d(np.asarray(split, dtype=float))
-    m, n = w.shape
-    if d.shape != (m,) or s.shape != (n,):
-        raise ValidationError(f"junction dimensions disagree: {d.shape}, {s.shape}, {w.shape}")
-    if np.any(d < 0) or np.any(s < 0) or np.any(w < 0):
-        raise ValidationError("junction inputs must be nonnegative")
-    active = d > 0
-    row_sums = w[active].sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-9):
-        raise ValidationError("split rows with positive demand must sum to one")
-
-    theta = np.ones(m)
-    for _ in range(n + 1):
-        totals = (theta * d) @ w
-        over = totals - s
-        mask = over > 1e-12 * np.maximum(s, 1.0)
-        if not np.any(mask):
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(mask, np.where(s > 0, totals / s, np.inf), 0.0)
-        j = int(np.argmax(ratios))
-        scale = s[j] / totals[j] if totals[j] > 0 else 0.0
-        contributors = w[:, j] > 0
-        theta[contributors] *= scale
-    f_out = theta * d
-    f_in = f_out @ w
-    return f_out, f_in
-
-
-def origin_demand(queue: float, inflow: float, big_m: float) -> float:
-    """Sending rate of an origin point queue: big M while backed up."""
-    return big_m if queue > 0 else inflow
-
-
-def step_origin_queue(
-    queue: float, inflow: float, supply: float, d_origin: float, dt: float
-) -> tuple[float, float]:
-    """One explicit-Euler queue update.
-
-    Returns (next queue size, released flow).  The release min(D, S) is
-    capped so the queue cannot go negative within the step.
-    """
-    release = min(d_origin, supply)
-    release = min(release, queue / dt + inflow)
-    release = max(release, 0.0)
-    q_next = max(0.0, queue + dt * (inflow - release))
-    return q_next, release
-
-
-def exit_time(n_up: CumulativeCurve, n_down: CumulativeCurve, t: float) -> float:
-    """Smallest s with downstream count reaching the upstream count at t.
-
-    Located by linear interpolation between samples.  When nothing has
-    entered by t the value is the grid start by convention (no vehicle
-    departs then).
-    """
-    level = n_up.at(t)
-    if level <= EPS_COUNT:
-        return n_down.grid.t0
-    return _invert_curve(n_down.grid.boundaries(), np.asarray(n_down.values), level, None, None)
-
-
-def _invert_curve(times, values, level, path_id, interval) -> float:
-    """Smallest time where the curve reaches `level`, tolerant to count dust."""
-    if level > values[-1] + EPS_COUNT:
-        raise UnfinishedTripError(path_id, interval)
-    idx = int(np.searchsorted(values, level - EPS_COUNT, side="left"))
-    if idx <= 0:
-        return float(times[0])
-    idx = min(idx, values.size - 1)
-    lo, hi = values[idx - 1], values[idx]
-    if hi <= lo:
-        return float(times[idx])
-    frac = min((level - lo) / (hi - lo), 1.0)
-    return float(times[idx - 1] + frac * (times[idx] - times[idx - 1]))
 
 
 # --------------------------------------------------------------------------
@@ -414,7 +187,8 @@ class _Engine:
         n_up = np.zeros((E, T + 1))
         n_down = np.zeros((E, T + 1))
         p_up = [np.zeros((len(r), T + 1)) for r in self.rows]
-        p_down = [np.zeros((len(r), T + 1)) for r in self.rows]
+        # per-path exit totals, kept only for the path_split check
+        p_down_now = [np.zeros(len(r)) for r in self.rows] if validate else None
         q_arr = np.zeros((len(self.queues), T + 1))
         q_rel = np.zeros((len(self.queues), T + 1))
         q_path = [np.zeros((len(q.rows), T + 1)) for q in self.queues]
@@ -449,7 +223,6 @@ class _Engine:
             up_inc = np.zeros(E)
             down_inc = np.zeros(E)
             pu_inc: dict[int, np.ndarray] = {}
-            pd_inc: dict[int, np.ndarray] = {}
 
             def _pu(e):
                 if e not in pu_inc:
@@ -484,9 +257,9 @@ class _Engine:
                         q_rel[qi, k + 1] = q_rel[qi, k]
                         q_path[qi][:, k + 1] = q_now[qi]
                         continue
-                    inflow_rate = float(arr_in.sum()) / dt
+                    # a backed-up queue sends big M, an empty one its inflow
                     queued = float(q_now[qi].sum())
-                    d_rate = origin_demand(queued, inflow_rate, self.big_m)
+                    d_rate = self.big_m if queued > 0 else float(arr_in.sum()) / dt
                     want = min(d_rate * dt, total_avail)
                     amounts = np.zeros(n_out + 1)
                     amounts[q.slot + 1] = want
@@ -513,8 +286,8 @@ class _Engine:
                         moved = th * comp
                         down_inc[e] += moved.sum()
                         j_sent += moved.sum()
-                        pd = pd_inc.setdefault(e, np.zeros(len(self.rows[e])))
-                        pd += moved
+                        if validate:
+                            p_down_now[e] += moved
                         for s, jl in enumerate(out_idx):
                             src, dst = ap["per_slot"][s]
                             if src.size:
@@ -551,7 +324,6 @@ class _Engine:
                 if len(self.rows[e]) == 0:
                     continue
                 p_up[e][:, k + 1] = p_up[e][:, k] + pu_inc.get(e, 0.0)
-                p_down[e][:, k + 1] = p_down[e][:, k] + pd_inc.get(e, 0.0)
 
             if validate:
                 occ = n_up[:, k + 1] - n_down[:, k + 1]
@@ -570,7 +342,7 @@ class _Engine:
                         worst["path_split"] = max(
                             worst["path_split"],
                             abs(p_up[e][:, k + 1].sum() - n_up[e, k + 1]),
-                            abs(p_down[e][:, k + 1].sum() - n_down[e, k + 1]),
+                            abs(p_down_now[e].sum() - n_down[e, k + 1]),
                         )
 
         return LoadingResult(
@@ -578,7 +350,6 @@ class _Engine:
             n_up=n_up,
             n_down=n_down,
             p_up=p_up,
-            p_down=p_down,
             q_arrivals=q_arr,
             q_releases=q_rel,
             q_paths=q_path,
@@ -656,20 +427,17 @@ class _Engine:
 
 @dataclass
 class LoadingResult:
-    """Raw loading state plus lazy public views."""
+    """Boundary curves, per-path entry curves and origin queues of one loading."""
 
     engine: _Engine
     n_up: np.ndarray
     n_down: np.ndarray
     p_up: list[np.ndarray]
-    p_down: list[np.ndarray]
     q_arrivals: np.ndarray
     q_releases: np.ndarray
     q_paths: list[np.ndarray]
     exited_by_path: np.ndarray
     invariant_report: dict | None = None
-    _link_states: dict | None = None
-    _origin_queues: dict | None = None
 
     @property
     def grid_ext(self) -> TimeGrid:
@@ -679,46 +447,6 @@ class LoadingResult:
     def total_exited(self) -> float:
         return float(self.exited_by_path.sum())
 
-    @property
-    def link_states(self) -> dict[str, LinkState]:
-        if self._link_states is None:
-            net = self.engine.net
-            grid = self.grid_ext
-            states = {}
-            for e, lid in enumerate(self.engine.link_ids):
-                ids = [net.paths[r].id for r in self.engine.rows[e]]
-                states[lid] = LinkState(
-                    link_id=lid,
-                    n_up=CumulativeCurve(grid, self.n_up[e]),
-                    n_down=CumulativeCurve(grid, self.n_down[e]),
-                    path_up={pid: CumulativeCurve(grid, self.p_up[e][i]) for i, pid in enumerate(ids)},
-                    path_down={pid: CumulativeCurve(grid, self.p_down[e][i]) for i, pid in enumerate(ids)},
-                )
-            self._link_states = states
-        return self._link_states
-
-    @property
-    def origin_queues(self) -> dict[tuple[str, str], OriginQueue]:
-        if self._origin_queues is None:
-            net = self.engine.net
-            grid = self.grid_ext
-            out = {}
-            for qi, q in enumerate(self.engine.queues):
-                lid = self.engine.link_ids[q.link_idx]
-                out[(q.node, lid)] = OriginQueue(
-                    node=q.node,
-                    link_id=lid,
-                    arrivals=CumulativeCurve(grid, self.q_arrivals[qi]),
-                    releases=CumulativeCurve(grid, self.q_releases[qi]),
-                    queue=self.q_arrivals[qi] - self.q_releases[qi],
-                    path_queues={
-                        net.paths[r].id: self.q_paths[qi][i]
-                        for i, r in enumerate(q.rows)
-                    },
-                )
-            self._origin_queues = out
-        return self._origin_queues
-
     # -- probe tracing ------------------------------------------------------
 
     def probe_link_exit(self, link_idx: int, times: np.ndarray,
@@ -727,9 +455,17 @@ class LoadingResult:
 
         Rides the aggregate boundary curves and never undercuts free flow.
         """
+        return self._probe_exit(self.n_up[link_idx], self.n_down[link_idx], times,
+                                self.engine.ff_time[link_idx], path_id, intervals)
+
+    def _probe_exit(self, up, down, times, floor, path_id, intervals) -> np.ndarray:
+        """Earliest time `down` reaches the level `up` has at each of `times`.
+
+        The result is never below `times + floor`.  A level `down` never
+        reaches is an unfinished trip.
+        """
         bt = self.grid_ext.boundaries()
-        levels = np.interp(times, bt, self.n_up[link_idx])
-        down = self.n_down[link_idx]
+        levels = np.interp(times, bt, up)
         if np.any(levels > down[-1] + EPS_COUNT):
             bad = int(np.argmax(levels > down[-1] + EPS_COUNT))
             raise UnfinishedTripError(
@@ -737,32 +473,12 @@ class LoadingResult:
             )
         idx = np.searchsorted(down, levels - EPS_COUNT, side="left")
         idx = np.clip(idx, 1, down.size - 1)
-        lo = down[idx - 1]
-        hi = down[idx]
+        lo, hi = down[idx - 1], down[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(hi > lo, np.minimum((levels - lo) / (hi - lo), 1.0), 0.0)
         raw = bt[idx - 1] + frac * (bt[idx] - bt[idx - 1])
         raw = np.where(levels <= down[0] + EPS_COUNT, bt[0], raw)
-        return np.maximum(times + self.engine.ff_time[link_idx], raw)
-
-    def probe_queue_exit(self, queue_idx: int, times: np.ndarray,
-                         path_id=None, intervals=None) -> np.ndarray:
-        bt = self.grid_ext.boundaries()
-        levels = np.interp(times, bt, self.q_arrivals[queue_idx])
-        rel = self.q_releases[queue_idx]
-        if np.any(levels > rel[-1] + EPS_COUNT):
-            bad = int(np.argmax(levels > rel[-1] + EPS_COUNT))
-            raise UnfinishedTripError(
-                path_id, None if intervals is None else int(intervals[bad])
-            )
-        idx = np.searchsorted(rel, levels - EPS_COUNT, side="left")
-        idx = np.clip(idx, 1, rel.size - 1)
-        lo, hi = rel[idx - 1], rel[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(hi > lo, np.minimum((levels - lo) / (hi - lo), 1.0), 0.0)
-        raw = bt[idx - 1] + frac * (bt[idx] - bt[idx - 1])
-        raw = np.where(levels <= rel[0] + EPS_COUNT, bt[0], raw)
-        return np.maximum(times, raw)
+        return np.maximum(times + floor, raw)
 
     def path_delays(self) -> np.ndarray:
         """Travel time per (path, departure interval) on the departure grid."""
@@ -776,7 +492,9 @@ class LoadingResult:
                 queue_of_path[int(r)] = qi
         for r in range(self.engine.num_paths):
             pid = self.engine.net.paths[r].id
-            s = self.probe_queue_exit(queue_of_path[r], starts, pid, intervals)
+            qi = queue_of_path[r]
+            s = self._probe_exit(self.q_arrivals[qi], self.q_releases[qi], starts, 0.0,
+                                 pid, intervals)
             for e in self.engine.path_seq[r]:
                 s = self.probe_link_exit(int(e), s, pid, intervals)
             out[r] = s - starts
@@ -801,20 +519,6 @@ def run_dnl(
         raise ValidationError("profile grid differs from the loading grid")
     engine = _Engine(net, grid, buffer)
     return engine.run(np.asarray(h.rates, dtype=float), validate=validate)
-
-
-def path_delay(
-    h: PathFlowProfile,
-    net: Network,
-    grid: TimeGrid | None = None,
-    *,
-    buffer: float | None = None,
-    result: LoadingResult | None = None,
-) -> np.ndarray:
-    """Path travel times for every departure interval; loads if needed."""
-    if result is None:
-        result = run_dnl(h, net, grid, buffer=buffer)
-    return result.path_delays()
 
 
 def effective_delay(

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -60,14 +59,14 @@ class ConvergenceLog:
 
     CSV_FIELDS = ("n", "tau", "alpha", "beta", "residual", "energy", "operator_calls")
 
-    def write_csv(self, path) -> None:
+    def csv_text(self) -> str:
         lines = [",".join(self.CSV_FIELDS)]
         for r in self.records:
             lines.append(
                 f"{r.n},{r.tau!r},{r.alpha!r},{r.beta!r},{r.residual!r},"
                 f"{r.energy!r},{r.operator_calls}"
             )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
         out = {

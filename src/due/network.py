@@ -33,7 +33,6 @@ __all__ = [
     "Network",
     "load_network",
     "save_network",
-    "classify_junctions",
 ]
 
 _TIME_FACTORS = {"h": 1.0, "hr": 1.0, "min": 1.0 / 60.0, "s": 1.0 / 3600.0, "sec": 1.0 / 3600.0}
@@ -90,29 +89,6 @@ class Junction:
     node: str
     incoming: tuple[str, ...]
     outgoing: tuple[str, ...]
-    is_origin: bool = False
-    is_destination: bool = False
-
-    @property
-    def kind(self) -> str:
-        if self.is_origin and self.is_destination:
-            return "origin+destination"
-        if self.is_origin:
-            return "origin"
-        if self.is_destination:
-            return "destination"
-        return "ordinary"
-
-    @property
-    def shape(self) -> str:
-        m, n = len(self.incoming), len(self.outgoing)
-        if m > 1 and n == 1:
-            return "merge"
-        if m == 1 and n > 1:
-            return "diverge"
-        if m > 1 and n > 1:
-            return "general"
-        return "line"
 
 
 @dataclass(frozen=True)
@@ -168,33 +144,14 @@ def _classify(net: Network) -> dict[str, Junction]:
     for link in net.links.values():
         outgoing[link.tail].append(link.id)
         incoming[link.head].append(link.id)
-    origins = {o for o, _ in net.od_pairs.values()}
-    dests = {d for _, d in net.od_pairs.values()}
     return {
         n: Junction(
             node=n,
             incoming=tuple(sorted(incoming[n])),
             outgoing=tuple(sorted(outgoing[n])),
-            is_origin=n in origins,
-            is_destination=n in dests,
         )
         for n in net.nodes
     }
-
-
-def classify_junctions(net: Network) -> Network:
-    """Recompute node roles and junction shapes from links plus O-D pairs."""
-    for od, (o, d) in net.od_pairs.items():
-        if o == d:
-            raise ValidationError(f"O-D pair {od!r} has identical origin and destination {o!r}")
-    return Network(
-        nodes=net.nodes,
-        links=net.links,
-        od_pairs=net.od_pairs,
-        trips=net.trips,
-        paths=net.paths,
-        junctions=_classify(net),
-    )
 
 
 def _read_rows(path: Path) -> tuple[list[tuple[int, list[str]]], dict[str, str]]:

@@ -3,14 +3,11 @@
 The loading-backed operator wraps one network and grid; synthetic operators
 over the same kind of feasible set (per-O-D simplex blocks) provide instances
 with known solutions and known Lipschitz constants for solver verification.
-All operators count their evaluations, one tick per call; the loading-backed
-operator additionally memoizes recent results, so repeated evaluation at the
-same profile does not rerun the loading.
+All operators count their evaluations, one tick per call.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -45,7 +42,7 @@ class DelayOperator:
     """Deterministic map from flow profiles to delay profiles.
 
     Subclasses implement `_compute`.  `evaluate` increments the call counter
-    by exactly one per invocation regardless of caching.
+    by exactly one per invocation.
     """
 
     def __init__(self, lipschitz: float | None = None):
@@ -76,32 +73,18 @@ class DNLDelayOperator(DelayOperator):
     """
 
     def __init__(self, net: Network, grid: TimeGrid, gamma: float = 1.0,
-                 buffer: float | None = None, cache_size: int = 4):
+                 buffer: float | None = None):
         super().__init__(lipschitz=None)
         self.net = net
         self.grid = grid
         self.gamma = gamma
         self._engine = _Engine(net, grid, buffer)
         self._od_by_path = net.od_by_path()
-        self._cache: dict[bytes, DelayProfile] = {}
-        self._cache_size = cache_size
-        self.dnl_runs = 0
 
     def _compute(self, h: PathFlowProfile) -> DelayProfile:
-        clamped = np.maximum(h.rates, 0.0)
-        key = hashlib.sha1(clamped.tobytes()).digest()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        result = self._engine.run(clamped)
-        self.dnl_runs += 1
-        delays = result.path_delays()
-        profile = effective_delay(delays, self.grid, self.net.trips,
-                                  self._od_by_path, self.gamma)
-        if len(self._cache) >= self._cache_size:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[key] = profile
-        return profile
+        delays = self._engine.run(np.maximum(h.rates, 0.0)).path_delays()
+        return effective_delay(delays, self.grid, self.net.trips,
+                               self._od_by_path, self.gamma)
 
 
 def dnl_operator(net: Network, grid: TimeGrid, gamma: float = 1.0,

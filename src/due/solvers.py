@@ -165,8 +165,7 @@ class SolverConfig:
     """Algorithm choice plus parameters and schedules.
 
     tau0 seeds the adaptive step of fbf/ifbf; tau_fixed is the constant step
-    of fb (falls back to tau0).  alpha is the inertia cap of ifbf.  The seed
-    is reserved; no randomized tie-breaks exist yet.
+    of fb (falls back to tau0).  alpha is the inertia cap of ifbf.
     """
 
     algorithm: str = "ifbf"
@@ -180,7 +179,6 @@ class SolverConfig:
     alpha_schedule: object | None = None
     beta_schedule: object | None = None
     eps_schedule: object | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         self.algorithm = self.algorithm.lower()

@@ -3,6 +3,8 @@
 These deliberately avoid the code paths they check: the projection oracle
 enumerates KKT candidates instead of running the cumulative threshold scan,
 and the small-instance variant enumerates every support subset outright.
+The junction reference is written over (demands, supplies, split matrix)
+rather than over the engine's per-approach slot amounts.
 """
 
 from __future__ import annotations
@@ -65,3 +67,37 @@ def brute_force_inner(f_rates: np.ndarray, g_rates: np.ndarray, dt: float) -> fl
         for k in range(f_rates.shape[1]):
             acc += f_rates[p, k] * g_rates[p, k] * dt
     return acc
+
+
+def junction_flows(
+    demands: np.ndarray, supplies: np.ndarray, split: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve boundary flows at one junction.
+
+    demands: sending flows of the m incoming approaches.
+    supplies: receiving flows of the n outgoing links (may contain inf).
+    split: m x n row-stochastic turning fractions for rows with demand.
+
+    Each incoming approach keeps a single reduction factor (FIFO across its
+    turning movements); binding outgoing supplies are relaxed by scaling all
+    their contributors proportionally, most violated first.  Returns the
+    approach outflows and the outgoing inflows.
+    """
+    d = np.asarray(demands, dtype=float)
+    s = np.asarray(supplies, dtype=float)
+    w = np.atleast_2d(np.asarray(split, dtype=float))
+    m, n = w.shape
+    theta = np.ones(m)
+    for _ in range(n + 1):
+        totals = (theta * d) @ w
+        over = totals - s
+        mask = over > 1e-12 * np.maximum(s, 1.0)
+        if not np.any(mask):
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(mask, np.where(s > 0, totals / s, np.inf), 0.0)
+        j = int(np.argmax(ratios))
+        scale = s[j] / totals[j] if totals[j] > 0 else 0.0
+        theta[w[:, j] > 0] *= scale
+    f_out = theta * d
+    return f_out, f_out @ w

@@ -46,6 +46,19 @@ class TestRun:
         assert (tmp_path / "dump" / "dnl_curves.csv").exists()
         assert (tmp_path / "dump" / "dnl_queues.csv").exists()
 
+    def test_numeric_cells_parse(self, tmp_path, instance_dir):
+        cfg = line_config(tmp_path, instance_dir, out_name="cells")
+        assert main(["run", "-c", str(cfg), "--dump-dnl"]) == 0
+        # file -> index of its first numeric column
+        first_numeric = {"final_flows.csv": 2, "final_delays.csv": 2,
+                         "dnl_curves.csv": 1, "dnl_queues.csv": 2}
+        for name, first in first_numeric.items():
+            rows = (tmp_path / "cells" / name).read_text().splitlines()[1:]
+            assert rows, name
+            for row in rows:
+                for cell in row.split(",")[first:]:
+                    float(cell)
+
     def test_missing_links_file_is_parse_error(self, tmp_path, instance_dir, capsys):
         (instance_dir / "links.csv").unlink()
         cfg = line_config(tmp_path, instance_dir)

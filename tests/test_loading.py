@@ -3,242 +3,269 @@ import pytest
 
 from conftest import build_line_network, uniform_profile
 from due.errors import ConfigurationError, UnfinishedTripError, ValidationError
-from due.loading import (
-    CumulativeCurve,
-    LinkState,
-    effective_delay,
-    exit_time,
-    fundamental_flow,
-    junction_flows,
-    link_demand,
-    link_supply,
-    origin_demand,
-    path_delay,
-    run_dnl,
-    step_origin_queue,
-)
-from due.network import Link
+from due.loading import _Engine, effective_delay, run_dnl
+from due.network import Link, Network
 from due.space import PathFlowProfile, TimeGrid, TripTable
+from oracles import junction_flows
+
+# Line links default to 2 km at 60 km/h (w 20 km/h, kjam 160 veh/km): on this
+# grid one step is one free-flow time, L/w is three steps, and capacity is
+# 80 vehicles a step.
+GRID = TimeGrid(0.0, 0.5, 15)
+DT = GRID.dt
 
 
-def make_link(lid="a", length=2.0, vf=60.0, w=20.0, kjam=160.0):
-    return Link(lid, "0", "1", length, vf, w, kjam, vf * w * kjam / (vf + w))
+def with_kjam(net, lid, kjam):
+    """`net` with link `lid` at another jam density, and hence capacity."""
+    l = net.links[lid]
+    links = dict(net.links)
+    links[lid] = Link(lid, l.tail, l.head, l.length, l.vf, l.w, kjam,
+                      l.vf * l.w * kjam / (l.vf + l.w))
+    return Network(nodes=net.nodes, links=links, od_pairs=net.od_pairs,
+                   trips=net.trips, paths=net.paths, junctions=None)
 
 
-def curve(grid, values):
-    return CumulativeCurve(grid, np.asarray(values, dtype=float))
+def load(net, rates):
+    h = PathFlowProfile(GRID, np.asarray(rates, dtype=float).reshape(1, -1))
+    return run_dnl(h, net, GRID, buffer=1.0, validate=True)
 
 
-class TestFundamentalFlow:
-    def test_vanishes_at_zero_and_jam(self):
-        link = make_link()
-        assert fundamental_flow(link, 0.0) == 0.0
-        assert fundamental_flow(link, link.kjam) == pytest.approx(0.0, abs=1e-12)
+def curves(res, lid):
+    e = res.engine.index_of[lid]
+    return res.n_up[e], res.n_down[e]
 
-    def test_peak_at_critical_density(self):
-        link = make_link()
-        assert fundamental_flow(link, link.critical_density) == pytest.approx(link.capacity)
 
-    def test_continuous_at_kink(self):
-        link = make_link()
-        rc = link.critical_density
-        assert fundamental_flow(link, rc - 1e-9) == pytest.approx(fundamental_flow(link, rc + 1e-9), abs=1e-5)
+def burst(vehicles=200.0, tail_rate=0.0):
+    """One-link line; `vehicles` depart in the first interval, then a steady trickle."""
+    rates = np.full(15, tail_rate)
+    rates[0] = vehicles / DT
+    return load(build_line_network(num_links=1), rates)
 
-    def test_domain_error(self):
-        link = make_link()
-        with pytest.raises(ValidationError):
-            fundamental_flow(link, -1.0)
-        with pytest.raises(ValidationError):
-            fundamental_flow(link, link.kjam + 1.0)
+
+def bottleneck():
+    """Two-link line whose second link has a quarter of the capacity (20 a step)."""
+    net = with_kjam(build_line_network(num_links=2), "2", 40.0)
+    rates = np.zeros(15)
+    rates[:3] = 1500.0  # 50 vehicles a step for three steps
+    return net, load(net, rates)
+
+
+def spillback():
+    """Three-link line at capacity demand whose last link lets through 0.04 vehicles a step."""
+    net = with_kjam(build_line_network(num_links=3), "3", 0.08)
+    return net, load(net, np.full(15, 2400.0))
+
+
+def resolve_both(d, s, w):
+    """Junction flows from `_Engine._resolve` and from the reference.
+
+    Column 0 of the split `w` is the sink, which takes any amount.
+    """
+    d, s, w = (np.asarray(x, dtype=float) for x in (d, s, w))
+    theta = _Engine._resolve(d[:, None] * w, s)
+    engine = (theta * d, (theta * d) @ w)
+    return engine, junction_flows(d, np.r_[np.inf, s], w)
+
+
+def assert_same_flows(engine, oracle):
+    for a, b in zip(engine, oracle):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 class TestLinkDemandSupply:
-    def grid(self, T=10, dt=0.05):
-        return TimeGrid(0.0, T * dt, T)
-
-    def empty_state(self, link, grid):
-        z = np.zeros(grid.num_intervals + 1)
-        return LinkState(link.id, curve(grid, z), curve(grid, z), {}, {})
-
     def test_empty_link_demand_zero(self):
-        link = make_link()
-        grid = self.grid()
-        st = self.empty_state(link, grid)
-        for t in [0.0, 0.1, 0.3, 0.5]:
-            assert link_demand(st, link, t) == 0.0
+        # nothing leaves a link before its first vehicle has crossed it
+        res = load(build_line_network(num_links=2), np.full(15, 600.0))
+        for pos, lid in enumerate(("1", "2")):
+            _up, down = curves(res, lid)
+            assert np.all(down[: pos + 2] == 0.0)
+            assert down[pos + 2] > 0.0
 
     def test_empty_link_supply_capacity(self):
-        link = make_link()
-        grid = self.grid()
-        st = self.empty_state(link, grid)
-        assert link_supply(st, link, 0.3) == pytest.approx(link.capacity)
+        res = burst()
+        up, _down = curves(res, "1")
+        np.testing.assert_allclose(np.diff(up)[:2], 80.0, rtol=1e-12)
 
     def test_queued_link_sends_capacity(self):
-        link = make_link()
-        grid = self.grid()
-        bt = grid.boundaries()
-        # heavy inflow early, nothing has exited: queued branch
-        n_up = np.minimum(1000.0 * bt, 300.0)
-        n_down = np.zeros_like(bt)
-        st = LinkState(link.id, curve(grid, n_up), curve(grid, n_down), {}, {})
-        assert link_demand(st, link, 0.4) == pytest.approx(link.capacity)
+        # link 1 queues behind the bottleneck and discharges at its capacity
+        net, res = bottleneck()
+        cap = net.links["2"].capacity * DT
+        up1, down1 = curves(res, "1")
+        out = np.diff(down1)
+        reached = up1[:-1] - down1[:-1]  # at the exit, one free-flow step after entry
+        queued = reached >= cap
+        assert queued.sum() >= 5
+        np.testing.assert_allclose(out[queued], cap, rtol=1e-12)
+        np.testing.assert_allclose(out[~queued], reached[~queued], atol=1e-9)
+        up2, _down2 = curves(res, "2")
+        np.testing.assert_allclose(np.diff(up2), out, atol=1e-12)
 
     def test_uncongested_demand_equals_lagged_inflow(self):
-        # constant inflow 1 veh/h below capacity, exits track entries at lag L/v
-        link = make_link()  # L/v = 2/60 h
-        grid = self.grid(T=30, dt=link.free_flow_time)
-        bt = grid.boundaries()
-        n_up = 1.0 * bt
-        n_down = np.maximum(bt - link.free_flow_time, 0.0) * 1.0
-        st = LinkState(link.id, curve(grid, n_up), curve(grid, n_down), {}, {})
-        t = 5 * link.free_flow_time
-        assert link_demand(st, link, t) == pytest.approx(1.0)
+        res = load(build_line_network(num_links=2), np.full(15, 600.0))
+        for lid in ("1", "2"):
+            up, down = curves(res, lid)
+            np.testing.assert_allclose(down[1:], up[:-1], atol=1e-9)
 
     def test_jammed_link_supply_zero(self):
-        link = make_link()
-        grid = self.grid(T=20, dt=0.025)
-        bt = grid.boundaries()
-        # link filled to storage instantly, zero outflow
-        n_up = np.minimum(1e4 * bt, link.storage)
-        n_down = np.zeros_like(bt)
-        st = LinkState(link.id, curve(grid, n_up), curve(grid, n_down), {}, {})
-        t = 0.4
-        assert st.n_up.at(t) == pytest.approx(link.storage)
-        assert link_supply(st, link, t) == pytest.approx(0.0)
+        # once jammed, link 2 holds exactly its storage beyond the vehicles
+        # that had left one backward-wave lag (three steps) earlier, and takes
+        # in no more than its nearly shut exit frees
+        net, res = spillback()
+        storage = net.links["2"].storage
+        up2, down2 = curves(res, "2")
+        assert np.max(up2 - down2) <= storage + 1e-9
+        held = up2[3:] - down2[:-3]
+        assert np.all(held <= storage + 1e-9)
+        jammed = np.nonzero(held >= storage - 1e-9)[0]
+        assert jammed.size >= 10
+        inflow = np.diff(up2)[jammed[0] + 3:]
+        np.testing.assert_allclose(inflow, net.links["3"].capacity * DT, rtol=1e-9)
+        assert inflow.max() < 1e-3 * net.links["2"].capacity * DT
 
     def test_full_link_with_outflow_at_capacity_receives_capacity(self):
-        # binding storage condition N_up(t) = N_down(t - L/w) + storage with the
-        # downstream trace running at capacity: supply equals the lagged trace
-        link = make_link()
-        L_w = link.length / link.w  # 0.1 h
-        grid = self.grid(T=40, dt=0.025)
-        bt = grid.boundaries()
-        n_down = link.capacity * bt
-        n_up = np.maximum.accumulate(
-            np.where(bt > 0, link.capacity * (bt - L_w) + link.storage, 0.0)
-        )
-        st = LinkState(link.id, curve(grid, n_up), curve(grid, n_down), {}, {})
-        t = 0.5
-        lag = t - L_w
-        assert st.n_up.at(t) == pytest.approx(st.n_down.at(lag) + link.storage)
-        assert link_supply(st, link, t) == pytest.approx(link.capacity)
+        # the full link receives what its exit lets through, so the jam spills
+        # back: link 1 fills too and the origin releases at the exit's rate
+        net, res = spillback()
+        rate = net.links["3"].capacity * DT
+        _up3, down3 = curves(res, "3")
+        up1, down1 = curves(res, "1")
+        np.testing.assert_allclose(np.diff(down3)[-10:], rate, rtol=1e-9)
+        np.testing.assert_allclose(np.diff(up1)[-10:], rate, rtol=1e-9)
+        assert up1[-1] - down1[-1] == pytest.approx(
+            net.links["1"].storage - 3 * rate, rel=1e-9)
+        np.testing.assert_allclose(np.diff(res.q_releases[0])[-10:], rate, rtol=1e-9)
 
 
 class TestJunctionFlows:
     def test_single_pipe_min(self):
-        f_out, f_in = junction_flows(np.array([2.0]), np.array([3.0]), np.array([[1.0]]))
-        assert f_out[0] == pytest.approx(2.0)
-        assert f_in[0] == pytest.approx(2.0)
+        engine, oracle = resolve_both([2.0], [3.0], [[0.0, 1.0]])
+        assert_same_flows(engine, oracle)
+        assert engine[0][0] == pytest.approx(2.0)
+        assert engine[1][1] == pytest.approx(2.0)
 
     def test_single_pipe_supply_bound(self):
-        f_out, f_in = junction_flows(np.array([5.0]), np.array([3.0]), np.array([[1.0]]))
-        assert f_out[0] == pytest.approx(3.0)
-        assert f_in[0] == pytest.approx(3.0)
+        engine, oracle = resolve_both([5.0], [3.0], [[0.0, 1.0]])
+        assert_same_flows(engine, oracle)
+        assert engine[0][0] == pytest.approx(3.0)
+        assert engine[1][1] == pytest.approx(3.0)
 
     def test_fifo_diverge_scaling(self):
         # one binding branch throttles the whole approach by the same factor
-        f_out, f_in = junction_flows(
-            np.array([4.0]), np.array([1.0, 10.0]), np.array([[0.5, 0.5]])
-        )
-        assert f_out[0] == pytest.approx(2.0)
-        np.testing.assert_allclose(f_in, [1.0, 1.0])
+        engine, oracle = resolve_both([4.0], [1.0, 10.0], [[0.0, 0.5, 0.5]])
+        assert_same_flows(engine, oracle)
+        assert engine[0][0] == pytest.approx(2.0)
+        np.testing.assert_allclose(engine[1], [0.0, 1.0, 1.0])
 
     def test_fifo_diverge_by_enumeration(self):
         # brute force over candidate reductions: largest feasible single factor
         D, S, W = 4.0, np.array([1.0, 10.0]), np.array([0.5, 0.5])
         thetas = np.linspace(0, 1, 100001)
         feasible = thetas[np.all(np.outer(thetas * D, W) <= S + 1e-12, axis=1)]
-        assert feasible.max() == pytest.approx(0.5, abs=1e-4)
+        theta = _Engine._resolve(np.array([[0.0, *(D * W)]]), S)
+        assert theta[0] == pytest.approx(feasible.max(), abs=1e-4)
 
     def test_merge_proportional_to_demand(self):
-        f_out, f_in = junction_flows(
-            np.array([4.0, 2.0]), np.array([3.0]), np.array([[1.0], [1.0]])
-        )
-        np.testing.assert_allclose(f_out, [2.0, 1.0])
-        assert f_in[0] == pytest.approx(3.0)
+        engine, oracle = resolve_both([4.0, 2.0], [3.0], [[0.0, 1.0], [0.0, 1.0]])
+        assert_same_flows(engine, oracle)
+        np.testing.assert_allclose(engine[0], [2.0, 1.0])
+        assert engine[1][1] == pytest.approx(3.0)
 
     def test_conservation_random(self):
+        # random junctions whose approaches each use a random subset of the
+        # out-links and of the destination sink
         rng = np.random.default_rng(42)
         for _ in range(200):
             m = rng.integers(1, 4)
             n = rng.integers(1, 4)
             d = rng.uniform(0, 5, size=m)
             s = rng.uniform(0, 5, size=n)
-            w = rng.dirichlet(np.ones(n), size=m)
-            f_out, f_in = junction_flows(d, s, w)
+            w = rng.dirichlet(np.ones(n + 1), size=m) * (rng.uniform(size=(m, n + 1)) < 0.6)
+            w[np.arange(m), rng.integers(0, n + 1, size=m)] += 0.1
+            w /= w.sum(axis=1, keepdims=True)
+            engine, oracle = resolve_both(d, s, w)
+            assert_same_flows(engine, oracle)
+            f_out, f_in = engine
             assert abs(f_out.sum() - f_in.sum()) <= 1e-12 * max(1.0, f_out.sum())
             assert np.all(f_out <= d + 1e-12)
-            assert np.all(f_in <= s + 1e-9 * np.maximum(s, 1.0))
+            assert np.all(f_in[1:] <= s + 1e-9 * np.maximum(s, 1.0))
             assert np.all(f_out >= 0)
-
-    def test_rejects_bad_split(self):
-        with pytest.raises(ValidationError):
-            junction_flows(np.array([1.0]), np.array([1.0]), np.array([[0.4, 0.4]]))
-        with pytest.raises(ValidationError):
-            junction_flows(np.array([-1.0]), np.array([1.0]), np.array([[1.0]]))
 
 
 class TestOriginQueue:
     def test_origin_demand_branches(self):
-        assert origin_demand(0.0, 3.0, 1e4) == 3.0
-        assert origin_demand(1.0, 0.0, 1e4) == 1e4
-        # queue exactly zero: strict inequality, inflow branch
-        assert origin_demand(0.0, 2.5, 1e4) == 2.5
+        # a backed-up queue sends big M, so the link's supply sets its release;
+        # an empty one sends its inflow
+        res = burst(tail_rate=600.0)
+        arrivals = np.diff(res.q_arrivals[0])
+        released = np.diff(res.q_releases[0])
+        queue = (res.q_arrivals[0] - res.q_releases[0])[:-1]
+        backed_up = queue > 0
+        assert 0 < backed_up.sum() < queue.size
+        np.testing.assert_allclose(
+            released[backed_up],
+            np.minimum(80.0, queue[backed_up] + arrivals[backed_up]), rtol=1e-12)
+        np.testing.assert_allclose(
+            released[~backed_up], np.minimum(80.0, arrivals[~backed_up]), rtol=1e-12)
 
     def test_free_flow_through(self):
-        q_next, release = step_origin_queue(0.0, 2.0, 5.0, 2.0, 1.0)
-        assert release == pytest.approx(2.0)
-        assert q_next == pytest.approx(0.0)
+        res = load(build_line_network(num_links=1), np.full(15, 600.0))
+        np.testing.assert_array_equal(res.q_releases[0], res.q_arrivals[0])
+        up, _down = curves(res, "1")
+        np.testing.assert_array_equal(up, res.q_releases[0])
 
     def test_supply_bound_builds_queue(self):
-        q_next, release = step_origin_queue(0.0, 10.0, 4.0, 10.0, 1.0)
-        assert release == pytest.approx(4.0)
-        assert q_next == pytest.approx(6.0)
+        # 200 vehicles at once: 80 leave a step, so the queue builds to 120
+        # and drains at capacity
+        res = burst()
+        np.testing.assert_allclose(np.diff(res.q_releases[0])[:4], [80.0, 80.0, 40.0, 0.0])
+        queue = res.q_arrivals[0] - res.q_releases[0]
+        np.testing.assert_allclose(queue[:4], [0.0, 120.0, 40.0, 0.0], atol=1e-12)
 
     def test_release_capped_by_content(self):
-        q_next, release = step_origin_queue(3.0, 0.0, 4.0, 1e4, 1.0)
-        assert release == pytest.approx(3.0)
-        assert q_next == pytest.approx(0.0)
+        # the draining step releases only what is left: no queue goes negative
+        for res in (burst(), burst(vehicles=170.0, tail_rate=300.0), spillback()[1]):
+            queue = res.q_arrivals - res.q_releases
+            assert queue.min() >= 0.0
+            assert min(q.min() for q in res.q_paths) >= 0.0
+            np.testing.assert_allclose(queue[:, -1], sum(q[:, -1] for q in res.q_paths))
 
 
 class TestExitTime:
     def test_free_flow_translation(self):
-        grid = TimeGrid(0.0, 40.0, 40)
-        bt = grid.boundaries()
-        n_up = 2.0 * bt
-        n_down = 2.0 * np.maximum(bt - 10.0, 0.0)
-        lam = exit_time(curve(grid, n_up), curve(grid, n_down), 7.0)
-        assert lam == pytest.approx(17.0, abs=1e-9)
+        res = load(build_line_network(num_links=1), np.full(15, 600.0))
+        t = res.grid_ext.boundaries()[:30]
+        ff = res.engine.ff_time[0]
+        np.testing.assert_allclose(res.probe_link_exit(0, t), t + ff, atol=1e-12)
 
     def test_no_vehicle_convention(self):
-        grid = TimeGrid(0.0, 10.0, 10)
-        z = np.zeros(11)
-        assert exit_time(curve(grid, z), curve(grid, z), 4.0) == grid.t0
+        # an empty link is crossed at free flow
+        res = load(build_line_network(num_links=1), np.zeros(15))
+        t = res.grid_ext.boundaries()[:30]
+        np.testing.assert_array_equal(res.probe_link_exit(0, t), t + res.engine.ff_time[0])
 
     def test_queued_staircase_brute_force(self):
-        # inflow 2C for one hour into a capacity-C link: exits are capacity-paced
-        grid = TimeGrid(0.0, 4.0, 400)
-        bt = grid.boundaries()
-        C = 100.0
-        n_up = np.minimum(2 * C * bt, 2 * C * 1.0)
-        n_down = np.minimum(C * np.maximum(bt - 0.05, 0.0), n_up[-1])
-        cu, cd = curve(grid, n_up), curve(grid, n_down)
-        for t in [0.1, 0.5, 0.9, 1.3]:
-            lam = exit_time(cu, cd, t)
-            # brute-force scan over a fine sample of the downstream curve
-            fine = np.linspace(0, 4.0, 200001)
-            vals = np.interp(fine, bt, n_down)
-            level = np.interp(t, bt, n_up)
-            expected = fine[np.argmax(vals >= level - 1e-12)]
-            assert lam == pytest.approx(expected, abs=1e-3)
+        net, res = bottleneck()
+        e = res.engine.index_of["1"]
+        up, down = curves(res, "1")
+        bt = res.grid_ext.boundaries()
+        ff = net.links["1"].free_flow_time
+        fine = np.linspace(bt[0], bt[-1], 200001)
+        vals = np.interp(fine, bt, down)
+        times = np.array([0.0, 0.01, 0.03, 0.05, 0.07, 0.09])
+        lam = res.probe_link_exit(e, times)
+        for t, got in zip(times, lam):
+            level = np.interp(t, bt, up)
+            expected = max(fine[np.argmax(vals >= level - 1e-12)], t + ff)
+            assert got == pytest.approx(expected, abs=1e-4)
+        assert np.any(lam > times + ff + DT)  # the later probes wait in the queue
 
     def test_unfinished_trip(self):
-        grid = TimeGrid(0.0, 1.0, 10)
-        bt = grid.boundaries()
-        n_up = 10.0 * bt
-        n_down = np.zeros_like(bt)
+        _net, res = spillback()
+        with pytest.raises(UnfinishedTripError) as info:
+            res.path_delays()
+        assert info.value.path_id == "p1"
         with pytest.raises(UnfinishedTripError):
-            exit_time(curve(grid, n_up), curve(grid, n_down), 0.5)
+            res.probe_link_exit(res.engine.index_of["1"], res.grid_ext.boundaries()[10:20])
 
 
 class TestRunDnl:
@@ -246,9 +273,10 @@ class TestRunDnl:
         grid = TimeGrid(0.0, 0.5, 15)
         h = PathFlowProfile.zeros(grid, 1)
         res = run_dnl(h, line_network, grid, validate=True)
-        for st in res.link_states.values():
-            assert np.all(st.n_up.values == 0.0)
-            assert np.all(st.n_down.values == 0.0)
+        for lid in line_network.links:
+            up, down = curves(res, lid)
+            assert np.all(up == 0.0)
+            assert np.all(down == 0.0)
         assert res.total_exited == 0.0
 
     def test_pulse_conservation(self):
@@ -259,8 +287,8 @@ class TestRunDnl:
         h = PathFlowProfile(grid, rates)
         res = run_dnl(h, net, grid, buffer=1.0, validate=True)
         assert res.total_exited == pytest.approx(10.0, rel=1e-9)
-        last = net.paths[0].links[-1]
-        assert res.link_states[last].n_down.values[-1] == pytest.approx(10.0, rel=1e-9)
+        _up, down = curves(res, net.paths[0].links[-1])
+        assert down[-1] == pytest.approx(10.0, rel=1e-9)
 
     def test_free_flow_translation_of_curves(self):
         net = build_line_network(num_links=1, demand=30.0)
@@ -269,11 +297,11 @@ class TestRunDnl:
         rates = np.full((1, 30), 30.0)  # far below capacity
         h = PathFlowProfile(grid, rates)
         res = run_dnl(h, net, grid, buffer=0.5, validate=True)
-        st = res.link_states["1"]
+        up, down = curves(res, "1")
         bt = res.grid_ext.boundaries()
         lag = link.free_flow_time
-        expected = np.interp(bt - lag, bt, st.n_up.values, left=0.0)
-        np.testing.assert_allclose(st.n_down.values, expected, atol=1e-8)
+        expected = np.interp(bt - lag, bt, up, left=0.0)
+        np.testing.assert_allclose(down, expected, atol=1e-8)
 
     def test_cfl_violation_names_link(self, line_network):
         grid = TimeGrid(0.0, 1.0, 5)  # dt = 0.2 > L/v
@@ -315,15 +343,13 @@ class TestPathDelay:
         # links of 2 and 3 minutes free-flow time, empty network
         net = build_line_network(num_links=2, demand=6.0)
         # reconfigure lengths: 2 km and 3 km at 60 km/h
-        from due.network import Link, Network
-
         links = dict(net.links)
         links["2"] = Link("2", "1", "2", 3.0, 60.0, 20.0, 160.0, 2400.0)
         net = Network(nodes=net.nodes, links=links, od_pairs=net.od_pairs,
                       trips=net.trips, paths=net.paths, junctions=None)
         grid = TimeGrid(0.0, 1.0, 30)
         h = PathFlowProfile(grid, np.full((1, 30), 6.0))
-        d = path_delay(h, net, grid, buffer=0.5)
+        d = run_dnl(h, net, grid, buffer=0.5).path_delays()
         ff = 2.0 / 60.0 + 3.0 / 60.0
         np.testing.assert_allclose(d[0], ff, atol=1e-9)
 

@@ -98,12 +98,10 @@ class TestConvergenceLog:
         with pytest.raises(ValidationError):
             log.append(self.rec(1))
 
-    def test_csv_omits_walltime(self, tmp_path):
+    def test_csv_omits_walltime(self):
         log = ConvergenceLog("ifbf")
         log.append(self.rec(0))
-        path = tmp_path / "log.csv"
-        log.write_csv(path)
-        text = path.read_text()
+        text = log.csv_text()
         assert "wall" not in text
         assert text.splitlines()[0] == "n,tau,alpha,beta,residual,energy,operator_calls"
 

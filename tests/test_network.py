@@ -4,7 +4,9 @@ import pytest
 
 from conftest import build_line_network
 from due.errors import ParseError, ValidationError
-from due.network import classify_junctions, load_network_dir, save_network, validate_network
+from due.loading import _Engine
+from due.network import load_network_dir, save_network, validate_network
+from due.space import TimeGrid
 
 
 def write_minimal_instance(d: Path, **overrides):
@@ -46,7 +48,6 @@ class TestLoadBenchmarks:
         assert len(net.links) == 2
         assert net.num_paths == 1
         mid = net.junctions["1"]
-        assert mid.kind == "ordinary"
         assert (len(mid.incoming), len(mid.outgoing)) == (1, 1)
 
     def test_unit_conversion(self, tmp_path):
@@ -171,9 +172,10 @@ class TestValidationErrors:
 
 class TestClassifyJunctions:
     def test_line_middle_node(self, line_network):
-        j = line_network.junctions["1"]
-        assert j.shape == "line"
-        assert j.kind == "ordinary"
+        junctions = line_network.junctions
+        assert (junctions["0"].incoming, junctions["0"].outgoing) == ((), ("1",))
+        assert (junctions["1"].incoming, junctions["1"].outgoing) == (("1",), ("2",))
+        assert (junctions["2"].incoming, junctions["2"].outgoing) == (("2",), ())
 
     def test_merge_shape(self):
         net = build_line_network()
@@ -188,15 +190,15 @@ class TestClassifyJunctions:
             nodes=nodes, links=links, od_pairs=net.od_pairs, trips=net.trips,
             paths=net.paths, junctions=None,
         )
-        assert merged.junctions["1"].shape == "merge"
+        assert merged.junctions["1"].incoming == ("1", "c")
+        assert merged.junctions["1"].outgoing == ("2",)
 
     def test_nguyen_origin_roles(self, nguyen):
-        net = classify_junctions(nguyen)
-        origins = [n for n, j in net.junctions.items() if j.is_origin]
-        assert set(origins) == {"1", "4"}
-        assert len(origins) <= 4
-        dests = [n for n, j in net.junctions.items() if j.is_destination]
-        assert set(dests) == {"2", "3"}
+        # the loading engine keeps origin point queues at the origin nodes only
+        engine = _Engine(nguyen, TimeGrid(0.0, 2.0, 70), None)
+        assert set(engine.queues_by_node) == {"1", "4"}
+        for q in engine.queues:
+            assert engine.link_ids[q.link_idx] in nguyen.junctions[q.node].outgoing
 
 
 class TestRoundTrip:

@@ -146,14 +146,13 @@ class TestDnlOperator:
         a2 = op2.evaluate(h)
         assert a1.delays.tobytes() == a2.delays.tobytes()
 
-    def test_cache_avoids_rerun_but_counts_calls(self, nguyen):
+    def test_counts_every_call(self, nguyen):
         grid = TimeGrid(0.0, 2.0, 70)
         h = uniform_profile(nguyen, grid)
         op = dnl_operator(nguyen, grid, buffer=2.5)
         op.evaluate(h)
         op.evaluate(h)
         assert op.eval_count == 2
-        assert op.dnl_runs == 1
 
     def test_negative_rates_are_clamped(self, nguyen):
         grid = TimeGrid(0.0, 2.0, 70)
@@ -166,7 +165,6 @@ class TestDnlOperator:
         a_low = op.evaluate(lowered)
         a_clamp = op.evaluate(clamped)
         np.testing.assert_array_equal(a_low.delays, a_clamp.delays)
-        assert op.dnl_runs == 1  # identical after clamping: cache hit
 
     def test_grid_refinement_stability(self, nguyen):
         # free-flow regime: doubling the grid resolution barely moves delays
