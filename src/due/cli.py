@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DueError, ParseError
 from .loading import effective_delay, run_dnl
-from .metrics import od_gap
+from .metrics import ConvergenceLog, od_gap
 from .network import Network, load_network_dir, validate_network
 from .operators import dnl_operator
 from .solvers import SolverConfig, solve, uniform_start
@@ -200,8 +200,9 @@ def _dump_dnl(outdir: Path, result) -> None:
 # subcommands
 
 
-def _execute_run(cfg: RunConfig) -> dict:
-    """Solve one configuration and write all artifacts; returns the summary."""
+def _execute_run(cfg: RunConfig) -> tuple[dict, ConvergenceLog]:
+    """Solve one configuration and write all artifacts; returns the summary
+    and the convergence log, which carries the final O-D gaps."""
     t_begin = time.perf_counter()
     net = load_network_dir(cfg.network_dir)
     by_od = net.path_rows_by_od()
@@ -233,14 +234,14 @@ def _execute_run(cfg: RunConfig) -> dict:
     summary["operator_evaluations"] = op.eval_count
     summary["total_wall_time"] = time.perf_counter() - t_begin
     _atomic_write(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return summary
+    return summary, log
 
 
 def cmd_run(config_path, dump_dnl: bool | None = None) -> int:
     cfg = RunConfig.from_file(config_path)
     if dump_dnl is not None and dump_dnl:
         cfg.dump_dnl = True
-    summary = _execute_run(cfg)
+    summary, _log = _execute_run(cfg)
     print(f"run complete: {summary['iterations']} iterations, "
           f"stop={summary['stop_reason']}, artifacts in {cfg.output_dir}")
     return 0
@@ -291,37 +292,30 @@ def cmd_compare(config_paths, out_dir) -> int:
 
     summaries = {}
     logs = {}
-    all_gaps = {}
     for cfg, name in zip(cfgs, names):
         cfg.output_dir = Path(out_dir) / name
-        summary = _execute_run(cfg)
-        summaries[name] = summary
-        rows = (Path(out_dir) / name / "iterations.csv").read_text().splitlines()[1:]
-        logs[name] = rows
-        gap_rows = (Path(out_dir) / name / "od_gaps.csv").read_text().splitlines()[1:]
-        all_gaps[name] = dict(r.split(",", 1) for r in gap_rows)
+        summaries[name], logs[name] = _execute_run(cfg)
 
-    max_iter = max(len(rows) for rows in logs.values())
+    # cells are formatted as `ConvergenceLog.csv_text` and `_write_gaps_csv` do
     header = ["n"]
     for name in names:
         header += [f"energy_{name}", f"tau_{name}"]
     lines = [",".join(header)]
-    for n in range(max_iter):
+    for n in range(max(log.iterations for log in logs.values())):
         row = [str(n)]
         for name in names:
-            if n < len(logs[name]):
-                cells = logs[name][n].split(",")
-                row += [cells[5], cells[1]]
+            records = logs[name].records
+            if n < len(records):
+                row += [repr(records[n].energy), repr(records[n].tau)]
             else:
                 row += ["", ""]
         lines.append(",".join(row))
     outp = Path(out_dir)
     _atomic_write(outp / "compare_energy.csv", "\n".join(lines) + "\n")
 
-    od_ids = sorted(next(iter(all_gaps.values())).keys())
     lines = ["od_id," + ",".join(f"gap_{name}" for name in names)]
-    for od in od_ids:
-        lines.append(od + "," + ",".join(all_gaps[name].get(od, "") for name in names))
+    for od in sorted(logs[names[0]].final_gaps):
+        lines.append(od + "," + ",".join(repr(logs[name].final_gaps[od]) for name in names))
     _atomic_write(outp / "compare_gaps.csv", "\n".join(lines) + "\n")
     _atomic_write(outp / "compare_summary.json",
                   json.dumps(summaries, indent=2, sort_keys=True) + "\n")

@@ -139,9 +139,11 @@ class _Engine:
             specs.setdefault((node, e), []).append(r)
         self.queues: list[_QueueSpec] = []
         self.queues_by_node: dict[str, list[int]] = {}
+        self.queue_of_path = np.empty(self.num_paths, dtype=int)
         for (node, e), rws in sorted(specs.items(), key=lambda kv: (kv[0][0], kv[0][1])):
             rows = np.array(rws, dtype=int)
             dst = np.array([local_of[e][r] for r in rws], dtype=int)
+            self.queue_of_path[rows] = len(self.queues)
             self.queues_by_node.setdefault(node, []).append(len(self.queues))
             self.queues.append(_QueueSpec(node, e, rows, dst))
 
@@ -486,13 +488,8 @@ class LoadingResult:
         starts = self.engine.grid.starts()
         intervals = np.arange(K)
         out = np.empty((self.engine.num_paths, K))
-        queue_of_path = {}
-        for qi, q in enumerate(self.engine.queues):
-            for r in q.rows:
-                queue_of_path[int(r)] = qi
-        for r in range(self.engine.num_paths):
+        for r, qi in enumerate(self.engine.queue_of_path.tolist()):
             pid = self.engine.net.paths[r].id
-            qi = queue_of_path[r]
             s = self._probe_exit(self.q_arrivals[qi], self.q_releases[qi], starts, 0.0,
                                  pid, intervals)
             for e in self.engine.path_seq[r]:

@@ -89,12 +89,13 @@ class ConvergenceLog:
         return out
 
 
-def relative_energy(h_next: PathFlowProfile, h_curr: PathFlowProfile) -> float:
-    """Step size relative to the current iterate; nan when the base is zero."""
-    base = norm(h_curr)
+def relative_energy(h_next: np.ndarray, h_curr: np.ndarray, dt: float) -> float:
+    """Step between two rate arrays relative to the current one; nan when the
+    base is zero."""
+    base = norm(h_curr, dt)
     if base == 0.0:
         return math.nan
-    return norm(h_next - h_curr) / base
+    return norm(h_next - h_curr, dt) / base
 
 
 def od_gap(

@@ -122,7 +122,8 @@ class SyntheticVI:
         if self.solution is None:
             raise ValidationError("no stored solution to certify")
         ah = self.operator.evaluate(self.solution)
-        r = residual_norm(self.solution, 1.0, ah, self.trips, self.paths_by_od)
+        r = residual_norm(self.solution.rates, 1.0, ah.delays, self.grid.dt,
+                          self.trips, self.paths_by_od)
         if r > tol:
             raise ValidationError(f"stored solution has residual {r} > {tol}")
         return r
@@ -206,7 +207,7 @@ def scaled_pseudo_monotone(
     non-monotone (but pseudo-monotone) ones.
     """
     if theta is None:
-        theta = lambda h: 1.0 / (1.0 + norm(h))
+        theta = lambda h: 1.0 / (1.0 + norm(h.rates, h.grid.dt))
     inner_op = base.operator
 
     def apply(h: PathFlowProfile) -> np.ndarray:

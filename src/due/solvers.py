@@ -13,6 +13,9 @@ Three iterations over the feasible flow set:
 The anchored variants drive the iterates to the minimum-norm equilibrium;
 their intermediate iterates intentionally leave the feasible set, so the
 returned final profile is projected once for reporting.
+
+The iterations run on (path, interval) rate arrays.  Only the operator inputs
+and the returned result are built as `PathFlowProfile`s.
 """
 
 from __future__ import annotations
@@ -28,13 +31,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .metrics import ConvergenceLog, IterationRecord, relative_energy
 from .operators import DelayOperator
-from .space import (
-    DelayProfile,
-    PathFlowProfile,
-    TripTable,
-    norm,
-    project_feasible,
-)
+from .space import PathFlowProfile, TripTable, norm, project_feasible
 
 __all__ = [
     "ScheduleSpec",
@@ -196,18 +193,22 @@ class SolverConfig:
             raise ConfigurationError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
-def _delay_diff_norm(a: DelayProfile, b: DelayProfile) -> float:
-    return math.sqrt(float(((a.delays - b.delays) ** 2).sum()) * a.grid.dt)
+def _adaptive_step(tau: float, mu: float, residual: float,
+                   a_x: np.ndarray, a_y: np.ndarray, dt: float) -> float:
+    """Next step min(tau, mu ||x - y|| / ||A(x) - A(y)||), given residual
+    ||x - y||; tau is kept while the delays barely differ."""
+    diff = math.sqrt(float(((a_x - a_y) ** 2).sum()) * dt)
+    thresh = 1e-14 * math.sqrt(float((a_x ** 2).sum()) * dt)
+    return tau if diff <= thresh else min(tau, mu * residual / diff)
 
 
 def _with_offset(spec: ScheduleSpec, check, horizon: int, what: str) -> ScheduleSpec:
-    """Smallest index offset making `check` hold across the run horizon."""
+    """Smallest index offset making `check(value_n, n)` hold across the run
+    horizon."""
     for offset in range(4):
         shifted = replace(spec, offset=offset)
-        if all(check(shifted.value(n)) for n in range(horizon + 1)):
-            if offset:
-                return shifted
-            return spec
+        if all(check(shifted.value(n), n) for n in range(horizon + 1)):
+            return shifted
     raise ConfigurationError(
         f"{what} schedule {spec} violates its admissible range even after index shifts"
     )
@@ -219,19 +220,9 @@ def _validate_fbf_schedules(config: SolverConfig) -> tuple[ScheduleSpec, Schedul
     alpha_s = parse_schedule(config.alpha_schedule)
     beta_s = parse_schedule(config.beta_schedule)
     horizon = config.max_iterations
-    alpha_s = _with_offset(alpha_s, lambda v: 0 < v < 1, horizon, "anchor weight")
-    # both constraints involve alpha_n, so align beta's offset search with it
-    for offset in range(4):
-        beta_try = replace(beta_s, offset=offset)
-        if all(
-            0 < beta_try.value(n) < 1 - alpha_s.value(n) for n in range(horizon + 1)
-        ):
-            beta_s = beta_try
-            break
-    else:
-        raise ConfigurationError(
-            f"relaxation schedule {beta_s} leaves (0, 1 - alpha_n) on the horizon"
-        )
+    alpha_s = _with_offset(alpha_s, lambda v, n: 0 < v < 1, horizon, "anchor weight")
+    beta_s = _with_offset(beta_s, lambda v, n: 0 < v < 1 - alpha_s.value(n), horizon,
+                          "relaxation")
     notes = []
     if alpha_s.limit() != 0.0:
         notes.append(f"anchor weights {alpha_s} do not vanish; strong convergence not guaranteed")
@@ -250,8 +241,8 @@ def _validate_ifbf_schedules(config: SolverConfig) -> tuple[ScheduleSpec, Schedu
     beta_s = parse_schedule(config.beta_schedule)
     eps_s = parse_schedule(config.eps_schedule)
     horizon = config.max_iterations
-    beta_s = _with_offset(beta_s, lambda v: 0 < v < 1, horizon, "anchor weight")
-    eps_s = _with_offset(eps_s, lambda v: v > 0, horizon, "inertia budget")
+    beta_s = _with_offset(beta_s, lambda v, n: 0 < v < 1, horizon, "anchor weight")
+    eps_s = _with_offset(eps_s, lambda v, n: v > 0, horizon, "inertia budget")
     notes = []
     if beta_s.limit() != 0.0:
         notes.append(f"anchor weights {beta_s} do not vanish; strong convergence not guaranteed")
@@ -309,20 +300,21 @@ def run_fb(
     if not tau > 0:
         raise ConfigurationError(f"fb needs a positive fixed step, got {tau}")
     log = ConvergenceLog("fb", header=_base_header(config, op, []))
-    h = h0
+    grid, dt = h0.grid, h0.grid.dt
+    h = h0.rates
     for n in range(config.max_iterations):
         t_start = time.perf_counter()
-        ah = op.evaluate(h)
-        y = project_feasible(h.with_rates(h.rates - tau * ah.delays), trips, paths_by_od)
-        residual = norm(h - y)
-        energy = relative_energy(y, h)
+        ah = op.evaluate(PathFlowProfile(grid, h)).delays
+        y = project_feasible(h - tau * ah, dt, trips, paths_by_od)
+        residual = norm(h - y, dt)
+        energy = relative_energy(y, h, dt)
         h = y
         log.append(IterationRecord(n, tau, math.nan, math.nan, residual, energy,
                                    op.eval_count, time.perf_counter() - t_start))
         if config.tolerance > 0 and residual <= config.tolerance:
             log.stop_reason = "residual_tolerance"
             break
-    return h, log
+    return PathFlowProfile(grid, h), log
 
 
 def run_fbf(
@@ -335,29 +327,28 @@ def run_fbf(
     """Anchored forward-backward-forward; two operator calls per iteration."""
     alpha_s, beta_s, notes = _validate_fbf_schedules(config)
     log = ConvergenceLog("fbf", header=_base_header(config, op, notes))
-    h = h0
+    grid, dt = h0.grid, h0.grid.dt
+    h = h0.rates
     tau = config.tau0
     for n in range(config.max_iterations):
         t_start = time.perf_counter()
         a_n = alpha_s.value(n)
         b_n = beta_s.value(n)
-        ah = op.evaluate(h)
-        y = project_feasible(h.with_rates(h.rates - tau * ah.delays), trips, paths_by_od)
-        ay = op.evaluate(y)
-        z = y.with_rates(y.rates + tau * (ah.delays - ay.delays))
+        ah = op.evaluate(PathFlowProfile(grid, h)).delays
+        y = project_feasible(h - tau * ah, dt, trips, paths_by_od)
+        ay = op.evaluate(PathFlowProfile(grid, y)).delays
+        z = y + tau * (ah - ay)
         h_next = (1.0 - a_n - b_n) * h + b_n * z
-        residual = norm(h - y)
-        energy = relative_energy(h_next, h)
-        diff_a = _delay_diff_norm(ay, ah)
-        thresh = 1e-14 * math.sqrt(float((ah.delays ** 2).sum()) * ah.grid.dt)
-        tau_next = tau if diff_a <= thresh else min(tau, config.mu * residual / diff_a)
+        residual = norm(h - y, dt)
+        energy = relative_energy(h_next, h, dt)
+        tau_next = _adaptive_step(tau, config.mu, residual, ah, ay, dt)
         log.append(IterationRecord(n, tau, a_n, b_n, residual, energy,
                                    op.eval_count, time.perf_counter() - t_start))
         h, tau = h_next, tau_next
         if config.tolerance > 0 and residual <= config.tolerance:
             log.stop_reason = "residual_tolerance"
             break
-    return project_feasible(h, trips, paths_by_od), log
+    return PathFlowProfile(grid, project_feasible(h, dt, trips, paths_by_od)), log
 
 
 def run_ifbf(
@@ -366,32 +357,27 @@ def run_ifbf(
     h0: PathFlowProfile,
     trips: TripTable,
     paths_by_od: Mapping[str, np.ndarray],
-    h_minus1: PathFlowProfile | None = None,
 ) -> tuple[PathFlowProfile, ConvergenceLog]:
     """Inertial forward-backward-forward; two operator calls per iteration."""
     beta_s, eps_s, notes = _validate_ifbf_schedules(config)
     log = ConvergenceLog("ifbf", header=_base_header(config, op, notes))
-    h_prev = h_minus1 if h_minus1 is not None else h0
-    h = h0
+    grid, dt = h0.grid, h0.grid.dt
+    h_prev = h = h0.rates
     tau = config.tau0
     alpha_n = config.alpha
     for n in range(config.max_iterations):
         t_start = time.perf_counter()
         b_n = beta_s.value(n)
         w = (1.0 - b_n) * (h + alpha_n * (h - h_prev))
-        aw = op.evaluate(w)
-        y = project_feasible(w.with_rates(w.rates - tau * aw.delays), trips, paths_by_od)
-        ay = op.evaluate(y)
-        h_next = (1.0 - config.lam) * w + config.lam * y.with_rates(
-            y.rates + tau * (aw.delays - ay.delays)
-        )
-        residual = norm(w - y)
-        energy = relative_energy(h_next, h)
-        diff_a = _delay_diff_norm(aw, ay)
-        thresh = 1e-14 * math.sqrt(float((aw.delays ** 2).sum()) * aw.grid.dt)
-        tau_next = tau if diff_a <= thresh else min(tau, config.mu * residual / diff_a)
-        step = norm(h_next - h)
-        if np.array_equal(h_next.rates, h.rates):
+        aw = op.evaluate(PathFlowProfile(grid, w)).delays
+        y = project_feasible(w - tau * aw, dt, trips, paths_by_od)
+        ay = op.evaluate(PathFlowProfile(grid, y)).delays
+        h_next = (1.0 - config.lam) * w + config.lam * (y + tau * (aw - ay))
+        residual = norm(w - y, dt)
+        energy = relative_energy(h_next, h, dt)
+        tau_next = _adaptive_step(tau, config.mu, residual, aw, ay, dt)
+        step = norm(h_next - h, dt)
+        if np.array_equal(h_next, h):
             alpha_next = config.alpha
         else:
             alpha_next = min(config.alpha, eps_s.value(n + 1) / step)
@@ -402,7 +388,7 @@ def run_ifbf(
         if config.tolerance > 0 and residual <= config.tolerance:
             log.stop_reason = "residual_tolerance"
             break
-    return project_feasible(h, trips, paths_by_od), log
+    return PathFlowProfile(grid, project_feasible(h, dt, trips, paths_by_od)), log
 
 
 _RUNNERS = {"fb": run_fb, "fbf": run_fbf, "ifbf": run_ifbf}
@@ -414,9 +400,5 @@ def solve(
     h0: PathFlowProfile,
     trips: TripTable,
     paths_by_od: Mapping[str, np.ndarray],
-    h_minus1: PathFlowProfile | None = None,
 ) -> tuple[PathFlowProfile, ConvergenceLog]:
-    runner = _RUNNERS[config.algorithm]
-    if config.algorithm == "ifbf":
-        return runner(op, config, h0, trips, paths_by_od, h_minus1=h_minus1)
-    return runner(op, config, h0, trips, paths_by_od)
+    return _RUNNERS[config.algorithm](op, config, h0, trips, paths_by_od)

@@ -5,6 +5,11 @@ L2 inner product collapses to a dt-weighted dot product and the feasible set
 (per-O-D mass balance plus nonnegativity) decomposes into independent scaled
 simplices, one per O-D pair.  Intermediate solver iterates are allowed to
 carry negative rates; only projected profiles are feasible.
+
+`PathFlowProfile` and `DelayProfile` are validated boundary records: they are
+built where values enter from outside (the caller, an operator) and checked
+once there.  Solver arithmetic runs on their (path, interval) rate arrays, so
+`inner`, `norm`, `project_feasible` and `residual_norm` take arrays plus dt.
 """
 
 from __future__ import annotations
@@ -75,8 +80,7 @@ def _frozen_matrix(values, grid: TimeGrid, what: str) -> np.ndarray:
 class PathFlowProfile:
     """Departure rates indexed (path, interval), vehicles per time unit.
 
-    Supports vector-space arithmetic (+, -, scalar *) so solver updates read
-    like the formulas they implement.
+    A validated, read-only boundary record; it has no arithmetic.
     """
 
     grid: TimeGrid
@@ -85,40 +89,9 @@ class PathFlowProfile:
     def __post_init__(self):
         object.__setattr__(self, "rates", _frozen_matrix(self.rates, self.grid, "rates"))
 
-    @classmethod
-    def zeros(cls, grid: TimeGrid, num_paths: int) -> "PathFlowProfile":
-        return cls(grid, np.zeros((num_paths, grid.num_intervals)))
-
     @property
     def num_paths(self) -> int:
         return self.rates.shape[0]
-
-    def with_rates(self, rates) -> "PathFlowProfile":
-        return PathFlowProfile(self.grid, rates)
-
-    def _check_compatible(self, other: "PathFlowProfile"):
-        if self.grid != other.grid:
-            raise ValidationError("profiles live on different time grids")
-        if self.rates.shape != other.rates.shape:
-            raise ValidationError(
-                f"profiles have different path sets: {self.rates.shape[0]} vs {other.rates.shape[0]}"
-            )
-
-    def __add__(self, other: "PathFlowProfile") -> "PathFlowProfile":
-        self._check_compatible(other)
-        return self.with_rates(self.rates + other.rates)
-
-    def __sub__(self, other: "PathFlowProfile") -> "PathFlowProfile":
-        self._check_compatible(other)
-        return self.with_rates(self.rates - other.rates)
-
-    def __mul__(self, scalar) -> "PathFlowProfile":
-        return self.with_rates(self.rates * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PathFlowProfile":
-        return self.with_rates(-self.rates)
 
 
 @dataclass(frozen=True)
@@ -152,14 +125,14 @@ class TripTable:
             raise ValidationError(f"O-D pairs without a target arrival time: {sorted(missing)}")
 
 
-def inner(f: PathFlowProfile, g: PathFlowProfile) -> float:
-    """Discretized L2 scalar product: sum of entrywise products weighted by dt."""
-    f._check_compatible(g)
-    return float(f.rates.ravel() @ g.rates.ravel()) * f.grid.dt
+def inner(x: np.ndarray, y: np.ndarray, dt: float) -> float:
+    """Discretized L2 scalar product of two rate arrays: entrywise products
+    summed and weighted by dt."""
+    return float(x.ravel() @ y.ravel()) * dt
 
 
-def norm(f: PathFlowProfile) -> float:
-    return math.sqrt(max(inner(f, f), 0.0))
+def norm(x: np.ndarray, dt: float) -> float:
+    return math.sqrt(max(inner(x, x, dt), 0.0))
 
 
 def project_simplex(y: np.ndarray, total: float) -> np.ndarray:
@@ -193,37 +166,38 @@ def _check_od_blocks(num_paths: int, trips: TripTable, paths_by_od: Mapping[str,
 
 
 def project_feasible(
-    f: PathFlowProfile,
+    rates: np.ndarray,
+    dt: float,
     trips: TripTable,
     paths_by_od: Mapping[str, np.ndarray],
-) -> PathFlowProfile:
-    """Nearest profile (in the dt-weighted norm) with nonnegative rates and,
-    per O-D pair w, total departing mass equal to Q_w.
+) -> np.ndarray:
+    """Nearest rates (in the dt-weighted norm) that are nonnegative and, per
+    O-D pair w, carry a total departing mass equal to Q_w.
 
     The weight dt is uniform, so each O-D block is an ordinary Euclidean
     simplex projection with target sum Q_w / dt.
     """
-    _check_od_blocks(f.num_paths, trips, paths_by_od)
-    dt = f.grid.dt
-    out = np.array(f.rates, dtype=float)
+    _check_od_blocks(rates.shape[0], trips, paths_by_od)
+    out = np.array(rates, dtype=float)
     for od, q in trips.demands.items():
         rows = np.asarray(paths_by_od[od], dtype=int)
         block = out[rows].ravel()
         out[rows] = project_simplex(block, q / dt).reshape(len(rows), -1)
-    return f.with_rates(out)
+    return out
 
 
 def residual_norm(
-    h: PathFlowProfile,
+    h: np.ndarray,
     tau: float,
-    ah: DelayProfile,
+    ah: np.ndarray,
+    dt: float,
     trips: TripTable,
     paths_by_od: Mapping[str, np.ndarray],
 ) -> float:
-    """Norm of h - P(h - tau * A(h)); zero exactly at equilibrium profiles."""
+    """Norm of h - P(h - tau * A(h)) for rates h and delays ah; zero exactly
+    at equilibrium profiles."""
     if not tau > 0:
         raise ValidationError(f"residual step tau must be positive, got {tau}")
-    if h.grid != ah.grid or h.rates.shape != ah.delays.shape:
-        raise ValidationError("flow profile and delay profile are incompatible")
-    shifted = h.with_rates(h.rates - tau * ah.delays)
-    return norm(h - project_feasible(shifted, trips, paths_by_od))
+    if h.shape != ah.shape:
+        raise ValidationError("flow rates and delays are incompatible")
+    return norm(h - project_feasible(h - tau * ah, dt, trips, paths_by_od), dt)

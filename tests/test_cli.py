@@ -135,6 +135,16 @@ class TestValidate:
         assert "error[validation]" in err
         assert ":3" in err  # row number of the corrupted path
 
+    def test_negative_target_time_fails(self, tmp_path, capsys):
+        d = write_minimal_instance(
+            tmp_path / "early",
+            **{"od.csv": "# units: time=h\nod_id,origin,dest,demand,target_time\nw,0,2,10.0,-1.0\n"},
+        )
+        assert main(["validate", str(d)]) == EXIT_CODES["validation"]
+        rows = capsys.readouterr().out.splitlines()
+        assert [r.split()[-1] for r in rows if r.startswith("target times nonnegative")] == ["FAIL"]
+        assert sum("FAIL" in r for r in rows) == 1
+
     def test_empty_od_reports_no_demand(self, tmp_path, capsys):
         d = write_minimal_instance(
             tmp_path / "bad",
@@ -144,17 +154,23 @@ class TestValidate:
         assert "no demand" in capsys.readouterr().err
 
 
+def compare_fb_ifbf(tmp_path, instance_dir):
+    """`due compare` of a 3-iteration fb run and a 4-iteration ifbf run."""
+    cfg_fb = line_config(tmp_path, instance_dir, out_name="fb")
+    cfg_if = line_config(tmp_path, instance_dir, out_name="ifbf",
+                         algorithm="ifbf", max_iterations=4, tau0=50.0,
+                         beta_n="pow(10, -2, 1)", eps_n="pow(1, -5, 32)")
+    raw = json.loads(cfg_if.read_text())
+    del raw["solver"]["tau"]
+    cfg_if.write_text(json.dumps(raw))
+    out = tmp_path / "cmp"
+    assert main(["compare", "-c", str(cfg_fb), "-c", str(cfg_if), "-o", str(out)]) == 0
+    return out
+
+
 class TestCompare:
     def test_two_methods(self, tmp_path, instance_dir):
-        cfg_fb = line_config(tmp_path, instance_dir, out_name="fb")
-        cfg_if = line_config(tmp_path, instance_dir, out_name="ifbf",
-                             algorithm="ifbf", max_iterations=4, tau0=50.0,
-                             beta_n="pow(10, -2, 1)", eps_n="pow(1, -5, 32)")
-        raw = json.loads(cfg_if.read_text())
-        del raw["solver"]["tau"]
-        cfg_if.write_text(json.dumps(raw))
-        out = tmp_path / "cmp"
-        assert main(["compare", "-c", str(cfg_fb), "-c", str(cfg_if), "-o", str(out)]) == 0
+        out = compare_fb_ifbf(tmp_path, instance_dir)
         energy = (out / "compare_energy.csv").read_text().splitlines()
         assert energy[0] == "n,energy_fb,tau_fb,energy_ifbf,tau_ifbf"
         assert len(energy) == 1 + 4  # longest run has 4 iterations
@@ -178,6 +194,33 @@ class TestCompare:
                      "-c", str(cfg_if), "-o", str(out)]) == 0
         header = (out / "compare_energy.csv").read_text().splitlines()[0]
         assert header.count("energy_") == 3
+
+    def test_tables_match_run_artifacts(self, tmp_path, instance_dir):
+        out = compare_fb_ifbf(tmp_path, instance_dir)
+
+        def table(path):
+            """Rows keyed by their first cell, each a dict by column name."""
+            header, *rows = (line.split(",") for line in path.read_text().splitlines())
+            return {row[0]: dict(zip(header, row)) for row in rows}
+
+        energy = table(out / "compare_energy.csv")
+        gaps = table(out / "compare_gaps.csv")
+        checked = 0
+        for name in ("fb", "ifbf"):
+            iters = table(out / name / "iterations.csv")
+            for n, row in energy.items():
+                if n in iters:
+                    assert row[f"energy_{name}"] == iters[n]["energy"]
+                    assert row[f"tau_{name}"] == iters[n]["tau"]
+                    checked += 2
+                else:
+                    assert row[f"energy_{name}"] == row[f"tau_{name}"] == ""
+            od_gaps = table(out / name / "od_gaps.csv")
+            assert set(od_gaps) == set(gaps)
+            for od, row in gaps.items():
+                assert row[f"gap_{name}"] == od_gaps[od]["gap"]
+                checked += 1
+        assert checked == 2 * 3 + 2 * 4 + 2 * len(gaps)
 
     def test_single_config_rejected(self, tmp_path, instance_dir, capsys):
         cfg = line_config(tmp_path, instance_dir)

@@ -170,6 +170,16 @@ class TestJunctionFlows:
         np.testing.assert_allclose(engine[0], [2.0, 1.0])
         assert engine[1][1] == pytest.approx(3.0)
 
+    def test_small_overshoot_rescaled(self):
+        # the first rescale (out-link 1) leaves out-link 2 over its supply by
+        # 0.005 vehicles, which a second rescale must remove
+        amounts = np.array([[0.0, 4.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 3.0]])
+        d = amounts.sum(axis=1)
+        s = np.array([2.5, 3.495])
+        engine, oracle = resolve_both(d, s, amounts / d[:, None])
+        assert_same_flows(engine, oracle)
+        assert np.all(engine[1][1:] <= s + 1e-9)
+
     def test_conservation_random(self):
         # random junctions whose approaches each use a random subset of the
         # out-links and of the destination sink
@@ -271,7 +281,7 @@ class TestExitTime:
 class TestRunDnl:
     def test_zero_flow_zero_curves(self, line_network):
         grid = TimeGrid(0.0, 0.5, 15)
-        h = PathFlowProfile.zeros(grid, 1)
+        h = PathFlowProfile(grid, np.zeros((1, grid.num_intervals)))
         res = run_dnl(h, line_network, grid, validate=True)
         for lid in line_network.links:
             up, down = curves(res, lid)
@@ -305,7 +315,7 @@ class TestRunDnl:
 
     def test_cfl_violation_names_link(self, line_network):
         grid = TimeGrid(0.0, 1.0, 5)  # dt = 0.2 > L/v
-        h = PathFlowProfile.zeros(grid, 1)
+        h = PathFlowProfile(grid, np.zeros((1, grid.num_intervals)))
         with pytest.raises(ConfigurationError, match="link"):
             run_dnl(h, line_network, grid)
 
@@ -374,7 +384,7 @@ class TestPathDelay:
         # a zero profile still yields delays on the whole grid (free flow)
         net = build_line_network(num_links=2, demand=5.0)
         grid = TimeGrid(0.0, 0.5, 15)
-        h = PathFlowProfile.zeros(grid, 1)
+        h = PathFlowProfile(grid, np.zeros((1, grid.num_intervals)))
         res = run_dnl(h, net, grid)
         d = res.path_delays()
         ff = sum(net.links[e].free_flow_time for e in net.paths[0].links)

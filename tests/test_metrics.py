@@ -70,18 +70,16 @@ class TestOdGap:
 
 class TestRelativeEnergy:
     def test_identical_iterates(self):
-        h, _ = profiles([[1.0, 2.0]], [[0.0, 0.0]])
-        assert relative_energy(h, h) == 0.0
+        h = np.array([[1.0, 2.0]])
+        assert relative_energy(h, h, 1.0) == 0.0
 
     def test_doubling(self):
-        h, _ = profiles([[1.0, 2.0]], [[0.0, 0.0]])
-        assert relative_energy(2 * h, h) == pytest.approx(1.0)
+        h = np.array([[1.0, 2.0]])
+        assert relative_energy(2 * h, h, 1.0) == pytest.approx(1.0)
 
     def test_zero_base_sentinel(self):
-        grid = TimeGrid(0.0, 1.0, 1)
-        z = PathFlowProfile.zeros(grid, 2)
-        h = PathFlowProfile(grid, [[1.0], [0.0]])
-        assert math.isnan(relative_energy(h, z))
+        h = np.array([[1.0], [0.0]])
+        assert math.isnan(relative_energy(h, np.zeros((2, 1)), 1.0))
 
 
 class TestConvergenceLog:

@@ -55,7 +55,8 @@ class TestAffineOperator:
         for t in ts:
             x = PathFlowProfile(vi.grid, [[t], [2.0 - t]])
             ax = vi.operator._compute(x)
-            res.append(residual_norm(x, 1.0, ax, vi.trips, vi.paths_by_od))
+            res.append(residual_norm(x.rates, 1.0, ax.delays, vi.grid.dt,
+                                     vi.trips, vi.paths_by_od))
         best = ts[int(np.argmin(res))]
         x_star = np.array([best, 2.0 - best])
         np.testing.assert_allclose(x_star, [0.0, 2.0], atol=1e-3)
@@ -70,7 +71,7 @@ class TestAffineOperator:
         for _ in range(200):
             x = PathFlowProfile(grid, rng.normal(size=(4, 1)))
             y = PathFlowProfile(grid, rng.normal(size=(4, 1)))
-            dx = norm(x - y)
+            dx = norm(x.rates - y.rates, grid.dt)
             if dx == 0:
                 continue
             ax = vi.operator._compute(x).delays
@@ -128,7 +129,7 @@ class TestDnlOperator:
     def test_zero_flow_free_flow_plus_penalty(self, nguyen):
         grid = TimeGrid(0.0, 2.0, 70)
         op = dnl_operator(nguyen, grid, gamma=1.0, buffer=1.0)
-        h = PathFlowProfile.zeros(grid, nguyen.num_paths)
+        h = PathFlowProfile(grid, np.zeros((nguyen.num_paths, grid.num_intervals)))
         a = op.evaluate(h)
         starts = grid.starts()
         for r, p in enumerate(nguyen.paths):
@@ -157,10 +158,9 @@ class TestDnlOperator:
     def test_negative_rates_are_clamped(self, nguyen):
         grid = TimeGrid(0.0, 2.0, 70)
         h = uniform_profile(nguyen, grid)
-        bumped = h.with_rates(h.rates.copy())
-        lowered = h.with_rates(np.where(np.arange(h.rates.shape[1]) % 2 == 0,
-                                        -5.0, h.rates))
-        clamped = h.with_rates(np.maximum(lowered.rates, 0.0))
+        lowered = PathFlowProfile(grid, np.where(np.arange(h.rates.shape[1]) % 2 == 0,
+                                                 -5.0, h.rates))
+        clamped = PathFlowProfile(grid, np.maximum(lowered.rates, 0.0))
         op = dnl_operator(nguyen, grid, buffer=2.5)
         a_low = op.evaluate(lowered)
         a_clamp = op.evaluate(clamped)

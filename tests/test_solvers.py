@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from due.errors import ConfigurationError
-from due.operators import affine_operator, scaled_pseudo_monotone
+from due.errors import ConfigurationError, ValidationError
+from due.operators import DelayOperator, affine_operator, scaled_pseudo_monotone
 from due.solvers import (
     ScheduleSpec,
     SolverConfig,
@@ -16,7 +16,7 @@ from due.solvers import (
     solve,
     uniform_start,
 )
-from due.space import PathFlowProfile, norm, project_feasible
+from due.space import DelayProfile, PathFlowProfile, norm, project_feasible
 
 
 def zero_instance():
@@ -90,14 +90,14 @@ class TestRunFb:
         h0 = vertex_start(vi)
         cfg = SolverConfig(algorithm="fb", max_iterations=50, tau_fixed=1.0)
         h, log = run_fb(vi.operator, cfg, h0, vi.trips, vi.paths_by_od)
-        assert norm(h - h0) == 0.0
+        assert norm(h.rates - h0.rates, vi.grid.dt) == 0.0
         assert all(r.residual == 0.0 for r in log.records)
 
     def test_cocoercive_linear_convergence(self):
         vi = cocoercive_instance()
         cfg = SolverConfig(algorithm="fb", max_iterations=200, tau_fixed=0.5)
         h, log = run_fb(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
-        assert norm(h - vi.solution) <= 1e-6
+        assert norm(h.rates - vi.solution.rates, vi.grid.dt) <= 1e-6
 
     def test_one_call_per_iteration(self):
         vi = cocoercive_instance()
@@ -118,11 +118,10 @@ class TestRunFb:
 class TestRunFbf:
     def test_zero_operator_reaches_minimum_norm_point(self):
         vi = zero_instance()
-        target = project_feasible(PathFlowProfile(vi.grid, [[0.0], [0.0]]),
-                                  vi.trips, vi.paths_by_od)
+        target = project_feasible(np.zeros((2, 1)), vi.grid.dt, vi.trips, vi.paths_by_od)
         cfg = SolverConfig(algorithm="fbf", max_iterations=50_000, tau0=1.0, **FBF_TEST)
         h, _ = run_fbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
-        np.testing.assert_allclose(h.rates, target.rates, atol=1e-2)
+        np.testing.assert_allclose(h.rates, target, atol=1e-2)
 
     def test_step_rule_arithmetic(self):
         # ||y-h|| = 1, ||A(y)-A(h)|| = 4, mu = 0.5, tau = 10 -> next tau 0.125
@@ -160,23 +159,22 @@ class TestRunFbf:
 class TestRunIfbf:
     def test_zero_operator_reaches_minimum_norm_point(self):
         vi = zero_instance()
-        target = project_feasible(PathFlowProfile(vi.grid, [[0.0], [0.0]]),
-                                  vi.trips, vi.paths_by_od)
+        target = project_feasible(np.zeros((2, 1)), vi.grid.dt, vi.trips, vi.paths_by_od)
         cfg = SolverConfig(algorithm="ifbf", max_iterations=50_000, tau0=1.0, **IFBF_TEST)
         h, _ = run_ifbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
-        np.testing.assert_allclose(h.rates, target.rates, atol=1e-2)
+        np.testing.assert_allclose(h.rates, target, atol=1e-2)
 
     def test_affine_monotone_converges(self):
         vi = cocoercive_instance()
         cfg = SolverConfig(algorithm="ifbf", max_iterations=10_000, tau0=10.0, **IFBF_TEST)
         h, _ = run_ifbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
-        assert norm(h - vi.solution) <= 1e-4
+        assert norm(h.rates - vi.solution.rates, vi.grid.dt) <= 1e-4
 
     def test_scaled_pseudo_monotone_same_limit(self):
         vi = scaled_pseudo_monotone(cocoercive_instance())
         cfg = SolverConfig(algorithm="ifbf", max_iterations=10_000, tau0=10.0, **IFBF_TEST)
         h, _ = run_ifbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
-        assert norm(h - vi.solution) <= 1e-4
+        assert norm(h.rates - vi.solution.rates, vi.grid.dt) <= 1e-4
 
     def test_step_sequence_monotone_with_floor(self):
         rng = np.random.default_rng(0)
@@ -215,7 +213,7 @@ class TestRunIfbf:
             aw = original(w).delays
             ay = original(y).delays
             lhs = math.sqrt(((aw - ay) ** 2).sum() * vi.grid.dt)
-            rhs = mu / taus[n + 1] * norm(w - y)
+            rhs = mu / taus[n + 1] * norm(w.rates - y.rates, vi.grid.dt)
             assert lhs <= rhs + 1e-12
 
     def test_inertia_discipline(self):
@@ -241,13 +239,13 @@ class TestRunIfbf:
         alphas = log.column("alpha")
         taus = log.column("tau")
         eps_s = parse_schedule(IFBF_TEST["eps_schedule"])
-        h = h0
+        h = h0.rates
         for n in range(log.iterations - 1):
             w, y = calls[2 * n], calls[2 * n + 1]
             aw, ay = original(w).delays, original(y).delays
-            corrected = y.with_rates(y.rates + taus[n] * (aw - ay))
-            h_next = (1 - cfg.lam) * w + cfg.lam * corrected
-            step = norm(h_next - h)
+            corrected = y.rates + taus[n] * (aw - ay)
+            h_next = (1 - cfg.lam) * w.rates + cfg.lam * corrected
+            step = norm(h_next - h, vi.grid.dt)
             if step > 0:
                 assert alphas[n + 1] * step <= eps_s.value(n + 1) + 1e-12
             h = h_next
@@ -279,8 +277,40 @@ class TestSolveDispatch:
     def test_uniform_start_is_feasible(self):
         vi = cocoercive_instance()
         h0 = uniform_start(vi.grid, vi.trips, vi.paths_by_od)
-        proj = project_feasible(h0, vi.trips, vi.paths_by_od)
-        assert norm(h0 - proj) <= 1e-12
+        proj = project_feasible(h0.rates, vi.grid.dt, vi.trips, vi.paths_by_od)
+        assert norm(h0.rates - proj, vi.grid.dt) <= 1e-12
+
+
+class TestBoundaryValidation:
+    def test_non_finite_delay_rejected_on_first_evaluation(self):
+        class NanOperator(DelayOperator):
+            def _compute(self, h):
+                delays = np.zeros_like(h.rates)
+                delays[0, 0] = np.nan
+                return DelayProfile(h.grid, delays)
+
+        vi = cocoercive_instance()
+        op = NanOperator()
+        cfg = SolverConfig(algorithm="ifbf", max_iterations=5, tau0=1.0, **IFBF_TEST)
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve(op, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        assert op.eval_count == 1
+
+    def test_profiles_built_only_at_boundaries(self, monkeypatch):
+        # two operator inputs per iteration plus the returned profile
+        vi = cocoercive_instance()
+        h0 = vertex_start(vi)
+        built = []
+        post_init = PathFlowProfile.__post_init__
+
+        def counted(profile):
+            built.append(profile)
+            post_init(profile)
+
+        monkeypatch.setattr(PathFlowProfile, "__post_init__", counted)
+        cfg = SolverConfig(algorithm="ifbf", max_iterations=10, tau0=1.0, **IFBF_TEST)
+        solve(vi.operator, cfg, h0, vi.trips, vi.paths_by_od)
+        assert len(built) == 2 * 10 + 1
 
 
 class TestFbOnBenchmark:
