@@ -20,7 +20,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -152,22 +154,34 @@ def _atomic_write(path: Path, text: str) -> None:
 
 # CSV cells are formatted from Python floats (`.tolist()`), because the repr
 # of a numpy scalar reads `np.float64(...)` under numpy 2
+def _csv_lines(prefix: str, cells: list[str], *columns: list[float]) -> Iterator[str]:
+    """One line per entry of `cells`: `prefix`, the cell, then the matching
+    value of each column as its `repr`, comma-separated."""
+    parts = [repeat(prefix), cells, map(repr, columns[0])]
+    for c in columns[1:]:
+        parts += [repeat(","), map(repr, c)]
+    return map("".join, zip(*parts))
+
+
+def _interval_cells(grid: TimeGrid) -> list[str]:
+    """The `interval,t_start,` cells of each departure interval."""
+    return [f"{k},{t!r}," for k, t in enumerate(grid.starts().tolist())]
+
+
 def _write_flow_csv(path: Path, net: Network, grid: TimeGrid, rates: np.ndarray) -> None:
     lines = ["path_id,od_id,interval,t_start,rate"]
-    starts = grid.starts().tolist()
+    cells = _interval_cells(grid)
     for p, row in zip(net.paths, rates.tolist()):
-        for k in range(grid.num_intervals):
-            lines.append(f"{p.id},{p.od},{k},{starts[k]!r},{row[k]!r}")
+        lines += _csv_lines(f"{p.id},{p.od},", cells, row)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _write_delay_csv(path: Path, net: Network, grid: TimeGrid,
                      delays: np.ndarray, effective: np.ndarray) -> None:
     lines = ["path_id,od_id,interval,t_start,delay,effective_delay"]
-    starts = grid.starts().tolist()
+    cells = _interval_cells(grid)
     for p, d, a in zip(net.paths, delays.tolist(), effective.tolist()):
-        for k in range(grid.num_intervals):
-            lines.append(f"{p.id},{p.od},{k},{starts[k]!r},{d[k]!r},{a[k]!r}")
+        lines += _csv_lines(f"{p.id},{p.od},", cells, d, a)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -180,19 +194,16 @@ def _write_gaps_csv(path: Path, gaps: dict) -> None:
 
 def _dump_dnl(outdir: Path, result) -> None:
     engine = result.engine
-    bt = result.grid_ext.boundaries().tolist()
+    cells = [f"{t!r}," for t in result.grid_ext.boundaries().tolist()]
     lines = ["link_id,t,n_up,n_down"]
     for lid, up, down in zip(engine.link_ids, result.n_up.tolist(), result.n_down.tolist()):
-        for t, u, d in zip(bt, up, down):
-            lines.append(f"{lid},{t!r},{u!r},{d!r}")
+        lines += _csv_lines(f"{lid},", cells, up, down)
     _atomic_write(outdir / "dnl_curves.csv", "\n".join(lines) + "\n")
     lines = ["origin,link_id,t,arrivals,releases,queue"]
     queues = (result.q_arrivals - result.q_releases).tolist()
     for q, arr, rel, queue in zip(engine.queues, result.q_arrivals.tolist(),
                                   result.q_releases.tolist(), queues):
-        lid = engine.link_ids[q.link_idx]
-        for t, a, r, n in zip(bt, arr, rel, queue):
-            lines.append(f"{q.node},{lid},{t!r},{a!r},{r!r},{n!r}")
+        lines += _csv_lines(f"{q.node},{engine.link_ids[q.link_idx]},", cells, arr, rel, queue)
     _atomic_write(outdir / "dnl_queues.csv", "\n".join(lines) + "\n")
 
 

@@ -84,10 +84,13 @@ class _Engine:
         self.ff_time = np.array([l.free_flow_time for l in links])
         self.big_m = 10.0 * net.max_capacity
 
-        # per-link path incidence and successor slots
+        # per-link path incidence and successor slots; the probe schedule
+        # groups the paths by (hop, link): rows_by_hop[h][e] lists the paths
+        # whose h-th link is e
         paths = net.paths
         self.num_paths = len(paths)
         rows_by_link: list[list[int]] = [[] for _ in links]
+        rows_by_hop: list[dict[int, list[int]]] = []
         next_link: dict[tuple[int, int], int] = {}
         first_of_path = np.empty(self.num_paths, dtype=int)
         for r, p in enumerate(paths):
@@ -96,12 +99,15 @@ class _Engine:
             for pos, e in enumerate(seq):
                 rows_by_link[e].append(r)
                 next_link[(e, r)] = seq[pos + 1] if pos + 1 < len(seq) else -1
+                if pos == len(rows_by_hop):
+                    rows_by_hop.append({})
+                rows_by_hop[pos].setdefault(e, []).append(r)
         self.rows = [np.array(r, dtype=int) for r in rows_by_link]
         local_of = [
             {r: i for i, r in enumerate(rows)} for rows in self.rows
         ]
-        self.path_seq = [
-            np.array([self.index_of[e] for e in p.links], dtype=int) for p in paths
+        self.hops = [
+            [(e, np.array(rws, dtype=int)) for e, rws in hop.items()] for hop in rows_by_hop
         ]
 
         # junction wiring: per node, incoming links with flow structure
@@ -139,11 +145,9 @@ class _Engine:
             specs.setdefault((node, e), []).append(r)
         self.queues: list[_QueueSpec] = []
         self.queues_by_node: dict[str, list[int]] = {}
-        self.queue_of_path = np.empty(self.num_paths, dtype=int)
         for (node, e), rws in sorted(specs.items(), key=lambda kv: (kv[0][0], kv[0][1])):
             rows = np.array(rws, dtype=int)
             dst = np.array([local_of[e][r] for r in rws], dtype=int)
-            self.queue_of_path[rows] = len(self.queues)
             self.queues_by_node.setdefault(node, []).append(len(self.queues))
             self.queues.append(_QueueSpec(node, e, rows, dst))
 
@@ -457,22 +461,22 @@ class LoadingResult:
 
         Rides the aggregate boundary curves and never undercuts free flow.
         """
-        return self._probe_exit(self.n_up[link_idx], self.n_down[link_idx], times,
-                                self.engine.ff_time[link_idx], path_id, intervals)
+        exits, unfinished = self._probe_exit(self.n_up[link_idx], self.n_down[link_idx],
+                                             times, self.engine.ff_time[link_idx])
+        if np.any(unfinished):
+            bad = int(np.argmax(unfinished))
+            raise UnfinishedTripError(path_id, None if intervals is None else int(intervals[bad]))
+        return exits
 
-    def _probe_exit(self, up, down, times, floor, path_id, intervals) -> np.ndarray:
+    def _probe_exit(self, up, down, times, floor) -> tuple[np.ndarray, np.ndarray]:
         """Earliest time `down` reaches the level `up` has at each of `times`.
 
-        The result is never below `times + floor`.  A level `down` never
-        reaches is an unfinished trip.
+        The result is never below `times + floor`.  Also returns the mask of
+        unfinished probes: levels `down` never reaches.
         """
         bt = self.grid_ext.boundaries()
         levels = np.interp(times, bt, up)
-        if np.any(levels > down[-1] + EPS_COUNT):
-            bad = int(np.argmax(levels > down[-1] + EPS_COUNT))
-            raise UnfinishedTripError(
-                path_id, None if intervals is None else int(intervals[bad])
-            )
+        unfinished = levels > down[-1] + EPS_COUNT
         idx = np.searchsorted(down, levels - EPS_COUNT, side="left")
         idx = np.clip(idx, 1, down.size - 1)
         lo, hi = down[idx - 1], down[idx]
@@ -480,22 +484,40 @@ class LoadingResult:
             frac = np.where(hi > lo, np.minimum((levels - lo) / (hi - lo), 1.0), 0.0)
         raw = bt[idx - 1] + frac * (bt[idx] - bt[idx - 1])
         raw = np.where(levels <= down[0] + EPS_COUNT, bt[0], raw)
-        return np.maximum(times + floor, raw)
+        return np.maximum(times + floor, raw), unfinished
 
     def path_delays(self) -> np.ndarray:
-        """Travel time per (path, departure interval) on the departure grid."""
-        K = self.engine.grid.num_intervals
-        starts = self.engine.grid.starts()
-        intervals = np.arange(K)
-        out = np.empty((self.engine.num_paths, K))
-        for r, qi in enumerate(self.engine.queue_of_path.tolist()):
-            pid = self.engine.net.paths[r].id
-            s = self._probe_exit(self.q_arrivals[qi], self.q_releases[qi], starts, 0.0,
-                                 pid, intervals)
-            for e in self.engine.path_seq[r]:
-                s = self.probe_link_exit(int(e), s, pid, intervals)
-            out[r] = s - starts
-        return out
+        """Travel time per (path, departure interval) on the departure grid.
+
+        Probes all paths together, hop by hop: each origin queue once on the
+        departure starts, then one probe per (hop, link) group of the engine's
+        schedule.  An unfinished trip is reported for the lowest path row that
+        has one, at its earliest failing hop and that hop's first failing
+        interval.
+        """
+        eng = self.engine
+        starts = eng.grid.starts()
+        exits = np.empty((eng.num_paths, starts.size))
+        first_bad = np.full(eng.num_paths, -1)  # first failing interval per row
+        for qi, q in enumerate(eng.queues):
+            # every path of a queue departs at the same starts: probe it once
+            out, unfinished = self._probe_exit(self.q_arrivals[qi], self.q_releases[qi],
+                                               starts, 0.0)
+            exits[q.rows] = out
+            if unfinished.any():
+                first_bad[q.rows] = int(np.argmax(unfinished))
+        for hop in eng.hops:
+            for e, rows in hop:
+                exits[rows], unfinished = self._probe_exit(
+                    self.n_up[e], self.n_down[e], exits[rows], eng.ff_time[e])
+                if unfinished.any():  # keep each row's earliest failing hop
+                    hit = unfinished.any(axis=1) & (first_bad[rows] < 0)
+                    first_bad[rows[hit]] = unfinished[hit].argmax(axis=1)
+        failed = np.flatnonzero(first_bad >= 0)
+        if failed.size:
+            r = int(failed[0])
+            raise UnfinishedTripError(eng.net.paths[r].id, int(first_bad[r]))
+        return exits - starts
 
 
 # --------------------------------------------------------------------------

@@ -92,10 +92,15 @@ class ConvergenceLog:
 def relative_energy(h_next: np.ndarray, h_curr: np.ndarray, dt: float) -> float:
     """Step between two rate arrays relative to the current one; nan when the
     base is zero."""
+    return relative_step(norm(h_next - h_curr, dt), h_curr, dt)
+
+
+def relative_step(step: float, h_curr: np.ndarray, dt: float) -> float:
+    """A step's norm relative to the norm of `h_curr`; nan when that is zero."""
     base = norm(h_curr, dt)
     if base == 0.0:
         return math.nan
-    return norm(h_next - h_curr, dt) / base
+    return step / base
 
 
 def od_gap(

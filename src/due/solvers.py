@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError
-from .metrics import ConvergenceLog, IterationRecord, relative_energy
+from .metrics import ConvergenceLog, IterationRecord, relative_energy, relative_step
 from .operators import DelayOperator
 from .space import PathFlowProfile, TripTable, norm, project_feasible
 
@@ -374,9 +374,9 @@ def run_ifbf(
         ay = op.evaluate(PathFlowProfile(grid, y)).delays
         h_next = (1.0 - config.lam) * w + config.lam * (y + tau * (aw - ay))
         residual = norm(w - y, dt)
-        energy = relative_energy(h_next, h, dt)
-        tau_next = _adaptive_step(tau, config.mu, residual, aw, ay, dt)
         step = norm(h_next - h, dt)
+        energy = relative_step(step, h, dt)
+        tau_next = _adaptive_step(tau, config.mu, residual, aw, ay, dt)
         if np.array_equal(h_next, h):
             alpha_next = config.alpha
         else:

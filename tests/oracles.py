@@ -4,7 +4,8 @@ These deliberately avoid the code paths they check: the projection oracle
 enumerates KKT candidates instead of running the cumulative threshold scan,
 and the small-instance variant enumerates every support subset outright.
 The junction reference is written over (demands, supplies, split matrix)
-rather than over the engine's per-approach slot amounts.
+rather than over the engine's per-approach slot amounts.  The path-delay
+reference probes one path at a time instead of one (hop, link) group.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from due.errors import UnfinishedTripError
 
 
 def qp_simplex_projection_active_set(y: np.ndarray, total: float) -> np.ndarray:
@@ -101,3 +104,26 @@ def junction_flows(
         theta[w[:, j] > 0] *= scale
     f_out = theta * d
     return f_out, f_out @ w
+
+
+def path_delays_by_path(res) -> np.ndarray:
+    """Path delays of a `LoadingResult`, probed one path at a time.
+
+    Each path rides its origin queue's curves and then `probe_link_exit` link
+    by link.  The first path row with an unfinished probe raises, at its first
+    failing hop.
+    """
+    eng = res.engine
+    starts = eng.grid.starts()
+    intervals = np.arange(starts.size)
+    queue_of = {int(r): qi for qi, q in enumerate(eng.queues) for r in q.rows}
+    out = np.empty((eng.num_paths, starts.size))
+    for r, path in enumerate(eng.net.paths):
+        qi = queue_of[r]
+        s, unfinished = res._probe_exit(res.q_arrivals[qi], res.q_releases[qi], starts, 0.0)
+        if np.any(unfinished):
+            raise UnfinishedTripError(path.id, int(np.argmax(unfinished)))
+        for lid in path.links:
+            s = res.probe_link_exit(eng.index_of[lid], s, path.id, intervals)
+        out[r] = s - starts
+    return out

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import build_line_network, uniform_profile
 from due.errors import ConfigurationError, UnfinishedTripError, ValidationError
 from due.loading import _Engine, effective_delay, run_dnl
-from due.network import Link, Network
+from due.network import Link, Network, PathDef, load_network_dir
+from due.operators import DNLDelayOperator
+from due.solvers import uniform_start
 from due.space import PathFlowProfile, TimeGrid, TripTable
-from oracles import junction_flows
+from oracles import junction_flows, path_delays_by_path
 
 # Line links default to 2 km at 60 km/h (w 20 km/h, kjam 160 veh/km): on this
 # grid one step is one free-flow time, L/w is three steps, and capacity is
@@ -54,6 +58,42 @@ def spillback():
     """Three-link line at capacity demand whose last link lets through 0.04 vehicles a step."""
     net = with_kjam(build_line_network(num_links=3), "3", 0.08)
     return net, load(net, np.full(15, 2400.0))
+
+
+def scaled(net, factor):
+    """`net` with every O-D demand multiplied by `factor`."""
+    trips = TripTable({od: factor * d for od, d in net.trips.demands.items()},
+                      net.trips.target_times)
+    return dataclasses.replace(net, trips=trips)
+
+
+def two_lines():
+    """Two disjoint lines: path row 0 stalls on its links, row 1 in its origin queue.
+
+    Row 0 (`pa`) departs 150 vehicles over links a1, a2 and a3.  a3 is slow
+    (1 km/h, 80 vehicles an hour, two hours of free flow): the first
+    departures enter it and stay to the end of the horizon, and the last ones
+    are still waiting behind them on a2.  Row 1 (`pb`) departs 1200 over b1
+    and b2, which lets through 0.04 vehicles a step: b1 jams and the origin
+    queue never empties.
+    """
+    base = build_line_network(num_links=1).links["1"]
+
+    def link(lid, vf=base.vf, w=base.w, kjam=base.kjam):
+        tail = f"{lid[0]}{int(lid[1]) - 1}"
+        return Link(lid, tail, lid, base.length, vf, w, kjam, vf * w * kjam / (vf + w))
+
+    links = [link("a1"), link("a2"), link("a3", vf=1.0, w=1.0), link("b1"), link("b2", kjam=0.08)]
+    nodes = {f"{side}{i}": (float(i), y) for side, y in (("a", 0.0), ("b", 1.0))
+             for i in range(4)}
+    net = Network(nodes=nodes, links={l.id: l for l in links},
+                  od_pairs={"wa": ("a0", "a3"), "wb": ("b0", "b2")},
+                  trips=TripTable({"wa": 150.0, "wb": 1200.0}, {"wa": 1.0, "wb": 1.0}),
+                  paths=(PathDef("pa", "wa", ("a1", "a2", "a3")),
+                         PathDef("pb", "wb", ("b1", "b2"))),
+                  junctions=None)
+    rates = np.array([[300.0] * 15, [2400.0] * 15])
+    return net, run_dnl(PathFlowProfile(GRID, rates), net, GRID, buffer=1.0)
 
 
 def resolve_both(d, s, w):
@@ -277,6 +317,26 @@ class TestExitTime:
         with pytest.raises(UnfinishedTripError):
             res.probe_link_exit(res.engine.index_of["1"], res.grid_ext.boundaries()[10:20])
 
+    def test_unfinished_trip_names_lowest_row(self):
+        # row 1 stalls in its origin queue, the first probe of every path.
+        # Row 0 passes its queue and stalls on its second link from interval
+        # 12, and on its third from interval 1: the error names row 0 at its
+        # second link, as the path-by-path probe does
+        _net, res = two_lines()
+        starts = GRID.starts()
+        queue_of = {int(q.rows[0]): qi for qi, q in enumerate(res.engine.queues)}
+        for row, stalls in ((0, False), (1, True)):
+            qi = queue_of[row]
+            _exits, unfinished = res._probe_exit(res.q_arrivals[qi], res.q_releases[qi],
+                                                 starts, 0.0)
+            assert unfinished.any() == stalls
+        with pytest.raises(UnfinishedTripError) as batched:
+            res.path_delays()
+        with pytest.raises(UnfinishedTripError) as by_path:
+            path_delays_by_path(res)
+        assert (batched.value.path_id, batched.value.interval) == ("pa", 12)
+        assert (by_path.value.path_id, by_path.value.interval) == ("pa", 12)
+
 
 class TestRunDnl:
     def test_zero_flow_zero_curves(self, line_network):
@@ -389,6 +449,59 @@ class TestPathDelay:
         d = res.path_delays()
         ff = sum(net.links[e].free_flow_time for e in net.paths[0].links)
         np.testing.assert_allclose(d[0], ff, atol=1e-12)
+
+
+class TestPathDelaysByPath:
+    """`path_delays` probes per (hop, link) group; the reference probes path by path."""
+
+    @pytest.mark.parametrize("case", ["free", "burst", "bottleneck", "two_links"])
+    def test_line_fixtures(self, case):
+        if case == "free":
+            res = load(build_line_network(num_links=2), np.full(15, 600.0))
+        elif case == "burst":
+            res = burst(tail_rate=600.0)
+        elif case == "bottleneck":
+            res = bottleneck()[1]
+        else:
+            net = build_line_network(num_links=2)
+            net = dataclasses.replace(net, paths=(*net.paths, PathDef("p2", "w", ("1", "2"))))
+            h = PathFlowProfile(GRID, np.array([[900.0] * 15, [1500.0] * 15]))
+            res = run_dnl(h, net, GRID, buffer=1.0)
+        np.testing.assert_array_equal(res.path_delays(), path_delays_by_path(res))
+
+    @pytest.mark.parametrize("factor", [1.0, 1.5])
+    def test_nguyen_uniform_start(self, nguyen, factor):
+        # at 1.5 times the demand, origin queues form
+        net = scaled(nguyen, factor)
+        grid = TimeGrid(0.0, 2.0, 70)
+        res = run_dnl(uniform_profile(net, grid), net, grid, buffer=2.5)
+        assert (np.max(res.q_arrivals - res.q_releases) > 0) == (factor > 1)
+        np.testing.assert_array_equal(res.path_delays(), path_delays_by_path(res))
+
+    def test_siouxfalls_quarter_demand_evaluation(self, siouxfalls_dir, monkeypatch):
+        # one operator evaluation on the grid of configs/siouxfalls_ifbf.json
+        net = scaled(load_network_dir(siouxfalls_dir), 0.25)
+        grid = TimeGrid(0.0, 2.0, 100)
+        op = DNLDelayOperator(net, grid, gamma=1.0, buffer=2.0)
+        loaded = []
+        run = op._engine.run
+
+        def run_and_keep(rates):
+            loaded.append(run(rates))
+            return loaded[-1]
+
+        monkeypatch.setattr(op._engine, "run", run_and_keep)
+        h0 = uniform_start(grid, net.trips, net.path_rows_by_od())
+        effective = op.evaluate(h0).delays
+        (res,) = loaded
+        assert res.total_exited == pytest.approx(sum(net.trips.demands.values()), rel=1e-6)
+        delays = res.path_delays()
+        np.testing.assert_array_equal(
+            effective, effective_delay(delays, grid, net.trips, net.od_by_path()).delays)
+        free_flow = np.array([sum(net.links[e].free_flow_time for e in p.links)
+                              for p in net.paths])
+        assert np.all(delays >= free_flow[:, None] - 1e-12)
+        np.testing.assert_array_equal(delays, path_delays_by_path(res))
 
 
 class TestEffectiveDelay:
