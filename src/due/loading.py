@@ -44,19 +44,34 @@ DEFAULT_BUFFER_FACTOR = 2.0
 # loading engine
 
 
-class _QueueSpec:
-    __slots__ = ("node", "link_idx", "rows", "dst_local", "slot")
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """Indices that sort integer `keys`, ties in their given order.
 
-    def __init__(self, node, link_idx, rows, dst_local):
+    Python's sort: numpy's stable integer sort would page in another 128 KiB
+    of numpy's library, which shows in the peak RSS of a small run.
+    """
+    return np.array(sorted(range(keys.size), key=keys.tolist().__getitem__), dtype=int)
+
+
+class _QueueSpec:
+    __slots__ = ("node", "link_idx", "rows")
+
+    def __init__(self, node, link_idx, rows):
         self.node = node
         self.link_idx = link_idx
         self.rows = rows
-        self.dst_local = dst_local
-        self.slot = -1
 
 
 class _Engine:
-    """Precomputed index structure for loading one network on one grid."""
+    """Precomputed index structure for loading one network on one grid.
+
+    The (link, path) incidences are laid out in CSR order, link-major, so
+    that per-link and per-(link, out-slot) sums are segmented sums.  Every
+    node is a junction; its approaches (incoming links that carry paths,
+    then its origin queues) and its out-slots (outgoing links) index padded
+    (node, approach, out-slot) arrays, so that one step resolves all
+    junctions at once.
+    """
 
     def __init__(self, net: Network, grid: TimeGrid, buffer: float | None):
         self.net = net
@@ -77,100 +92,114 @@ class _Engine:
         self.link_ids = list(net.links)
         self.index_of = {lid: i for i, lid in enumerate(self.link_ids)}
         links = [net.links[lid] for lid in self.link_ids]
+        E = len(links)
         self.capacity = np.array([l.capacity for l in links])
         self.storage = np.array([l.storage for l in links])
         self.lag_v = np.array([l.free_flow_time / dt for l in links])
         self.lag_w = np.array([l.length / l.w / dt for l in links])
         self.ff_time = np.array([l.free_flow_time for l in links])
         self.big_m = 10.0 * net.max_capacity
+        node_of = {n: i for i, n in enumerate(net.nodes)}
+        self.tail = np.array([node_of[l.tail] for l in links])
+        self.head = np.array([node_of[l.head] for l in links])
 
-        # per-link path incidence and successor slots; the probe schedule
-        # groups the paths by (hop, link): rows_by_hop[h][e] lists the paths
-        # whose h-th link is e
+        # flat hop positions, path by path
         paths = net.paths
-        self.num_paths = len(paths)
-        rows_by_link: list[list[int]] = [[] for _ in links]
-        rows_by_hop: list[dict[int, list[int]]] = []
-        next_link: dict[tuple[int, int], int] = {}
-        first_of_path = np.empty(self.num_paths, dtype=int)
-        for r, p in enumerate(paths):
-            seq = [self.index_of[e] for e in p.links]
-            first_of_path[r] = seq[0]
-            for pos, e in enumerate(seq):
-                rows_by_link[e].append(r)
-                next_link[(e, r)] = seq[pos + 1] if pos + 1 < len(seq) else -1
-                if pos == len(rows_by_hop):
-                    rows_by_hop.append({})
-                rows_by_hop[pos].setdefault(e, []).append(r)
-        self.rows = [np.array(r, dtype=int) for r in rows_by_link]
-        local_of = [
-            {r: i for i, r in enumerate(rows)} for rows in self.rows
-        ]
-        self.hops = [
-            [(e, np.array(rws, dtype=int)) for e, rws in hop.items()] for hop in rows_by_hop
-        ]
-
-        # junction wiring: per node, incoming links with flow structure
-        self.junctions = []
-        for node, j in net.junctions.items():
-            in_idx = [self.index_of[e] for e in j.incoming]
-            out_idx = [self.index_of[e] for e in j.outgoing]
-            slot_of = {e: s for s, e in enumerate(out_idx)}
-            approaches = []
-            for e in in_idx:
-                if len(self.rows[e]) == 0:
-                    continue  # link carries no path; it never sends flow
-                nxt = np.array(
-                    [slot_of.get(next_link[(e, r)], -1) if next_link[(e, r)] >= 0 else -1
-                     for r in self.rows[e]],
-                    dtype=int,
-                )
-                per_slot = []
-                for s, jl in enumerate(out_idx):
-                    src = np.nonzero(nxt == s)[0]
-                    dst = np.array([local_of[jl][self.rows[e][i]] for i in src], dtype=int)
-                    per_slot.append((src, dst))
-                sink_src = np.nonzero(nxt == -1)[0]
-                approaches.append(
-                    {"link": e, "next_slot": nxt, "per_slot": per_slot, "sink_src": sink_src}
-                )
-            if approaches or out_idx:
-                self.junctions.append({"node": node, "out": out_idx, "approaches": approaches})
+        P = self.num_paths = len(paths)
+        seqs = [[self.index_of[e] for e in p.links] for p in paths]
+        lengths = np.array([len(q) for q in seqs])
+        hop_link = np.array([e for q in seqs for e in q], dtype=int)
+        hop_path = np.repeat(np.arange(P), lengths)
+        first = np.cumsum(lengths) - lengths
+        last = first + lengths - 1
+        hop = np.arange(hop_link.size) - np.repeat(first, lengths)
+        succ_link = np.roll(hop_link, -1)
+        has_succ = np.ones(hop_link.size, dtype=bool)
+        has_succ[last] = False
+        broken = has_succ & (self.tail[succ_link] != self.head[hop_link])
+        if broken.any():
+            f = int(np.argmax(broken))
+            raise ValidationError(
+                f"path {paths[hop_path[f]].id!r} is not connected between links "
+                f"{self.link_ids[hop_link[f]]!r} and {self.link_ids[succ_link[f]]!r}")
+        # the probe schedule groups the paths by (hop, link)
+        self.hops = [[] for _ in range(int(lengths.max()))]
+        group = hop * E + hop_link
+        by_hop = _stable_order(group)
+        cuts = np.flatnonzero(np.diff(group[by_hop])) + 1
+        for g in np.split(by_hop, cuts):
+            self.hops[hop[g[0]]].append((int(hop_link[g[0]]), hop_path[g]))
 
         # origin point queues, one per (origin node, first link)
         specs: dict[tuple[str, int], list[int]] = {}
         for r, p in enumerate(paths):
-            e = int(first_of_path[r])
-            node = net.od_pairs[p.od][0]
-            specs.setdefault((node, e), []).append(r)
-        self.queues: list[_QueueSpec] = []
-        self.queues_by_node: dict[str, list[int]] = {}
-        for (node, e), rws in sorted(specs.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-            rows = np.array(rws, dtype=int)
-            dst = np.array([local_of[e][r] for r in rws], dtype=int)
-            self.queues_by_node.setdefault(node, []).append(len(self.queues))
-            self.queues.append(_QueueSpec(node, e, rows, dst))
+            specs.setdefault((net.od_pairs[p.od][0], seqs[r][0]), []).append(r)
+        self.queues = [_QueueSpec(node, e, np.array(rws, dtype=int))
+                       for (node, e), rws in sorted(specs.items())]
+        self.queue_of_path = np.empty(P, dtype=int)
+        for qi, q in enumerate(self.queues):
+            if net.links[self.link_ids[q.link_idx]].tail != q.node:
+                raise ValidationError(
+                    f"first link {self.link_ids[q.link_idx]!r} does not leave "
+                    f"origin node {q.node!r}"
+                )
+            self.queue_of_path[q.rows] = qi
+        self.queue_node = np.array([node_of[q.node] for q in self.queues], dtype=int)
 
-        node_pos = {j["node"]: i for i, j in enumerate(self.junctions)}
-        for node, qidx in self.queues_by_node.items():
-            if node not in node_pos:
-                self.junctions.append({"node": node, "out": [], "approaches": []})
-                node_pos[node] = len(self.junctions) - 1
-        self.queue_slots = {
-            node_pos[node]: qidx for node, qidx in self.queues_by_node.items()
-        }
-        # out-slot position of each queue's first link within its junction
-        for node, qidx in self.queues_by_node.items():
-            jn = self.junctions[node_pos[node]]
-            slot_of = {e: s for s, e in enumerate(jn["out"])}
-            for qi in qidx:
-                q = self.queues[qi]
-                if q.link_idx not in slot_of:
-                    raise ValidationError(
-                        f"first link {self.link_ids[q.link_idx]!r} does not leave "
-                        f"origin node {node!r}"
-                    )
-                q.slot = slot_of[q.link_idx]
+        # padded (node, approach, out-slot) layout of the junctions
+        J = len(node_of)
+        self.link_count = np.bincount(hop_link, minlength=E)
+        slot = np.zeros(E, dtype=int)
+        app_of_link = np.zeros(E, dtype=int)
+        n_app = np.zeros(J, dtype=int)
+        self.n_out = np.zeros(J, dtype=int)
+        for node, jn in net.junctions.items():
+            j = node_of[node]
+            self.n_out[j] = len(jn.outgoing)
+            for s, lid in enumerate(jn.outgoing):
+                slot[self.index_of[lid]] = s
+            for lid in jn.incoming:
+                e = self.index_of[lid]
+                if self.link_count[e]:
+                    app_of_link[e] = n_app[j]
+                    n_app[j] += 1
+        app_of_queue = np.zeros(len(self.queues), dtype=int)
+        for qi, j in enumerate(self.queue_node):
+            app_of_queue[qi] = n_app[j]
+            n_app[j] += 1
+        A, S = int(n_app.max()), int(self.n_out.max())
+        self.shape = (J, A, S)
+        self.out_links = np.full((J, S), E)  # E pads: a zero supply
+        self.out_links[self.tail, slot] = np.arange(E)
+        self.link_app = self.head * A + app_of_link
+        self.queue_app = self.queue_node * A + app_of_queue
+        self.queue_seg = self.queue_app * S + slot[[q.link_idx for q in self.queues]]
+
+        # (link, path) incidences in CSR order, segmented by (link, out-slot):
+        # link-major, then the out-slot of the path's next link (0: the path
+        # ends here), then path row
+        key = np.where(has_succ, slot[succ_link] + 1, 0)
+        order = _stable_order(hop_link * (S + 1) + key)
+        inc = np.empty_like(order)
+        inc[order] = np.arange(order.size)
+        I = order.size
+        self.link_of = hop_link[order]
+        self.last_inc = inc[last]
+        # where each incidence's entries come from: the path's previous
+        # incidence, or I + row, the path's origin queue
+        pred = I + hop_path
+        pred[hop > 0] = inc[:-1][hop[1:] > 0]
+        self.pred = pred[order]
+        key = key[order]
+        self.link_start = np.flatnonzero(np.r_[True, np.diff(self.link_of) != 0])
+        self.seg_start = np.flatnonzero(
+            np.r_[True, (np.diff(self.link_of) != 0) | (np.diff(key) != 0)])
+        # each segment's (approach, out-slot) bin; ending segments go to the
+        # extra bin J*A*S
+        at = self.seg_start
+        self.seg_bin = np.where(key[at] > 0, self.link_app[self.link_of[at]] * S + key[at] - 1,
+                                J * A * S)
+        self._cols = np.arange(I)
 
     # -- stepping ----------------------------------------------------------
 
@@ -189,35 +218,94 @@ class _Engine:
         T = self.steps
         dt = self.grid.dt
         K = self.grid.num_intervals
+        P = self.num_paths
+        Q = len(self.queues)
+        I = self.link_of.size
+        J, A, S = self.shape
+        link_of, qop = self.link_of, self.queue_of_path
+        cap = self.capacity * dt
 
         n_up = np.zeros((E, T + 1))
         n_down = np.zeros((E, T + 1))
-        p_up = [np.zeros((len(r), T + 1)) for r in self.rows]
-        # per-path exit totals, kept only for the path_split check
-        p_down_now = [np.zeros(len(r)) for r in self.rows] if validate else None
-        q_arr = np.zeros((len(self.queues), T + 1))
-        q_rel = np.zeros((len(self.queues), T + 1))
-        q_path = [np.zeros((len(q.rows), T + 1)) for q in self.queues]
-        q_now = [np.zeros(len(q.rows)) for q in self.queues]
-        exited = np.zeros(self.num_paths)
+        # time-major per-path curves: entries per incidence, then the origin
+        # queue content per path; each step writes one row
+        curves = np.zeros((T + 1, I + P))
+        p_up, q_paths = curves[:, :I], curves[:, I:]
+        q_arr = np.zeros((Q, T + 1))
+        q_rel = np.zeros((Q, T + 1))
+        exited = np.zeros(P)
+        flat = curves.ravel()
+        no_arrivals = np.zeros(P)
+        flow = np.empty(I + P)  # moved per incidence, then released per path
+        s_pad = np.zeros(E + 1)  # supplies; the last entry pads missing out-slots
 
         worst = {"junction_conservation": 0.0, "occupancy": 0.0, "monotone": 0.0,
                  "path_split": 0.0, "flow_bounds": 0.0}
+        p_down_now = np.zeros(I)  # per-incidence exit totals, for path_split
 
         for k in range(T):
             # sending and receiving flows, integrated over the step (vehicles)
-            d_veh = np.clip(
-                self._interp_rowwise(n_up, k + 1 - self.lag_v) - n_down[:, k],
-                0.0,
-                self.capacity * dt,
-            )
-            s_veh = np.clip(
+            d_veh = np.minimum(np.maximum(
+                self._interp_rowwise(n_up, k + 1 - self.lag_v) - n_down[:, k], 0.0), cap)
+            np.minimum(np.maximum(
                 self._interp_rowwise(n_down, k + 1 - self.lag_w) + self.storage - n_up[:, k],
-                0.0,
-                self.capacity * dt,
-            )
+                0.0), cap, out=s_pad[:E])
+
+            # per-path share of each link's next d_veh vehicles to exit: the
+            # entry curves read at the count levels [n_down, n_down + d_veh]
+            # (FIFO: exit order equals entry order); a link that sends no more
+            # than 1e-15 reads an empty interval
+            lo = n_down[:, k]
+            hi = np.where(d_veh > 1e-15, np.minimum(lo + d_veh, n_up[:, k]), lo)
+            read = self._eval_paths(flat, self._invert(n_up[:, : k + 1], np.stack((hi, lo))))
+            comp = np.maximum(read[0] - read[1], 0.0)
+            total = self._per_link(comp)
+            fix = (total > 0) & (np.abs(total - d_veh) > 1e-9 * np.maximum(1.0, d_veh))
+            if fix.any():
+                comp *= np.repeat(np.divide(d_veh, total, out=np.ones(E), where=fix),
+                                  self.link_count)
+            amounts = np.zeros(J * A * S + 1)
+            amounts[self.seg_bin] = np.add.reduceat(comp, self.seg_start)
+            amounts = amounts[:-1]
+
+            # origin queues: a backed-up queue sends big M, an empty one its
+            # inflow, either capped by its content
+            arr_in = rates[:, k] * dt if k < K else no_arrivals
+            avail = q_paths[k] + arr_in
+            total_avail = np.bincount(qop, avail, Q)
+            arr_sum = np.bincount(qop, arr_in, Q)
+            q_arr[:, k + 1] = q_arr[:, k] + arr_sum
+            live = total_avail > 1e-15
+            d_rate = np.where(np.bincount(qop, q_paths[k], Q) > 0, self.big_m, arr_sum / dt)
+            want = np.where(live, np.minimum(d_rate * dt, total_avail), 0.0)
+            amounts[self.queue_seg] = want
+
+            supplies = s_pad.take(self.out_links)
+            theta = self._resolve(amounts.reshape(J, A, S), supplies, self.n_out).ravel()
+            moved = np.multiply(np.repeat(theta.take(self.link_app), self.link_count), comp,
+                                out=flow[:I])
+            released = theta[self.queue_app] * want
+            share = np.divide(released, total_avail, out=np.zeros(Q), where=live)
+            rel_p = np.multiply(avail, share[qop], out=flow[I:])
+            q_paths[k + 1] = avail - rel_p
+            q_rel[:, k + 1] = q_rel[:, k] + released
+            entered = flow.take(self.pred)
+            np.add(p_up[k], entered, out=p_up[k + 1])
+            n_up[:, k + 1] = n_up[:, k] + self._per_link(entered)
+            n_down[:, k + 1] = n_down[:, k] + self._per_link(moved)
+            exited += moved[self.last_inc]
+
             if validate:
-                cap = self.capacity * dt
+                ends = moved[self.last_inc]
+                sent = (np.bincount(self.head[link_of], moved, J)
+                        + np.bincount(self.queue_node, released, J))
+                received = (np.bincount(self.tail[link_of], entered, J)
+                            + np.bincount(self.head[link_of[self.last_inc]], ends, J))
+                p_down_now += moved
+                worst["junction_conservation"] = max(
+                    worst["junction_conservation"],
+                    float(np.max(np.abs(sent - received) / np.maximum(1.0, sent))))
+                s_veh = s_pad[:E]
                 worst["flow_bounds"] = max(
                     worst["flow_bounds"],
                     float(np.max(d_veh - cap, initial=0.0)),
@@ -225,131 +313,20 @@ class _Engine:
                     float(np.max(-d_veh, initial=0.0)),
                     float(np.max(-s_veh, initial=0.0)),
                 )
+                worst["path_split"] = max(
+                    worst["path_split"],
+                    float(np.max(np.abs(self._per_link(p_down_now)
+                                        - n_down[:, k + 1]))))
 
-            up_inc = np.zeros(E)
-            down_inc = np.zeros(E)
-            pu_inc: dict[int, np.ndarray] = {}
-
-            def _pu(e):
-                if e not in pu_inc:
-                    pu_inc[e] = np.zeros(len(self.rows[e]))
-                return pu_inc[e]
-
-            for jpos, jn in enumerate(self.junctions):
-                out_idx = jn["out"]
-                n_out = len(out_idx)
-                payloads = []
-                slot_amounts = []
-                for ap in jn["approaches"]:
-                    e = ap["link"]
-                    if d_veh[e] <= 1e-15:
-                        continue
-                    comp = self._exit_composition(e, n_up, p_up[e], n_down[e, k], d_veh[e], k)
-                    amounts = np.zeros(n_out + 1)
-                    amounts[0] = comp[ap["sink_src"]].sum()
-                    for s in range(n_out):
-                        src, _dst = ap["per_slot"][s]
-                        if src.size:
-                            amounts[s + 1] = comp[src].sum()
-                    payloads.append(("link", e, comp, ap))
-                    slot_amounts.append(amounts)
-                for qi in self.queue_slots.get(jpos, ()):  # origin approaches
-                    q = self.queues[qi]
-                    arr_in = rates[q.rows, k] * dt if k < K else np.zeros(len(q.rows))
-                    avail = q_now[qi] + arr_in
-                    total_avail = float(avail.sum())
-                    q_arr[qi, k + 1] = q_arr[qi, k] + arr_in.sum()
-                    if total_avail <= 1e-15:
-                        q_rel[qi, k + 1] = q_rel[qi, k]
-                        q_path[qi][:, k + 1] = q_now[qi]
-                        continue
-                    # a backed-up queue sends big M, an empty one its inflow
-                    queued = float(q_now[qi].sum())
-                    d_rate = self.big_m if queued > 0 else float(arr_in.sum()) / dt
-                    want = min(d_rate * dt, total_avail)
-                    amounts = np.zeros(n_out + 1)
-                    amounts[q.slot + 1] = want
-                    payloads.append(("queue", qi, avail, want))
-                    slot_amounts.append(amounts)
-
-                if not payloads:
-                    continue
-                supplies = np.array([s_veh[e] for e in out_idx])
-                theta = self._resolve(np.array(slot_amounts), supplies)
-
-                j_sent = 0.0
-                j_received = 0.0
-                for (kind, key, data, extra), th in zip(payloads, theta):
-                    if th <= 0:
-                        if kind == "queue":
-                            qi, avail = key, data
-                            q_now[qi] = avail
-                            q_rel[qi, k + 1] = q_rel[qi, k]
-                            q_path[qi][:, k + 1] = avail
-                        continue
-                    if kind == "link":
-                        e, comp, ap = key, data, extra
-                        moved = th * comp
-                        down_inc[e] += moved.sum()
-                        j_sent += moved.sum()
-                        if validate:
-                            p_down_now[e] += moved
-                        for s, jl in enumerate(out_idx):
-                            src, dst = ap["per_slot"][s]
-                            if src.size:
-                                amt = moved[src]
-                                _pu(jl)[dst] += amt
-                                up_inc[jl] += amt.sum()
-                                j_received += amt.sum()
-                        if ap["sink_src"].size:
-                            gone = moved[ap["sink_src"]]
-                            exited[self.rows[e][ap["sink_src"]]] += gone
-                            j_received += gone.sum()
-                    else:
-                        qi, avail, want = key, data, extra
-                        q = self.queues[qi]
-                        released = th * want
-                        rel_p = avail * (released / avail.sum())
-                        q_now[qi] = avail - rel_p
-                        q_rel[qi, k + 1] = q_rel[qi, k] + released
-                        q_path[qi][:, k + 1] = q_now[qi]
-                        _pu(q.link_idx)[q.dst_local] += rel_p
-                        up_inc[q.link_idx] += released
-                        j_sent += released
-                        j_received += released
-
-                if validate:
-                    scale = max(1.0, j_sent)
-                    worst["junction_conservation"] = max(
-                        worst["junction_conservation"], abs(j_sent - j_received) / scale
-                    )
-
-            n_up[:, k + 1] = n_up[:, k] + up_inc
-            n_down[:, k + 1] = n_down[:, k] + down_inc
-            for e in range(E):
-                if len(self.rows[e]) == 0:
-                    continue
-                p_up[e][:, k + 1] = p_up[e][:, k] + pu_inc.get(e, 0.0)
-
-            if validate:
-                occ = n_up[:, k + 1] - n_down[:, k + 1]
-                worst["occupancy"] = max(
-                    worst["occupancy"],
-                    float(np.max(occ - self.storage, initial=0.0)),
-                    float(np.max(-occ, initial=0.0)),
-                )
-                worst["monotone"] = max(
-                    worst["monotone"],
-                    float(np.max(-up_inc, initial=0.0)),
-                    float(np.max(-down_inc, initial=0.0)),
-                )
-                for e in range(E):
-                    if len(self.rows[e]):
-                        worst["path_split"] = max(
-                            worst["path_split"],
-                            abs(p_up[e][:, k + 1].sum() - n_up[e, k + 1]),
-                            abs(p_down_now[e].sum() - n_down[e, k + 1]),
-                        )
+        if validate:
+            occ = n_up - n_down
+            worst["occupancy"] = max(float(np.max(occ - self.storage[:, None])),
+                                     float(np.max(-occ)))
+            worst["monotone"] = max(float(np.max(-np.diff(n_up), initial=0.0)),
+                                    float(np.max(-np.diff(n_down), initial=0.0)))
+            split = (np.add.reduceat(p_up, self.link_start, axis=1)
+                     - n_up[link_of[self.link_start]].T)
+            worst["path_split"] = max(worst["path_split"], float(np.max(np.abs(split))))
 
         return LoadingResult(
             engine=self,
@@ -358,14 +335,21 @@ class _Engine:
             p_up=p_up,
             q_arrivals=q_arr,
             q_releases=q_rel,
-            q_paths=q_path,
+            q_paths=q_paths,
             exited_by_path=exited,
             invariant_report=worst if validate else None,
         )
 
-    def _interp_rowwise(self, curves: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    def _per_link(self, values: np.ndarray) -> np.ndarray:
+        """Sums of per-incidence values over each link's incidences."""
+        out = np.zeros(len(self.link_ids))
+        out[self.link_of[self.link_start]] = np.add.reduceat(values, self.link_start)
+        return out
+
+    @staticmethod
+    def _interp_rowwise(curves: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """curves[e] evaluated at fractional column positions, zero before 0."""
-        p = np.clip(pos, 0.0, None)
+        p = np.maximum(pos, 0.0)
         fl = np.floor(p).astype(int)
         fr = p - fl
         rows = np.arange(curves.shape[0])
@@ -375,59 +359,60 @@ class _Engine:
         out[pos < 0] = 0.0
         return out
 
-    def _exit_composition(self, e, n_up, p_up_e, lo, amount, k) -> np.ndarray:
-        """Per-path share of the next `amount` vehicles to exit link e.
+    @staticmethod
+    def _invert(hist: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        """Fractional column at which each nondecreasing row of `hist` reaches
+        `levels[:, row]`.
 
-        Reads the upstream per-path curves at the cumulative-count positions
-        [lo, lo + amount] (FIFO: exit order equals entry order).
+        The left searchsorted index of a level is the row's first entry at or
+        above it, or the row's length when there is none.
         """
-        hi = lo + amount
-        values = n_up[e, : k + 1]
-        pos_lo = self._invert_index(values, lo)
-        pos_hi = self._invert_index(values, min(hi, values[-1]))
-        comp = self._eval_paths(p_up_e, pos_hi) - self._eval_paths(p_up_e, pos_lo)
-        comp = np.maximum(comp, 0.0)
-        total = comp.sum()
-        if total > 0 and abs(total - amount) > 1e-9 * max(1.0, amount):
-            comp *= amount / total
-        return comp
+        rows = np.arange(hist.shape[0])
+        first = (hist >= levels[:, :, None]).argmax(axis=2)
+        idx = np.where(hist[rows, first] >= levels, first, hist.shape[1])
+        at = np.minimum(idx, hist.shape[1] - 1)
+        lo, hi = hist[rows, np.maximum(at - 1, 0)], hist[rows, at]
+        frac = np.divide(levels - lo, hi - lo, out=np.ones(levels.shape), where=hi > lo)
+        return np.where(idx > 0, (at - 1) + frac, 0.0)
+
+    def _eval_paths(self, flat: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Each incidence's entry curve at its link's fractional steps `pos`.
+
+        `flat` is the raveled time-major curves array, in which an incidence's
+        curve is a column; `pos` holds rows of per-link steps below the last.
+        """
+        fl = pos.astype(int)
+        fr = np.repeat(pos - fl, self.link_count, axis=1)
+        stride = flat.size // (self.steps + 1)
+        at = np.repeat(fl * stride, self.link_count, axis=1) + self._cols
+        base = flat.take(at)
+        return base + fr * (flat.take(at + stride) - base)
 
     @staticmethod
-    def _invert_index(values: np.ndarray, level: float) -> float:
-        idx = int(np.searchsorted(values, level, side="left"))
-        if idx <= 0:
-            return 0.0
-        idx = min(idx, values.size - 1)
-        lo, hi = values[idx - 1], values[idx]
-        if hi <= lo:
-            return float(idx)
-        return idx - 1 + (level - lo) / (hi - lo)
+    def _resolve(amounts: np.ndarray, supplies: np.ndarray, n_out: np.ndarray) -> np.ndarray:
+        """Reduction factors per (junction, approach) of padded slot amounts.
 
-    @staticmethod
-    def _eval_paths(p_up_e: np.ndarray, pos: float) -> np.ndarray:
-        fl = int(pos)
-        fr = pos - fl
-        if fr == 0.0 or fl + 1 >= p_up_e.shape[1]:
-            return p_up_e[:, fl].copy()
-        return p_up_e[:, fl] + fr * (p_up_e[:, fl + 1] - p_up_e[:, fl])
-
-    @staticmethod
-    def _resolve(slot_amounts: np.ndarray, supplies: np.ndarray) -> np.ndarray:
-        """Reduction factors for the approach amounts (column 0 is the sink)."""
-        n_app = slot_amounts.shape[0]
-        theta = np.ones(n_app)
-        real = slot_amounts[:, 1:]
-        for _ in range(supplies.size + 1):
-            totals = theta @ real
-            over = totals - supplies
-            mask = over > 1e-12 * np.maximum(supplies, 1.0) + 1e-15
-            if not np.any(mask):
+        `amounts` is (junction, approach, out-slot) and `supplies` (junction,
+        out-slot).  Each round, every junction with an out-slot over its
+        supply scales all contributors of its most violated slot to fit it
+        (FIFO: one factor per approach), for at most n_out + 1 rounds.
+        """
+        theta = np.ones(amounts.shape[:2])
+        uses = amounts > 0
+        tol = 1e-12 * np.maximum(supplies, 1.0) + 1e-15
+        positive = supplies > 0
+        rows = np.arange(amounts.shape[0])
+        for r in range(int(n_out.max(initial=0)) + 1):
+            totals = (theta[:, :, None] * amounts).sum(axis=1)
+            mask = totals - supplies > tol
+            fire = mask.any(axis=1) & (r <= n_out)
+            if not fire.any():
                 break
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(mask, np.where(supplies > 0, totals / supplies, np.inf), 0.0)
-            j = int(np.argmax(ratio))
-            scale = supplies[j] / totals[j] if totals[j] > 0 and supplies[j] > 0 else 0.0
-            theta[real[:, j] > 0] *= scale
+            ratio = np.divide(totals, supplies, out=np.full(totals.shape, np.inf), where=positive)
+            j = np.argmax(np.where(mask, ratio, 0.0), axis=1)
+            t, s = totals[rows, j], supplies[rows, j]
+            scale = np.divide(s, t, out=np.zeros(t.size), where=(t > 0) & (s > 0))
+            theta = np.where(fire[:, None] & uses[rows, :, j], theta * scale[:, None], theta)
         return theta
 
 
@@ -438,10 +423,10 @@ class LoadingResult:
     engine: _Engine
     n_up: np.ndarray
     n_down: np.ndarray
-    p_up: list[np.ndarray]
+    p_up: np.ndarray  # (step, incidence): entries per (link, path) incidence
     q_arrivals: np.ndarray
     q_releases: np.ndarray
-    q_paths: list[np.ndarray]
+    q_paths: np.ndarray  # (step, path): content of the path's origin queue
     exited_by_path: np.ndarray
     invariant_report: dict | None = None
 

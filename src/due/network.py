@@ -289,7 +289,8 @@ def load_network(node_file, link_file, od_file, path_file) -> Network:
                 )
         paths.append(PathDef(pid, od, seq))
 
-    missing = [od for od in od_pairs if not any(p.od == od for p in paths)]
+    routed = {p.od for p in paths}
+    missing = [od for od in od_pairs if od not in routed]
     if missing:
         raise ValidationError(f"O-D pairs without any path: {missing}")
 

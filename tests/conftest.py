@@ -3,8 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from due.errors import UnfinishedTripError
 from due.network import Link, Network, PathDef, load_network_dir
 from due.space import TimeGrid, TripTable
+from oracles import reference_loading
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = REPO_ROOT / "data"
@@ -56,3 +58,25 @@ def uniform_profile(net: Network, grid: TimeGrid):
     for od, rows in by_od.items():
         rates[rows, :] = net.trips.demands[od] / (len(rows) * horizon)
     return PathFlowProfile(grid, rates)
+
+
+def assert_matches_reference(res, rates):
+    """A `LoadingResult` against the junction-by-junction reference loader.
+
+    Boundary curves, origin queues and exits agree within 1e-12 of the total
+    demand, and path delays within a relative 1e-12 (or both name the same
+    unfinished trip).
+    """
+    ref = reference_loading(res.engine, rates)
+    atol = 1e-12 * rates.sum() * res.engine.grid.dt
+    for name in ("n_up", "n_down", "q_arrivals", "q_releases", "exited_by_path"):
+        np.testing.assert_allclose(getattr(res, name), getattr(ref, name),
+                                   rtol=0, atol=atol, err_msg=name)
+    try:
+        expected = ref.path_delays()
+    except UnfinishedTripError as exc:
+        with pytest.raises(UnfinishedTripError) as info:
+            res.path_delays()
+        assert (info.value.path_id, info.value.interval) == (exc.path_id, exc.interval)
+    else:
+        np.testing.assert_allclose(res.path_delays(), expected, rtol=1e-12, atol=0)

@@ -5,7 +5,8 @@ enumerates KKT candidates instead of running the cumulative threshold scan,
 and the small-instance variant enumerates every support subset outright.
 The junction reference is written over (demands, supplies, split matrix)
 rather than over the engine's per-approach slot amounts.  The path-delay
-reference probes one path at a time instead of one (hop, link) group.
+reference probes one path at a time instead of one (hop, link) group, and
+the reference loader steps junction by junction instead of all at once.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import numpy as np
 
 from due.errors import UnfinishedTripError
+from due.loading import LoadingResult
 
 
 def qp_simplex_projection_active_set(y: np.ndarray, total: float) -> np.ndarray:
@@ -127,3 +129,183 @@ def path_delays_by_path(res) -> np.ndarray:
             s = res.probe_link_exit(eng.index_of[lid], s, path.id, intervals)
         out[r] = s - starts
     return out
+
+
+def reference_loading(engine, rates: np.ndarray):
+    """Load `rates` junction by junction and approach by approach.
+
+    The engine's stepping resolves all junctions at once over flat arrays;
+    this loop walks every junction, then every approach of it, and gathers
+    each approach's per-path exit composition from its own searchsorted
+    inversion of the link's entry curve.  Returns a `LoadingResult` on
+    `engine`, whose per-path curves are per-link and per-queue lists.
+    """
+    net = engine.net
+    E, T, dt, K = len(engine.link_ids), engine.steps, engine.grid.dt, engine.grid.num_intervals
+    index_of = engine.index_of
+    rows_by_link: list[list[int]] = [[] for _ in range(E)]
+    next_link: dict[tuple[int, int], int] = {}
+    for r, p in enumerate(net.paths):
+        seq = [index_of[e] for e in p.links]
+        for pos, e in enumerate(seq):
+            rows_by_link[e].append(r)
+            next_link[(e, r)] = seq[pos + 1] if pos + 1 < len(seq) else -1
+    rows = [np.array(r, dtype=int) for r in rows_by_link]
+    local_of = [{r: i for i, r in enumerate(rws)} for rws in rows]
+
+    # per junction: out-links, and per incoming approach the (src, dst)
+    # positions of its paths per out-slot plus those that end here
+    junctions = {}
+    for node, j in net.junctions.items():
+        out_idx = [index_of[e] for e in j.outgoing]
+        slot_of = {e: s for s, e in enumerate(out_idx)}
+        approaches = []
+        for e in (index_of[e] for e in j.incoming):
+            if rows[e].size == 0:
+                continue
+            nxt = np.array([slot_of.get(next_link[(e, r)], -1) for r in rows[e]])
+            per_slot = []
+            for s, jl in enumerate(out_idx):
+                src = np.nonzero(nxt == s)[0]
+                per_slot.append((src, np.array([local_of[jl][rows[e][i]] for i in src], dtype=int)))
+            approaches.append((e, per_slot, np.nonzero(nxt == -1)[0]))
+        junctions[node] = (out_idx, approaches, [])
+    for qi, q in enumerate(engine.queues):
+        junctions[q.node][2].append(qi)
+    queue_slot = [junctions[q.node][0].index(q.link_idx) for q in engine.queues]
+    queue_dst = [np.array([local_of[q.link_idx][r] for r in q.rows], dtype=int)
+                 for q in engine.queues]
+
+    def interp_rowwise(curves, pos):
+        p = np.clip(pos, 0.0, None)
+        fl = np.floor(p).astype(int)
+        fr = p - fl
+        idx = np.arange(curves.shape[0])
+        base = curves[idx, fl]
+        out = base + fr * (curves[idx, np.minimum(fl + 1, curves.shape[1] - 1)] - base)
+        out[pos < 0] = 0.0
+        return out
+
+    def invert_index(values, level):
+        idx = int(np.searchsorted(values, level, side="left"))
+        if idx <= 0:
+            return 0.0
+        idx = min(idx, values.size - 1)
+        lo, hi = values[idx - 1], values[idx]
+        return float(idx) if hi <= lo else idx - 1 + (level - lo) / (hi - lo)
+
+    def eval_paths(p_up_e, pos):
+        fl = int(pos)
+        fr = pos - fl
+        if fr == 0.0 or fl + 1 >= p_up_e.shape[1]:
+            return p_up_e[:, fl].copy()
+        return p_up_e[:, fl] + fr * (p_up_e[:, fl + 1] - p_up_e[:, fl])
+
+    def exit_composition(e, k, amount):
+        values = n_up[e, : k + 1]
+        lo = n_down[e, k]
+        pos_lo = invert_index(values, lo)
+        pos_hi = invert_index(values, min(lo + amount, values[-1]))
+        comp = np.maximum(eval_paths(p_up[e], pos_hi) - eval_paths(p_up[e], pos_lo), 0.0)
+        total = comp.sum()
+        if total > 0 and abs(total - amount) > 1e-9 * max(1.0, amount):
+            comp *= amount / total
+        return comp
+
+    def resolve(slot_amounts, supplies):
+        theta = np.ones(slot_amounts.shape[0])
+        real = slot_amounts[:, 1:]
+        for _ in range(supplies.size + 1):
+            totals = theta @ real
+            mask = totals - supplies > 1e-12 * np.maximum(supplies, 1.0) + 1e-15
+            if not np.any(mask):
+                break
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(mask, np.where(supplies > 0, totals / supplies, np.inf), 0.0)
+            j = int(np.argmax(ratio))
+            scale = supplies[j] / totals[j] if totals[j] > 0 and supplies[j] > 0 else 0.0
+            theta[real[:, j] > 0] *= scale
+        return theta
+
+    n_up = np.zeros((E, T + 1))
+    n_down = np.zeros((E, T + 1))
+    p_up = [np.zeros((r.size, T + 1)) for r in rows]
+    Q = len(engine.queues)
+    q_arr = np.zeros((Q, T + 1))
+    q_rel = np.zeros((Q, T + 1))
+    q_path = [np.zeros((q.rows.size, T + 1)) for q in engine.queues]
+    q_now = [np.zeros(q.rows.size) for q in engine.queues]
+    exited = np.zeros(engine.num_paths)
+    cap = engine.capacity * dt
+    for k in range(T):
+        d_veh = np.clip(interp_rowwise(n_up, k + 1 - engine.lag_v) - n_down[:, k], 0.0, cap)
+        s_veh = np.clip(interp_rowwise(n_down, k + 1 - engine.lag_w) + engine.storage
+                        - n_up[:, k], 0.0, cap)
+        up_inc = np.zeros(E)
+        down_inc = np.zeros(E)
+        pu_inc = [np.zeros(r.size) for r in rows]
+        for out_idx, approaches, queues in junctions.values():
+            payloads, slot_amounts = [], []
+            for e, per_slot, sink_src in approaches:
+                if d_veh[e] <= 1e-15:
+                    continue
+                comp = exit_composition(e, k, d_veh[e])
+                amounts = np.zeros(len(out_idx) + 1)
+                amounts[0] = comp[sink_src].sum()
+                for s, (src, _dst) in enumerate(per_slot):
+                    if src.size:
+                        amounts[s + 1] = comp[src].sum()
+                payloads.append(("link", e, comp, (per_slot, sink_src)))
+                slot_amounts.append(amounts)
+            for qi in queues:
+                q = engine.queues[qi]
+                arr_in = rates[q.rows, k] * dt if k < K else np.zeros(q.rows.size)
+                avail = q_now[qi] + arr_in
+                total_avail = float(avail.sum())
+                q_arr[qi, k + 1] = q_arr[qi, k] + arr_in.sum()
+                if total_avail <= 1e-15:
+                    q_now[qi] = avail
+                    q_rel[qi, k + 1] = q_rel[qi, k]
+                    q_path[qi][:, k + 1] = avail
+                    continue
+                # a backed-up queue sends big M, an empty one its inflow
+                d_rate = engine.big_m if q_now[qi].sum() > 0 else float(arr_in.sum()) / dt
+                want = min(d_rate * dt, total_avail)
+                amounts = np.zeros(len(out_idx) + 1)
+                amounts[queue_slot[qi] + 1] = want
+                payloads.append(("queue", qi, avail, want))
+                slot_amounts.append(amounts)
+            if not payloads:
+                continue
+            theta = resolve(np.array(slot_amounts), np.array([s_veh[e] for e in out_idx]))
+            for (kind, key, data, extra), th in zip(payloads, theta):
+                if kind == "queue" and th <= 0:
+                    q_now[key] = data
+                    q_rel[key, k + 1] = q_rel[key, k]
+                    q_path[key][:, k + 1] = data
+                elif kind == "link" and th > 0:
+                    e, (per_slot, sink_src) = key, extra
+                    moved = th * data
+                    down_inc[e] += moved.sum()
+                    for jl, (src, dst) in zip(out_idx, per_slot):
+                        if src.size:
+                            pu_inc[jl][dst] += moved[src]
+                            up_inc[jl] += moved[src].sum()
+                    exited[rows[e][sink_src]] += moved[sink_src]
+                elif kind == "queue":
+                    qi, avail, want = key, data, extra
+                    q = engine.queues[qi]
+                    released = th * want
+                    rel_p = avail * (released / avail.sum())
+                    q_now[qi] = avail - rel_p
+                    q_rel[qi, k + 1] = q_rel[qi, k] + released
+                    q_path[qi][:, k + 1] = q_now[qi]
+                    pu_inc[q.link_idx][queue_dst[qi]] += rel_p
+                    up_inc[q.link_idx] += released
+        n_up[:, k + 1] = n_up[:, k] + up_inc
+        n_down[:, k + 1] = n_down[:, k] + down_inc
+        for e in range(E):
+            p_up[e][:, k + 1] = p_up[e][:, k] + pu_inc[e]
+    return LoadingResult(engine=engine, n_up=n_up, n_down=n_down, p_up=p_up,
+                         q_arrivals=q_arr, q_releases=q_rel, q_paths=q_path,
+                         exited_by_path=exited)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import build_line_network, uniform_profile
+from conftest import assert_matches_reference, build_line_network, uniform_profile
 from due.errors import ConfigurationError, UnfinishedTripError, ValidationError
 from due.loading import _Engine, effective_delay, run_dnl
 from due.network import Link, Network, PathDef, load_network_dir
@@ -96,15 +96,47 @@ def two_lines():
     return net, run_dnl(PathFlowProfile(GRID, rates), net, GRID, buffer=1.0)
 
 
+def resolve_one(amounts, supplies):
+    """`_Engine._resolve` on one junction: amounts (approach, out-slot)."""
+    amounts, supplies = np.asarray(amounts, dtype=float), np.asarray(supplies, dtype=float)
+    return _Engine._resolve(amounts[None], supplies[None], np.array([supplies.size]))[0]
+
+
 def resolve_both(d, s, w):
     """Junction flows from `_Engine._resolve` and from the reference.
 
     Column 0 of the split `w` is the sink, which takes any amount.
     """
     d, s, w = (np.asarray(x, dtype=float) for x in (d, s, w))
-    theta = _Engine._resolve(d[:, None] * w, s)
+    theta = resolve_one(d[:, None] * w[:, 1:], s)
     engine = (theta * d, (theta * d) @ w)
     return engine, junction_flows(d, np.r_[np.inf, s], w)
+
+
+def random_junction(rng):
+    """Demands, supplies and a split whose approaches each use a random
+    subset of the out-links and of the destination sink (column 0)."""
+    m = rng.integers(1, 4)
+    n = rng.integers(1, 4)
+    d = rng.uniform(0, 5, size=m)
+    s = rng.uniform(0, 5, size=n)
+    w = rng.dirichlet(np.ones(n + 1), size=m) * (rng.uniform(size=(m, n + 1)) < 0.6)
+    w[np.arange(m), rng.integers(0, n + 1, size=m)] += 0.1
+    return d, s, w / w.sum(axis=1, keepdims=True)
+
+
+@pytest.fixture
+def loadings(monkeypatch):
+    """Every (rates, result) pair `_Engine.run` returns while the test runs."""
+    seen = []
+    run = _Engine.run
+
+    def recording(engine, rates, validate=False):
+        seen.append((rates, run(engine, rates, validate)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(_Engine, "run", recording)
+    return seen
 
 
 def assert_same_flows(engine, oracle):
@@ -201,7 +233,7 @@ class TestJunctionFlows:
         D, S, W = 4.0, np.array([1.0, 10.0]), np.array([0.5, 0.5])
         thetas = np.linspace(0, 1, 100001)
         feasible = thetas[np.all(np.outer(thetas * D, W) <= S + 1e-12, axis=1)]
-        theta = _Engine._resolve(np.array([[0.0, *(D * W)]]), S)
+        theta = resolve_one([D * W], S)
         assert theta[0] == pytest.approx(feasible.max(), abs=1e-4)
 
     def test_merge_proportional_to_demand(self):
@@ -225,13 +257,7 @@ class TestJunctionFlows:
         # out-links and of the destination sink
         rng = np.random.default_rng(42)
         for _ in range(200):
-            m = rng.integers(1, 4)
-            n = rng.integers(1, 4)
-            d = rng.uniform(0, 5, size=m)
-            s = rng.uniform(0, 5, size=n)
-            w = rng.dirichlet(np.ones(n + 1), size=m) * (rng.uniform(size=(m, n + 1)) < 0.6)
-            w[np.arange(m), rng.integers(0, n + 1, size=m)] += 0.1
-            w /= w.sum(axis=1, keepdims=True)
+            d, s, w = random_junction(rng)
             engine, oracle = resolve_both(d, s, w)
             assert_same_flows(engine, oracle)
             f_out, f_in = engine
@@ -239,6 +265,25 @@ class TestJunctionFlows:
             assert np.all(f_out <= d + 1e-12)
             assert np.all(f_in[1:] <= s + 1e-9 * np.maximum(s, 1.0))
             assert np.all(f_out >= 0)
+
+    def test_stacked_junctions(self):
+        # junctions of every arity resolved in one call, padded with
+        # zero-amount approaches and zero-supply out-slots, each as it
+        # resolves alone
+        rng = np.random.default_rng(7)
+        junctions = [random_junction(rng) for _ in range(60)]
+        amounts = np.zeros((60, 3, 3))
+        supplies = np.zeros((60, 3))
+        n_out = np.array([s.size for _d, s, _w in junctions])
+        for j, (d, s, w) in enumerate(junctions):
+            amounts[j, : d.size, : s.size] = d[:, None] * w[:, 1:]
+            supplies[j, : s.size] = s
+        theta = _Engine._resolve(amounts, supplies, n_out)
+        for j, (d, s, w) in enumerate(junctions):
+            alone = resolve_one(d[:, None] * w[:, 1:], s)
+            np.testing.assert_allclose(theta[j, : d.size], alone, rtol=1e-12, atol=1e-12)
+            assert_same_flows((theta[j, : d.size] * d, (theta[j, : d.size] * d) @ w),
+                              junction_flows(d, np.r_[np.inf, s], w))
 
 
 class TestOriginQueue:
@@ -276,8 +321,17 @@ class TestOriginQueue:
         for res in (burst(), burst(vehicles=170.0, tail_rate=300.0), spillback()[1]):
             queue = res.q_arrivals - res.q_releases
             assert queue.min() >= 0.0
-            assert min(q.min() for q in res.q_paths) >= 0.0
-            np.testing.assert_allclose(queue[:, -1], sum(q[:, -1] for q in res.q_paths))
+            assert res.q_paths.min() >= 0.0
+            np.testing.assert_allclose(
+                queue[:, -1], [res.q_paths[-1, q.rows].sum() for q in res.engine.queues])
+
+    def test_trickle_stays_queued(self):
+        # 1e-16 vehicles a step are too few to release until they add up
+        # past 1e-15; meanwhile they stay in the per-path queue content
+        res = load(build_line_network(num_links=1), np.full(15, 1e-16 / DT))
+        queue = res.q_arrivals[0] - res.q_releases[0]
+        assert queue.max() > 0.0
+        np.testing.assert_allclose(queue, res.q_paths[:, 0], rtol=0, atol=1e-30)
 
 
 class TestExitTime:
@@ -379,6 +433,11 @@ class TestRunDnl:
         with pytest.raises(ConfigurationError, match="link"):
             run_dnl(h, line_network, grid)
 
+    def test_disconnected_path_rejected(self, line_network):
+        net = dataclasses.replace(line_network, paths=(PathDef("p1", "w", ("2", "1")),))
+        with pytest.raises(ValidationError, match="not connected between links '2' and '1'"):
+            _Engine(net, GRID, None)
+
     def test_rejects_negative_rates(self, line_network):
         grid = TimeGrid(0.0, 0.5, 15)
         h = PathFlowProfile(grid, np.full((1, 15), -1.0))
@@ -452,10 +511,11 @@ class TestPathDelay:
 
 
 class TestPathDelaysByPath:
-    """`path_delays` probes per (hop, link) group; the reference probes path by path."""
+    """`path_delays` probes per (hop, link) group; the reference probes path by
+    path.  Each loading is also checked against the reference loader."""
 
     @pytest.mark.parametrize("case", ["free", "burst", "bottleneck", "two_links"])
-    def test_line_fixtures(self, case):
+    def test_line_fixtures(self, case, loadings):
         if case == "free":
             res = load(build_line_network(num_links=2), np.full(15, 600.0))
         elif case == "burst":
@@ -468,15 +528,19 @@ class TestPathDelaysByPath:
             h = PathFlowProfile(GRID, np.array([[900.0] * 15, [1500.0] * 15]))
             res = run_dnl(h, net, GRID, buffer=1.0)
         np.testing.assert_array_equal(res.path_delays(), path_delays_by_path(res))
+        ((rates, _res),) = loadings
+        assert_matches_reference(res, rates)
 
     @pytest.mark.parametrize("factor", [1.0, 1.5])
-    def test_nguyen_uniform_start(self, nguyen, factor):
+    def test_nguyen_uniform_start(self, nguyen, factor, loadings):
         # at 1.5 times the demand, origin queues form
         net = scaled(nguyen, factor)
         grid = TimeGrid(0.0, 2.0, 70)
         res = run_dnl(uniform_profile(net, grid), net, grid, buffer=2.5)
         assert (np.max(res.q_arrivals - res.q_releases) > 0) == (factor > 1)
         np.testing.assert_array_equal(res.path_delays(), path_delays_by_path(res))
+        ((rates, _res),) = loadings
+        assert_matches_reference(res, rates)
 
     def test_siouxfalls_quarter_demand_evaluation(self, siouxfalls_dir, monkeypatch):
         # one operator evaluation on the grid of configs/siouxfalls_ifbf.json
@@ -487,13 +551,13 @@ class TestPathDelaysByPath:
         run = op._engine.run
 
         def run_and_keep(rates):
-            loaded.append(run(rates))
-            return loaded[-1]
+            loaded.append((rates, run(rates)))
+            return loaded[-1][1]
 
         monkeypatch.setattr(op._engine, "run", run_and_keep)
         h0 = uniform_start(grid, net.trips, net.path_rows_by_od())
         effective = op.evaluate(h0).delays
-        (res,) = loaded
+        ((rates, res),) = loaded
         assert res.total_exited == pytest.approx(sum(net.trips.demands.values()), rel=1e-6)
         delays = res.path_delays()
         np.testing.assert_array_equal(
@@ -502,6 +566,23 @@ class TestPathDelaysByPath:
                               for p in net.paths])
         assert np.all(delays >= free_flow[:, None] - 1e-12)
         np.testing.assert_array_equal(delays, path_delays_by_path(res))
+        assert_matches_reference(res, rates)
+
+
+class TestReferenceLoading:
+    """Cases the delay comparisons above cannot take: unfinished trips and a
+    trickle below the origin release threshold, against the reference loader."""
+
+    @pytest.mark.parametrize("case", ["spillback", "two_lines", "trickle"])
+    def test_line_fixtures(self, case, loadings):
+        if case == "spillback":
+            spillback()
+        elif case == "two_lines":
+            two_lines()
+        else:
+            load(build_line_network(num_links=1), np.full(15, 1e-16 / DT))
+        ((rates, res),) = loadings
+        assert_matches_reference(res, rates)
 
 
 class TestEffectiveDelay:

@@ -161,6 +161,13 @@ class TestValidationErrors:
         with pytest.raises(ValidationError, match="repeats"):
             load_network_dir(d)
 
+    def test_od_pairs_without_path_named(self, tmp_path):
+        od = ("od_id,origin,dest,demand,target_time\n"
+              "v,0,1,5.0,1.0\nw,0,2,10.0,1.0\nu,1,2,5.0,1.0\n")
+        d = write_minimal_instance(tmp_path / "x", **{"od.csv": od})
+        with pytest.raises(ValidationError, match=r"without any path: \['v', 'u'\]"):
+            load_network_dir(d)
+
     def test_od_looping_on_one_node(self, tmp_path):
         d = write_minimal_instance(
             tmp_path / "x",
@@ -196,7 +203,7 @@ class TestClassifyJunctions:
     def test_nguyen_origin_roles(self, nguyen):
         # the loading engine keeps origin point queues at the origin nodes only
         engine = _Engine(nguyen, TimeGrid(0.0, 2.0, 70), None)
-        assert set(engine.queues_by_node) == {"1", "4"}
+        assert {q.node for q in engine.queues} == {"1", "4"}
         for q in engine.queues:
             assert engine.link_ids[q.link_idx] in nguyen.junctions[q.node].outgoing
 
