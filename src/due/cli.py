@@ -20,18 +20,18 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ConfigurationError, DueError, ParseError
 from .loading import effective_delay, run_dnl
 from .metrics import ConvergenceLog, od_gap
-from .network import Network, load_network_dir, validate_network
+from .network import load_network_dir, validate_network
 from .operators import dnl_operator
-from .solvers import SolverConfig, solve, uniform_start
+from .solvers import SolverConfig, parse_schedule, solve, uniform_start
 from .space import TimeGrid
 
 EXIT_CODES = {"parse": 2, "validation": 3, "config": 4, "numeric": 5}
@@ -41,10 +41,30 @@ EXIT_CODES = {"parse": 2, "validation": 3, "config": 4, "numeric": 5}
 # config handling
 
 
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
+def _check_section(section, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {section!r}")
     unknown = [k for k in section if k not in allowed and not k.startswith("_")]
     if unknown:
         raise ConfigurationError(f"unknown key(s) {unknown} in {where}")
+
+
+def _flag(value) -> bool:
+    """A JSON boolean; `bool` would read the string "false" as true."""
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
+def _value(section: dict, key: str, kind, where: str, default=None):
+    """`section[key]` converted by `kind`, or `default` when the key is absent.
+    A value that `kind` rejects raises ConfigurationError naming `where:key`."""
+    if key not in section:
+        return default
+    try:
+        return kind(section[key])
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{where}:{key} cannot be {section[key]!r}") from None
 
 
 @dataclass
@@ -70,7 +90,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path = Path("."), where: str = "config") -> "RunConfig":
-        _reject_unknown(
+        _check_section(
             raw,
             {"network_dir", "grid", "solver", "gamma", "horizon_buffer",
              "output_dir", "dump_dnl"},
@@ -80,131 +100,113 @@ class RunConfig:
             if key not in raw:
                 raise ConfigurationError(f"missing key {key!r} in {where}")
 
-        gspec = raw["grid"]
-        _reject_unknown(gspec, {"t0", "t1", "num_intervals", "dt_seconds"}, f"{where}:grid")
-        t0 = float(gspec.get("t0", 0.0))
+        gspec, gwhere = raw["grid"], f"{where}:grid"
+        _check_section(gspec, {"t0", "t1", "num_intervals", "dt_seconds"}, gwhere)
+        t0 = _value(gspec, "t0", float, gwhere, 0.0)
         if "t1" not in gspec:
-            raise ConfigurationError(f"{where}:grid needs t1")
-        t1 = float(gspec["t1"])
+            raise ConfigurationError(f"{gwhere} needs t1")
+        t1 = _value(gspec, "t1", float, gwhere)
         has_k = "num_intervals" in gspec
         has_dt = "dt_seconds" in gspec
         if has_k == has_dt:
             raise ConfigurationError(
-                f"{where}:grid needs exactly one of num_intervals or dt_seconds"
+                f"{gwhere} needs exactly one of num_intervals or dt_seconds"
             )
         if has_k:
-            k = int(gspec["num_intervals"])
+            k = _value(gspec, "num_intervals", int, gwhere)
         else:
-            dt_h = float(gspec["dt_seconds"]) / 3600.0
+            dt_h = _value(gspec, "dt_seconds", float, gwhere) / 3600.0
             k_float = (t1 - t0) / dt_h
             k = round(k_float)
             if abs(k_float - k) > 1e-9 * max(1.0, abs(k_float)) or k < 1:
                 raise ConfigurationError(
-                    f"{where}:grid dt_seconds does not divide the horizon "
+                    f"{gwhere} dt_seconds does not divide the horizon "
                     f"({k_float} intervals)"
                 )
         grid = TimeGrid(t0, t1, k)
 
-        sspec = raw["solver"]
-        _reject_unknown(
+        sspec, swhere = raw["solver"], f"{where}:solver"
+        _check_section(
             sspec,
             {"algorithm", "max_iterations", "tolerance", "tau0", "tau", "mu",
              "lambda", "alpha", "alpha_n", "beta_n", "eps_n"},
-            f"{where}:solver",
+            swhere,
         )
         solver = SolverConfig(
-            algorithm=sspec.get("algorithm", "ifbf"),
-            max_iterations=int(sspec.get("max_iterations", 100)),
-            tolerance=float(sspec.get("tolerance", 0.0)),
-            tau0=float(sspec.get("tau0", 1.0)),
-            tau_fixed=float(sspec["tau"]) if "tau" in sspec else None,
-            mu=float(sspec.get("mu", 0.5)),
-            lam=float(sspec.get("lambda", 0.5)),
-            alpha=float(sspec.get("alpha", 0.7)),
-            alpha_schedule=sspec.get("alpha_n"),
-            beta_schedule=sspec.get("beta_n"),
-            eps_schedule=sspec.get("eps_n"),
+            algorithm=_value(sspec, "algorithm", str, swhere, "ifbf"),
+            max_iterations=_value(sspec, "max_iterations", int, swhere, 100),
+            tolerance=_value(sspec, "tolerance", float, swhere, 0.0),
+            tau0=_value(sspec, "tau0", float, swhere, 1.0),
+            tau_fixed=_value(sspec, "tau", float, swhere),
+            mu=_value(sspec, "mu", float, swhere, 0.5),
+            lam=_value(sspec, "lambda", float, swhere, 0.5),
+            alpha=_value(sspec, "alpha", float, swhere, 0.7),
+            alpha_schedule=_value(sspec, "alpha_n", parse_schedule, swhere),
+            beta_schedule=_value(sspec, "beta_n", parse_schedule, swhere),
+            eps_schedule=_value(sspec, "eps_n", parse_schedule, swhere),
         )
 
-        network_dir = (base_dir / raw["network_dir"]).resolve() \
-            if not Path(raw["network_dir"]).is_absolute() else Path(raw["network_dir"])
-        output_dir = (base_dir / raw["output_dir"]).resolve() \
-            if not Path(raw["output_dir"]).is_absolute() else Path(raw["output_dir"])
+        def directory(key: str) -> Path:
+            path = _value(raw, key, Path, where)
+            return path if path.is_absolute() else (base_dir / path).resolve()
+
         return cls(
-            network_dir=network_dir,
+            network_dir=directory("network_dir"),
             grid=grid,
             solver=solver,
-            gamma=float(raw.get("gamma", 1.0)),
-            horizon_buffer=float(raw["horizon_buffer"]) if "horizon_buffer" in raw else None,
-            output_dir=output_dir,
-            dump_dnl=bool(raw.get("dump_dnl", False)),
+            gamma=_value(raw, "gamma", float, where, 1.0),
+            horizon_buffer=_value(raw, "horizon_buffer", float, where),
+            output_dir=directory("output_dir"),
+            dump_dnl=_value(raw, "dump_dnl", _flag, where, False),
         )
 
 
 # --------------------------------------------------------------------------
-# atomic output helpers
+# artifacts
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _write_atomic(path: Path, blocks: Iterable[str]) -> None:
+    """Stream `blocks` into a temporary file beside `path`, then rename it onto
+    `path`.  If writing fails, the temporary file is removed and `path` keeps
+    its previous bytes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(blocks)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-# CSV cells are formatted from Python floats (`.tolist()`), because the repr
-# of a numpy scalar reads `np.float64(...)` under numpy 2
-def _csv_lines(prefix: str, cells: list[str], *columns: list[float]) -> Iterator[str]:
-    """One line per entry of `cells`: `prefix`, the cell, then the matching
-    value of each column as its `repr`, comma-separated."""
-    parts = [repeat(prefix), cells, map(repr, columns[0])]
-    for c in columns[1:]:
-        parts += [repeat(","), map(repr, c)]
-    return map("".join, zip(*parts))
+# A numeric CSV cell is the repr of a Python number, which float() reads back
+# bit for bit.  Arrays go through `.tolist()` first, because the repr of a
+# numpy scalar reads `np.float64(...)` under numpy 2.
+def _cells(values: Iterable) -> Iterator[str]:
+    return map(repr, values)
 
 
-def _interval_cells(grid: TimeGrid) -> list[str]:
-    """The `interval,t_start,` cells of each departure interval."""
-    return [f"{k},{t!r}," for k, t in enumerate(grid.starts().tolist())]
+def _csv(*columns: Iterable[str]) -> str:
+    """CSV lines from columns of cells, one line per row."""
+    return "\n".join([*map(",".join, zip(*columns)), ""])
 
 
-def _write_flow_csv(path: Path, net: Network, grid: TimeGrid, rates: np.ndarray) -> None:
-    lines = ["path_id,od_id,interval,t_start,rate"]
-    cells = _interval_cells(grid)
-    for p, row in zip(net.paths, rates.tolist()):
-        lines += _csv_lines(f"{p.id},{p.od},", cells, row)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _row_blocks(leads: Iterable[str], index: list[str], *arrays: np.ndarray) -> Iterator[str]:
+    """One block of CSV lines per row r of `arrays`, converted one row at a
+    time: line k of the block is leads[r], index[k], then entry (r, k) of each
+    array."""
+    for r, lead in enumerate(leads):
+        yield _csv(repeat(lead), index, *(_cells(a[r].tolist()) for a in arrays))
 
 
-def _write_delay_csv(path: Path, net: Network, grid: TimeGrid,
-                     delays: np.ndarray, effective: np.ndarray) -> None:
-    lines = ["path_id,od_id,interval,t_start,delay,effective_delay"]
-    cells = _interval_cells(grid)
-    for p, d, a in zip(net.paths, delays.tolist(), effective.tolist()):
-        lines += _csv_lines(f"{p.id},{p.od},", cells, d, a)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: Iterable[str], blocks: Iterable[str]) -> None:
+    _write_atomic(path, chain([",".join(header) + "\n"], blocks))
 
 
-def _write_gaps_csv(path: Path, gaps: dict) -> None:
-    lines = ["od_id,gap"]
-    for od in sorted(gaps):
-        lines.append(f"{od},{gaps[od]!r}")
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _dump_dnl(outdir: Path, result) -> None:
-    engine = result.engine
-    cells = [f"{t!r}," for t in result.grid_ext.boundaries().tolist()]
-    lines = ["link_id,t,n_up,n_down"]
-    for lid, up, down in zip(engine.link_ids, result.n_up.tolist(), result.n_down.tolist()):
-        lines += _csv_lines(f"{lid},", cells, up, down)
-    _atomic_write(outdir / "dnl_curves.csv", "\n".join(lines) + "\n")
-    lines = ["origin,link_id,t,arrivals,releases,queue"]
-    queues = (result.q_arrivals - result.q_releases).tolist()
-    for q, arr, rel, queue in zip(engine.queues, result.q_arrivals.tolist(),
-                                  result.q_releases.tolist(), queues):
-        lines += _csv_lines(f"{q.node},{engine.link_ids[q.link_idx]},", cells, arr, rel, queue)
-    _atomic_write(outdir / "dnl_queues.csv", "\n".join(lines) + "\n")
+def _write_log(path: Path, log: ConvergenceLog) -> None:
+    fields = log.CSV_FIELDS
+    columns = [_cells([getattr(r, f) for r in log.records]) for f in fields]
+    _write_csv(path, fields, [_csv(*columns)])
 
 
 # --------------------------------------------------------------------------
@@ -229,13 +231,27 @@ def _execute_run(cfg: RunConfig) -> tuple[dict, ConvergenceLog]:
     log.final_gaps = gaps
 
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "iterations.csv", log.csv_text())
-    _write_flow_csv(out / "final_flows.csv", net, cfg.grid, h_final.rates)
-    _write_delay_csv(out / "final_delays.csv", net, cfg.grid, delays, eff.delays)
-    _write_gaps_csv(out / "od_gaps.csv", gaps)
+    _write_log(out / "iterations.csv", log)
+    index = _csv(_cells(range(cfg.grid.num_intervals)),
+                 _cells(cfg.grid.starts().tolist())).splitlines()
+    leads = [f"{p.id},{p.od}" for p in net.paths]
+    _write_csv(out / "final_flows.csv", ["path_id", "od_id", "interval", "t_start", "rate"],
+               _row_blocks(leads, index, h_final.rates))
+    _write_csv(out / "final_delays.csv",
+               ["path_id", "od_id", "interval", "t_start", "delay", "effective_delay"],
+               _row_blocks(leads, index, delays, eff.delays))
+    ods = sorted(gaps)
+    _write_csv(out / "od_gaps.csv", ["od_id", "gap"], [_csv(ods, _cells(gaps[od] for od in ods))])
     if cfg.dump_dnl:
-        _dump_dnl(out, result)
+        engine = result.engine
+        index = list(_cells(result.grid_ext.boundaries().tolist()))
+        _write_csv(out / "dnl_curves.csv", ["link_id", "t", "n_up", "n_down"],
+                   _row_blocks(engine.link_ids, index, result.n_up, result.n_down))
+        queue_leads = [f"{q.node},{engine.link_ids[q.link_idx]}" for q in engine.queues]
+        _write_csv(out / "dnl_queues.csv",
+                   ["origin", "link_id", "t", "arrivals", "releases", "queue"],
+                   _row_blocks(queue_leads, index, result.q_arrivals, result.q_releases,
+                               result.q_arrivals - result.q_releases))
 
     summary = log.summary()
     summary["network_dir"] = str(cfg.network_dir)
@@ -244,13 +260,13 @@ def _execute_run(cfg: RunConfig) -> tuple[dict, ConvergenceLog]:
     summary["gamma"] = cfg.gamma
     summary["operator_evaluations"] = op.eval_count
     summary["total_wall_time"] = time.perf_counter() - t_begin
-    _atomic_write(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_atomic(out / "summary.json", [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
     return summary, log
 
 
-def cmd_run(config_path, dump_dnl: bool | None = None) -> int:
+def cmd_run(config_path, dump_dnl: bool = False) -> int:
     cfg = RunConfig.from_file(config_path)
-    if dump_dnl is not None and dump_dnl:
+    if dump_dnl:
         cfg.dump_dnl = True
     summary, _log = _execute_run(cfg)
     print(f"run complete: {summary['iterations']} iterations, "
@@ -307,29 +323,21 @@ def cmd_compare(config_paths, out_dir) -> int:
         cfg.output_dir = Path(out_dir) / name
         summaries[name], logs[name] = _execute_run(cfg)
 
-    # cells are formatted as `ConvergenceLog.csv_text` and `_write_gaps_csv` do
-    header = ["n"]
-    for name in names:
-        header += [f"energy_{name}", f"tau_{name}"]
-    lines = [",".join(header)]
-    for n in range(max(log.iterations for log in logs.values())):
-        row = [str(n)]
-        for name in names:
-            records = logs[name].records
-            if n < len(records):
-                row += [repr(records[n].energy), repr(records[n].tau)]
-            else:
-                row += ["", ""]
-        lines.append(",".join(row))
     outp = Path(out_dir)
-    _atomic_write(outp / "compare_energy.csv", "\n".join(lines) + "\n")
-
-    lines = ["od_id," + ",".join(f"gap_{name}" for name in names)]
-    for od in sorted(logs[names[0]].final_gaps):
-        lines.append(od + "," + ",".join(repr(logs[name].final_gaps[od]) for name in names))
-    _atomic_write(outp / "compare_gaps.csv", "\n".join(lines) + "\n")
-    _atomic_write(outp / "compare_summary.json",
-                  json.dumps(summaries, indent=2, sort_keys=True) + "\n")
+    n_rows = max(log.iterations for log in logs.values())
+    header, columns = ["n"], [_cells(range(n_rows))]
+    for name in names:
+        records = logs[name].records
+        missing = [""] * (n_rows - len(records))
+        header += [f"energy_{name}", f"tau_{name}"]
+        columns += [chain(_cells(r.energy for r in records), missing),
+                    chain(_cells(r.tau for r in records), missing)]
+    _write_csv(outp / "compare_energy.csv", header, [_csv(*columns)])
+    ods = sorted(logs[names[0]].final_gaps)
+    _write_csv(outp / "compare_gaps.csv", ["od_id"] + [f"gap_{name}" for name in names],
+               [_csv(ods, *(_cells([logs[name].final_gaps[od] for od in ods]) for name in names))])
+    _write_atomic(outp / "compare_summary.json",
+                  [json.dumps(summaries, indent=2, sort_keys=True) + "\n"])
     print(f"compared {len(names)} runs; tables in {outp}")
     return 0
 

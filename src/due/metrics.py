@@ -24,15 +24,14 @@ class IterationRecord:
     residual: float
     energy: float
     operator_calls: int
-    wall_time: float
 
 
 @dataclass
 class ConvergenceLog:
     """Per-iteration trace of one solver run.
 
-    The CSV serialization deliberately omits wall times so identical configs
-    produce bitwise-identical files; timing lives in the JSON summary.
+    Records carry no wall times, so identical configs produce bitwise-identical
+    CSVs; the run's wall time lives in the JSON summary.
     """
 
     algorithm: str
@@ -50,30 +49,16 @@ class ConvergenceLog:
     def iterations(self) -> int:
         return len(self.records)
 
-    @property
-    def total_wall_time(self) -> float:
-        return sum(r.wall_time for r in self.records)
-
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records], dtype=float)
 
     CSV_FIELDS = ("n", "tau", "alpha", "beta", "residual", "energy", "operator_calls")
-
-    def csv_text(self) -> str:
-        lines = [",".join(self.CSV_FIELDS)]
-        for r in self.records:
-            lines.append(
-                f"{r.n},{r.tau!r},{r.alpha!r},{r.beta!r},{r.residual!r},"
-                f"{r.energy!r},{r.operator_calls}"
-            )
-        return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
         out = {
             "algorithm": self.algorithm,
             "iterations": self.iterations,
             "stop_reason": self.stop_reason,
-            "total_wall_time": self.total_wall_time,
             "header": self.header,
         }
         if self.records:

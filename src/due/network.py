@@ -17,6 +17,7 @@ enumeration happens here.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -176,9 +177,12 @@ def _read_rows(path: Path) -> tuple[list[tuple[int, list[str]]], dict[str, str]]
 
 def _to_float(value: str, path: Path, lineno: int, what: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ParseError(f"{path}:{lineno}: cannot parse {what} from {value!r}") from None
+    if not math.isfinite(x):
+        raise ParseError(f"{path}:{lineno}: {what} must be finite, got {value!r}")
+    return x
 
 
 def load_network(node_file, link_file, od_file, path_file) -> Network:
@@ -265,6 +269,8 @@ def load_network(node_file, link_file, od_file, path_file) -> Network:
         if od not in od_pairs:
             raise ParseError(f"{path_file}:{lineno}: path {pid!r} references unknown O-D {od!r}")
         seq = tuple(c for c in row[2:] if c)
+        if not seq:
+            raise ParseError(f"{path_file}:{lineno}: path {pid!r} lists no links")
         if len(set(seq)) != len(seq):
             raise ValidationError(f"{path_file}:{lineno}: path {pid!r} repeats a link")
         for e in seq:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-import time
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -303,14 +302,13 @@ def run_fb(
     grid, dt = h0.grid, h0.grid.dt
     h = h0.rates
     for n in range(config.max_iterations):
-        t_start = time.perf_counter()
         ah = op.evaluate(PathFlowProfile(grid, h)).delays
         y = project_feasible(h - tau * ah, dt, trips, paths_by_od)
         residual = norm(h - y, dt)
         energy = relative_energy(y, h, dt)
         h = y
         log.append(IterationRecord(n, tau, math.nan, math.nan, residual, energy,
-                                   op.eval_count, time.perf_counter() - t_start))
+                                   op.eval_count))
         if config.tolerance > 0 and residual <= config.tolerance:
             log.stop_reason = "residual_tolerance"
             break
@@ -331,7 +329,6 @@ def run_fbf(
     h = h0.rates
     tau = config.tau0
     for n in range(config.max_iterations):
-        t_start = time.perf_counter()
         a_n = alpha_s.value(n)
         b_n = beta_s.value(n)
         ah = op.evaluate(PathFlowProfile(grid, h)).delays
@@ -343,7 +340,7 @@ def run_fbf(
         energy = relative_energy(h_next, h, dt)
         tau_next = _adaptive_step(tau, config.mu, residual, ah, ay, dt)
         log.append(IterationRecord(n, tau, a_n, b_n, residual, energy,
-                                   op.eval_count, time.perf_counter() - t_start))
+                                   op.eval_count))
         h, tau = h_next, tau_next
         if config.tolerance > 0 and residual <= config.tolerance:
             log.stop_reason = "residual_tolerance"
@@ -366,7 +363,6 @@ def run_ifbf(
     tau = config.tau0
     alpha_n = config.alpha
     for n in range(config.max_iterations):
-        t_start = time.perf_counter()
         b_n = beta_s.value(n)
         w = (1.0 - b_n) * (h + alpha_n * (h - h_prev))
         aw = op.evaluate(PathFlowProfile(grid, w)).delays
@@ -382,7 +378,7 @@ def run_ifbf(
         else:
             alpha_next = min(config.alpha, eps_s.value(n + 1) / step)
         log.append(IterationRecord(n, tau, alpha_n, b_n, residual, energy,
-                                   op.eval_count, time.perf_counter() - t_start))
+                                   op.eval_count))
         h_prev, h = h, h_next
         tau, alpha_n = tau_next, alpha_next
         if config.tolerance > 0 and residual <= config.tolerance:

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from due.cli import EXIT_CODES, main
+from due.cli import EXIT_CODES, _row_blocks, _write_csv, main
 from test_network import write_minimal_instance
 
 
@@ -117,6 +119,68 @@ class TestRun:
             b = (tmp_path / "rep_b" / name).read_bytes()
             assert a == b, name
 
+    # each edit changes the config in place, or returns the value to write instead
+    @pytest.mark.parametrize("edit, named", [
+        (lambda raw: raw["solver"].update(max_iterations="ten"), "solver:max_iterations"),
+        (lambda raw: raw["grid"].update(t1="late"), "grid:t1"),
+        (lambda raw: raw.update(grid=5), "grid must be a JSON object"),
+        (lambda raw: raw.update(gamma=None), "gamma"),
+        (lambda raw: [raw], "must be a JSON object"),
+        (lambda raw: raw["solver"].update(beta_n=[1, 2]), "solver:beta_n"),
+        (lambda raw: raw.update(dump_dnl="false"), "dump_dnl"),
+    ], ids=["int", "float", "section", "null", "top_level", "schedule", "flag"])
+    def test_wrongly_typed_value_is_config_error(self, tmp_path, instance_dir, capsys,
+                                                 edit, named):
+        cfg_path = line_config(tmp_path, instance_dir)
+        raw = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps(edit(raw) or raw))
+        assert main(["run", "-c", str(cfg_path)]) == EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and named in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestArtifacts:
+    HEADER = ["path_id", "od_id", "interval", "t_start", "rate"]
+
+    def test_per_path_table_round_trips(self, tmp_path):
+        rates = np.array([[-0.0, 5e-324, 1e16], [0.1, 1 / 3, -2.5e-308]])
+        path = tmp_path / "flows.csv"
+        index = ["0,0.0", "1,0.5", "2,1.0"]
+        _write_csv(path, self.HEADER, _row_blocks(["p1,w", "p2,w"], index, rates))
+        header, *rows = path.read_text().splitlines()
+        assert header == ",".join(self.HEADER)
+        assert [row.split(",")[:3] for row in rows] == [
+            [p, "w", k] for p in ("p1", "p2") for k in ("0", "1", "2")]
+        parsed = np.array([float(row.split(",")[-1]) for row in rows])
+        assert parsed.tobytes() == rates.ravel().tobytes()
+
+    def test_failure_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_bytes(b"previous\n")
+
+        def blocks():
+            yield "p1,w,0,0.0,1.0\n"
+            raise RuntimeError("disk gone")
+
+        with pytest.raises(RuntimeError, match="disk gone"):
+            _write_csv(path, self.HEADER, blocks())
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["flows.csv"]
+
+    def test_table_not_held_in_memory(self, tmp_path):
+        rates = np.random.default_rng(3).random((1000, 100))
+        leads = [f"p{r},w" for r in range(1000)]
+        index = [f"{k},{k / 100!r}" for k in range(100)]
+        path = tmp_path / "flows.csv"
+        tracemalloc.start()
+        try:
+            _write_csv(path, self.HEADER, _row_blocks(leads, index, rates, rates))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 20
+
 
 class TestValidate:
     def test_nguyen_all_pass(self, nguyen_dir, capsys):
@@ -134,6 +198,11 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "error[validation]" in err
         assert ":3" in err  # row number of the corrupted path
+
+    def test_path_without_links_is_parse_error(self, tmp_path, capsys):
+        d = write_minimal_instance(tmp_path / "bad", **{"paths.csv": "path_id,od_id,links\np1,w,,\n"})
+        assert main(["validate", str(d)]) == EXIT_CODES["parse"]
+        assert "error[parse]" in capsys.readouterr().err
 
     def test_negative_target_time_fails(self, tmp_path, capsys):
         d = write_minimal_instance(

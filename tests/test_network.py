@@ -168,6 +168,25 @@ class TestValidationErrors:
         with pytest.raises(ValidationError, match=r"without any path: \['v', 'u'\]"):
             load_network_dir(d)
 
+    @pytest.mark.parametrize("name, row, field", [
+        ("links.csv", "a,0,1,inf,60.0,20.0,160.0,2400.0", "length"),
+        ("links.csv", "a,0,1,2.0,60.0,20.0,inf,", "kjam"),
+        ("od.csv", "w,0,2,inf,1.0", "demand"),
+        ("od.csv", "w,0,2,10.0,nan", "target_time"),
+    ])
+    def test_non_finite_value_named(self, tmp_path, name, row, field):
+        header = {"links.csv": "id,from,to,length,vf,w,kjam,capacity\n",
+                  "od.csv": "od_id,origin,dest,demand,target_time\n"}[name]
+        rest = {"links.csv": "b,1,2,3.0,60.0,20.0,160.0,2400.0\n", "od.csv": ""}[name]
+        d = write_minimal_instance(tmp_path / "x", **{name: header + row + "\n" + rest})
+        with pytest.raises(ParseError, match=rf"{name}:2: {field} must be finite"):
+            load_network_dir(d)
+
+    def test_path_without_links(self, tmp_path):
+        d = write_minimal_instance(tmp_path / "x", **{"paths.csv": "path_id,od_id,links\np1,w,,\n"})
+        with pytest.raises(ParseError, match=r"paths.csv:2: path 'p1' lists no links"):
+            load_network_dir(d)
+
     def test_od_looping_on_one_node(self, tmp_path):
         d = write_minimal_instance(
             tmp_path / "x",
