@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -56,6 +57,20 @@ def _flag(value) -> bool:
     return value
 
 
+def _integer(value) -> int:
+    """A whole JSON number; `int` would truncate 70.9 to 70 and read `true` as 1."""
+    if isinstance(value, bool) or value != int(value):
+        raise TypeError(value)
+    return int(value)
+
+
+def _positive(value) -> float:
+    """A finite JSON number above zero."""
+    if isinstance(value, bool) or not 0.0 < float(value) < math.inf:
+        raise ValueError(value)
+    return float(value)
+
+
 def _value(section: dict, key: str, kind, where: str, default=None):
     """`section[key]` converted by `kind`, or `default` when the key is absent.
     A value that `kind` rejects raises ConfigurationError naming `where:key`."""
@@ -63,7 +78,7 @@ def _value(section: dict, key: str, kind, where: str, default=None):
         return default
     try:
         return kind(section[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"{where}:{key} cannot be {section[key]!r}") from None
 
 
@@ -113,9 +128,9 @@ class RunConfig:
                 f"{gwhere} needs exactly one of num_intervals or dt_seconds"
             )
         if has_k:
-            k = _value(gspec, "num_intervals", int, gwhere)
+            k = _value(gspec, "num_intervals", _integer, gwhere)
         else:
-            dt_h = _value(gspec, "dt_seconds", float, gwhere) / 3600.0
+            dt_h = _value(gspec, "dt_seconds", _positive, gwhere) / 3600.0
             k_float = (t1 - t0) / dt_h
             k = round(k_float)
             if abs(k_float - k) > 1e-9 * max(1.0, abs(k_float)) or k < 1:
@@ -134,7 +149,7 @@ class RunConfig:
         )
         solver = SolverConfig(
             algorithm=_value(sspec, "algorithm", str, swhere, "ifbf"),
-            max_iterations=_value(sspec, "max_iterations", int, swhere, 100),
+            max_iterations=_value(sspec, "max_iterations", _integer, swhere, 100),
             tolerance=_value(sspec, "tolerance", float, swhere, 0.0),
             tau0=_value(sspec, "tau0", float, swhere, 1.0),
             tau_fixed=_value(sspec, "tau", float, swhere),
@@ -191,12 +206,26 @@ def _csv(*columns: Iterable[str]) -> str:
     return "\n".join([*map(",".join, zip(*columns)), ""])
 
 
-def _row_blocks(leads: Iterable[str], index: list[str], *arrays: np.ndarray) -> Iterator[str]:
-    """One block of CSV lines per row r of `arrays`, converted one row at a
-    time: line k of the block is leads[r], index[k], then entry (r, k) of each
-    array."""
-    for r, lead in enumerate(leads):
-        yield _csv(repeat(lead), index, *(_cells(a[r].tolist()) for a in arrays))
+# Cells per block of `_row_blocks`, summed over the table's arrays.  Per-path
+# tables repeat values (0.0 on unused paths, free-flow delays), so a block
+# formats far fewer values than it has cells, and its text stays small.
+_BLOCK_CELLS = 1024
+
+
+def _row_blocks(leads: list[str], index: list[str], *arrays: np.ndarray) -> Iterator[str]:
+    """One block of CSV lines per row r of float arrays shaped (len(leads),
+    len(index)): line k of the block is leads[r], index[k], then entry (r, k)
+    of each array.  Rows are converted a few at a time, and each distinct value
+    among them is formatted once.  Values are told apart by their bits, since
+    0.0 == -0.0 but the two print differently."""
+    step = max(1, _BLOCK_CELLS // (len(arrays) * len(index)))
+    for r0 in range(0, len(leads), step):
+        block = np.stack([a[r0:r0 + step] for a in arrays], dtype=np.float64)
+        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        text = np.array(list(_cells(bits.view(np.float64).tolist())), dtype=object)
+        cells = text[inverse.reshape(block.shape)].tolist()
+        for j, lead in enumerate(leads[r0:r0 + step]):
+            yield _csv(repeat(lead), index, *(c[j] for c in cells))
 
 
 def _write_csv(path: Path, header: Iterable[str], blocks: Iterable[str]) -> None:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from due.cli import EXIT_CODES, _row_blocks, _write_csv, main
+from due.cli import _BLOCK_CELLS, EXIT_CODES, _row_blocks, _write_csv, main
 from test_network import write_minimal_instance
 
 
@@ -128,7 +128,16 @@ class TestRun:
         (lambda raw: [raw], "must be a JSON object"),
         (lambda raw: raw["solver"].update(beta_n=[1, 2]), "solver:beta_n"),
         (lambda raw: raw.update(dump_dnl="false"), "dump_dnl"),
-    ], ids=["int", "float", "section", "null", "top_level", "schedule", "flag"])
+        (lambda raw: raw["grid"].update(num_intervals=17.9), "grid:num_intervals"),
+        (lambda raw: raw["solver"].update(max_iterations=2.5), "solver:max_iterations"),
+        (lambda raw: raw["solver"].update(max_iterations=True), "solver:max_iterations"),
+        (lambda raw: raw.update(grid={"t1": 0.5, "dt_seconds": 0}), "grid:dt_seconds"),
+        (lambda raw: raw.update(grid={"t1": 0.5, "dt_seconds": -100.0}), "grid:dt_seconds"),
+        (lambda raw: raw.update(grid={"t1": 0.5, "dt_seconds": float("inf")}), "grid:dt_seconds"),
+        (lambda raw: raw.update(grid={"t1": 0.5, "dt_seconds": float("nan")}), "grid:dt_seconds"),
+    ], ids=["int", "float", "section", "null", "top_level", "schedule", "flag",
+            "fraction_intervals", "fraction_iterations", "bool_iterations",
+            "dt_zero", "dt_negative", "dt_inf", "dt_nan"])
     def test_wrongly_typed_value_is_config_error(self, tmp_path, instance_dir, capsys,
                                                  edit, named):
         cfg_path = line_config(tmp_path, instance_dir)
@@ -154,6 +163,25 @@ class TestArtifacts:
             [p, "w", k] for p in ("p1", "p2") for k in ("0", "1", "2")]
         parsed = np.array([float(row.split(",")[-1]) for row in rows])
         assert parsed.tobytes() == rates.ravel().tobytes()
+
+    def test_blocks_match_per_cell_repr(self, tmp_path):
+        # several whole blocks and a partial one; 0.0 and -0.0 must not share a cell
+        k = 7
+        rows = 2 * (_BLOCK_CELLS // (2 * k)) + 3
+        pool = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e16, 0.1, 1 / 3, 7.0, 2.0**-1074 * 3])
+        rng = np.random.default_rng(5)
+        delay, eff = rng.choice(pool, size=(2, rows, k))
+        delay[0, :2] = 0.0, -0.0
+        eff[0, 2] = delay[0, 3] = 1 / 3
+        leads = [f"p{r},w" for r in range(rows)]
+        index = [f"{c},{c / 10!r}" for c in range(k)]
+        path = tmp_path / "delays.csv"
+        _write_csv(path, ["path_id", "od_id", "interval", "t_start", "delay", "eff"],
+                   _row_blocks(leads, index, delay, eff))
+        cells = np.stack([delay, eff], axis=-1).tolist()
+        expected = "".join(f"{leads[r]},{index[c]},{','.join(map(repr, cells[r][c]))}\n"
+                           for r in range(rows) for c in range(k))
+        assert path.read_text().split("\n", 1)[1] == expected
 
     def test_failure_keeps_previous_file(self, tmp_path):
         path = tmp_path / "flows.csv"
