@@ -17,6 +17,7 @@ from .operators import affine_operator, dnl_operator, scaled_pseudo_monotone
 from .solvers import SolverConfig, solve, uniform_start
 from .space import (
     DelayProfile,
+    ODLayout,
     PathFlowProfile,
     TimeGrid,
     TripTable,
@@ -30,6 +31,7 @@ __all__ = [
     "ConvergenceLog",
     "DelayProfile",
     "Network",
+    "ODLayout",
     "PathFlowProfile",
     "SolverConfig",
     "TimeGrid",

@@ -64,9 +64,25 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A finite JSON number; `float` would read `true` as 1.0 and "5" as 5.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return float(value)
+
+
+def _nonnegative(value) -> float:
+    """A finite JSON number at or above zero."""
+    if not _real(value) >= 0.0:
+        raise ValueError(value)
+    return float(value)
+
+
 def _positive(value) -> float:
     """A finite JSON number above zero."""
-    if isinstance(value, bool) or not 0.0 < float(value) < math.inf:
+    if not _real(value) > 0.0:
         raise ValueError(value)
     return float(value)
 
@@ -117,10 +133,10 @@ class RunConfig:
 
         gspec, gwhere = raw["grid"], f"{where}:grid"
         _check_section(gspec, {"t0", "t1", "num_intervals", "dt_seconds"}, gwhere)
-        t0 = _value(gspec, "t0", float, gwhere, 0.0)
+        t0 = _value(gspec, "t0", _real, gwhere, 0.0)
         if "t1" not in gspec:
             raise ConfigurationError(f"{gwhere} needs t1")
-        t1 = _value(gspec, "t1", float, gwhere)
+        t1 = _value(gspec, "t1", _real, gwhere)
         has_k = "num_intervals" in gspec
         has_dt = "dt_seconds" in gspec
         if has_k == has_dt:
@@ -150,12 +166,12 @@ class RunConfig:
         solver = SolverConfig(
             algorithm=_value(sspec, "algorithm", str, swhere, "ifbf"),
             max_iterations=_value(sspec, "max_iterations", _integer, swhere, 100),
-            tolerance=_value(sspec, "tolerance", float, swhere, 0.0),
-            tau0=_value(sspec, "tau0", float, swhere, 1.0),
-            tau_fixed=_value(sspec, "tau", float, swhere),
-            mu=_value(sspec, "mu", float, swhere, 0.5),
-            lam=_value(sspec, "lambda", float, swhere, 0.5),
-            alpha=_value(sspec, "alpha", float, swhere, 0.7),
+            tolerance=_value(sspec, "tolerance", _nonnegative, swhere, 0.0),
+            tau0=_value(sspec, "tau0", _real, swhere, 1.0),
+            tau_fixed=_value(sspec, "tau", _real, swhere),
+            mu=_value(sspec, "mu", _real, swhere, 0.5),
+            lam=_value(sspec, "lambda", _real, swhere, 0.5),
+            alpha=_value(sspec, "alpha", _real, swhere, 0.7),
             alpha_schedule=_value(sspec, "alpha_n", parse_schedule, swhere),
             beta_schedule=_value(sspec, "beta_n", parse_schedule, swhere),
             eps_schedule=_value(sspec, "eps_n", parse_schedule, swhere),
@@ -169,8 +185,8 @@ class RunConfig:
             network_dir=directory("network_dir"),
             grid=grid,
             solver=solver,
-            gamma=_value(raw, "gamma", float, where, 1.0),
-            horizon_buffer=_value(raw, "horizon_buffer", float, where),
+            gamma=_value(raw, "gamma", _nonnegative, where, 1.0),
+            horizon_buffer=_value(raw, "horizon_buffer", _nonnegative, where),
             output_dir=directory("output_dir"),
             dump_dnl=_value(raw, "dump_dnl", _flag, where, False),
         )

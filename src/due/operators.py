@@ -18,6 +18,7 @@ from .loading import _Engine, effective_delay
 from .network import Network
 from .space import (
     DelayProfile,
+    ODLayout,
     PathFlowProfile,
     TimeGrid,
     TripTable,
@@ -117,13 +118,16 @@ class SyntheticVI:
     def num_paths(self) -> int:
         return sum(len(rows) for rows in self.paths_by_od.values())
 
+    @property
+    def layout(self) -> ODLayout:
+        return ODLayout.build(self.trips, self.paths_by_od, self.grid)
+
     def certify_solution(self, tol: float = 1e-10) -> float:
         """Residual of the stored solution; raises if it is not a solution."""
         if self.solution is None:
             raise ValidationError("no stored solution to certify")
         ah = self.operator.evaluate(self.solution)
-        r = residual_norm(self.solution.rates, 1.0, ah.delays, self.grid.dt,
-                          self.trips, self.paths_by_od)
+        r = residual_norm(self.solution.rates, 1.0, ah.delays, self.layout)
         if r > tol:
             raise ValidationError(f"stored solution has residual {r} > {tol}")
         return r

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .metrics import ConvergenceLog, IterationRecord, relative_energy, relative_step
 from .operators import DelayOperator
-from .space import PathFlowProfile, TripTable, norm, project_feasible
+from .space import ODLayout, PathFlowProfile, TripTable, norm, project_feasible
 
 __all__ = [
     "ScheduleSpec",
@@ -300,10 +300,11 @@ def run_fb(
         raise ConfigurationError(f"fb needs a positive fixed step, got {tau}")
     log = ConvergenceLog("fb", header=_base_header(config, op, []))
     grid, dt = h0.grid, h0.grid.dt
+    layout = ODLayout.build(trips, paths_by_od, grid)
     h = h0.rates
     for n in range(config.max_iterations):
         ah = op.evaluate(PathFlowProfile(grid, h)).delays
-        y = project_feasible(h - tau * ah, dt, trips, paths_by_od)
+        y = project_feasible(h - tau * ah, layout)
         residual = norm(h - y, dt)
         energy = relative_energy(y, h, dt)
         h = y
@@ -326,13 +327,14 @@ def run_fbf(
     alpha_s, beta_s, notes = _validate_fbf_schedules(config)
     log = ConvergenceLog("fbf", header=_base_header(config, op, notes))
     grid, dt = h0.grid, h0.grid.dt
+    layout = ODLayout.build(trips, paths_by_od, grid)
     h = h0.rates
     tau = config.tau0
     for n in range(config.max_iterations):
         a_n = alpha_s.value(n)
         b_n = beta_s.value(n)
         ah = op.evaluate(PathFlowProfile(grid, h)).delays
-        y = project_feasible(h - tau * ah, dt, trips, paths_by_od)
+        y = project_feasible(h - tau * ah, layout)
         ay = op.evaluate(PathFlowProfile(grid, y)).delays
         z = y + tau * (ah - ay)
         h_next = (1.0 - a_n - b_n) * h + b_n * z
@@ -345,7 +347,7 @@ def run_fbf(
         if config.tolerance > 0 and residual <= config.tolerance:
             log.stop_reason = "residual_tolerance"
             break
-    return PathFlowProfile(grid, project_feasible(h, dt, trips, paths_by_od)), log
+    return PathFlowProfile(grid, project_feasible(h, layout)), log
 
 
 def run_ifbf(
@@ -359,6 +361,7 @@ def run_ifbf(
     beta_s, eps_s, notes = _validate_ifbf_schedules(config)
     log = ConvergenceLog("ifbf", header=_base_header(config, op, notes))
     grid, dt = h0.grid, h0.grid.dt
+    layout = ODLayout.build(trips, paths_by_od, grid)
     h_prev = h = h0.rates
     tau = config.tau0
     alpha_n = config.alpha
@@ -366,7 +369,7 @@ def run_ifbf(
         b_n = beta_s.value(n)
         w = (1.0 - b_n) * (h + alpha_n * (h - h_prev))
         aw = op.evaluate(PathFlowProfile(grid, w)).delays
-        y = project_feasible(w - tau * aw, dt, trips, paths_by_od)
+        y = project_feasible(w - tau * aw, layout)
         ay = op.evaluate(PathFlowProfile(grid, y)).delays
         h_next = (1.0 - config.lam) * w + config.lam * (y + tau * (aw - ay))
         residual = norm(w - y, dt)
@@ -384,7 +387,7 @@ def run_ifbf(
         if config.tolerance > 0 and residual <= config.tolerance:
             log.stop_reason = "residual_tolerance"
             break
-    return PathFlowProfile(grid, project_feasible(h, dt, trips, paths_by_od)), log
+    return PathFlowProfile(grid, project_feasible(h, layout)), log
 
 
 _RUNNERS = {"fb": run_fb, "fbf": run_fbf, "ifbf": run_ifbf}

@@ -5,8 +5,10 @@ enumerates KKT candidates instead of running the cumulative threshold scan,
 and the small-instance variant enumerates every support subset outright.
 The junction reference is written over (demands, supplies, split matrix)
 rather than over the engine's per-approach slot amounts.  The path-delay
-reference probes one path at a time instead of one (hop, link) group, and
-the reference loader steps junction by junction instead of all at once.
+reference probes one path at a time instead of one (hop, link) group, the
+reference loader steps junction by junction instead of all at once, and the
+reference projection loops over the O-D blocks one at a time instead of
+projecting the stacked blocks of a chunk together.
 """
 
 from __future__ import annotations
@@ -63,6 +65,28 @@ def qp_simplex_projection_subsets(y: np.ndarray, total: float) -> np.ndarray:
                 best = x
     assert best is not None
     return best
+
+
+def project_feasible_by_block(rates: np.ndarray, dt: float, trips, paths_by_od) -> np.ndarray:
+    """Feasible-set projection with one sort-based simplex projection per O-D
+    block, in a Python loop over the trip table.
+
+    Each block is flattened in (path, interval) order, sorted ascending and
+    reversed, and shifted by the threshold of its last supported index.  It
+    does the same arithmetic as `due.space.project_feasible`, so the two agree
+    bit for bit.
+    """
+    out = np.array(rates, dtype=float)
+    for od, q in trips.demands.items():
+        rows = np.asarray(paths_by_od[od], dtype=int)
+        y = out[rows].ravel()
+        u = np.sort(y)[::-1]
+        shifted = np.cumsum(u) - q / dt
+        support = np.nonzero(u * np.arange(1, y.size + 1) > shifted)[0]
+        rho = support[-1] + 1
+        theta = shifted[rho - 1] / rho
+        out[rows] = np.maximum(y - theta, 0.0).reshape(len(rows), -1)
+    return out
 
 
 def brute_force_inner(f_rates: np.ndarray, g_rates: np.ndarray, dt: float) -> float:

@@ -133,7 +133,7 @@ def test_criterion_05_minimum_norm_selection():
     start = time.perf_counter()
     h_start = PathFlowProfile(TimeGrid(0.0, 1.0, 1), [[2.0], [0.0]])
     vi = affine_operator(np.zeros((2, 2)), np.zeros(2))
-    target = project_feasible(np.zeros((2, 1)), vi.grid.dt, vi.trips, vi.paths_by_od)
+    target = project_feasible(np.zeros((2, 1)), vi.layout)
     np.testing.assert_allclose(target.ravel(), [1.0, 1.0])
 
     cfg = SolverConfig(algorithm="fbf", max_iterations=50_000, tau0=1.0, mu=0.5,

@@ -135,9 +135,24 @@ class TestRun:
         (lambda raw: raw.update(grid={"t1": 0.5, "dt_seconds": -100.0}), "grid:dt_seconds"),
         (lambda raw: raw.update(grid={"t1": 0.5, "dt_seconds": float("inf")}), "grid:dt_seconds"),
         (lambda raw: raw.update(grid={"t1": 0.5, "dt_seconds": float("nan")}), "grid:dt_seconds"),
+        (lambda raw: raw["grid"].update(t1=float("inf")), "grid:t1"),
+        (lambda raw: raw["grid"].update(t0=True), "grid:t0"),
+        (lambda raw: raw["solver"].update(tolerance=float("nan")), "solver:tolerance"),
+        (lambda raw: raw["solver"].update(tolerance=-1e-6), "solver:tolerance"),
+        (lambda raw: raw.update(horizon_buffer=-1.0), "horizon_buffer"),
+        (lambda raw: raw.update(gamma=True), "gamma"),
+        (lambda raw: raw.update(gamma=-0.5), "gamma"),
+        (lambda raw: raw["solver"].update(tau0="5"), "solver:tau0"),
+        (lambda raw: raw["solver"].update(tau=float("inf")), "solver:tau"),
+        (lambda raw: raw["solver"].update(mu="0.5"), "solver:mu"),
+        (lambda raw: raw["solver"].update(alpha=True), "solver:alpha"),
+        (lambda raw: raw["solver"].update({"lambda": float("-inf")}), "solver:lambda"),
     ], ids=["int", "float", "section", "null", "top_level", "schedule", "flag",
             "fraction_intervals", "fraction_iterations", "bool_iterations",
-            "dt_zero", "dt_negative", "dt_inf", "dt_nan"])
+            "dt_zero", "dt_negative", "dt_inf", "dt_nan",
+            "t1_inf", "t0_bool", "tolerance_nan", "tolerance_negative",
+            "buffer_negative", "gamma_bool", "gamma_negative", "tau0_string", "tau_inf",
+            "mu_string", "alpha_bool", "lambda_inf"])
     def test_wrongly_typed_value_is_config_error(self, tmp_path, instance_dir, capsys,
                                                  edit, named):
         cfg_path = line_config(tmp_path, instance_dir)

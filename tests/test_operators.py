@@ -51,12 +51,12 @@ class TestAffineOperator:
         m = np.array([[0.0, 1.0], [-1.0, 0.0]])
         vi = affine_operator(m, np.zeros(2))
         ts = np.linspace(0.0, 2.0, 2001)
+        layout = vi.layout
         res = []
         for t in ts:
             x = PathFlowProfile(vi.grid, [[t], [2.0 - t]])
             ax = vi.operator._compute(x)
-            res.append(residual_norm(x.rates, 1.0, ax.delays, vi.grid.dt,
-                                     vi.trips, vi.paths_by_od))
+            res.append(residual_norm(x.rates, 1.0, ax.delays, layout))
         best = ts[int(np.argmin(res))]
         x_star = np.array([best, 2.0 - best])
         np.testing.assert_allclose(x_star, [0.0, 2.0], atol=1e-3)

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from due import space
 from due.errors import ConfigurationError, ValidationError
 from due.space import (
+    ODLayout,
     PathFlowProfile,
     TimeGrid,
     TripTable,
@@ -15,7 +19,12 @@ from due.space import (
     residual_norm,
 )
 
-from oracles import brute_force_inner, qp_simplex_projection_active_set, qp_simplex_projection_subsets
+from oracles import (
+    brute_force_inner,
+    project_feasible_by_block,
+    qp_simplex_projection_active_set,
+    qp_simplex_projection_subsets,
+)
 
 
 def make_profile(rates, t0=0.0, t1=1.0):
@@ -24,11 +33,10 @@ def make_profile(rates, t0=0.0, t1=1.0):
     return PathFlowProfile(grid, rates)
 
 
-def two_path_setup(q=2.0, dt=1.0):
-    grid = TimeGrid(0.0, dt, 1)
+def two_path_layout(q=2.0, dt=1.0, k=1):
+    """One O-D pair of demand q over two paths, on k intervals of width dt."""
     trips = TripTable({"w": q}, {"w": dt})
-    paths_by_od = {"w": np.array([0, 1])}
-    return grid, trips, paths_by_od
+    return ODLayout.build(trips, {"w": np.array([0, 1])}, TimeGrid(0.0, dt * k, k))
 
 
 class TestTimeGrid:
@@ -90,19 +98,16 @@ class TestInnerAndNorm:
 
 class TestProjectFeasible:
     def test_already_feasible(self):
-        _, trips, by_od = two_path_setup()
-        out = project_feasible(np.array([[1.0], [1.0]]), 1.0, trips, by_od)
+        out = project_feasible(np.array([[1.0], [1.0]]), two_path_layout())
         np.testing.assert_allclose(out, [[1.0], [1.0]])
 
     def test_symmetry_forces_uniform_split(self):
-        _, trips, by_od = two_path_setup()
-        out = project_feasible(np.zeros((2, 1)), 1.0, trips, by_od)
+        out = project_feasible(np.zeros((2, 1)), two_path_layout())
         np.testing.assert_allclose(out, [[1.0], [1.0]])
 
     def test_active_set_oracle_small(self):
         # min ||g - (3,0)||^2 s.t. g >= 0, g1 + g2 = 2 has solution (2, 0)
-        _, trips, by_od = two_path_setup()
-        out = project_feasible(np.array([[3.0], [0.0]]), 1.0, trips, by_od)
+        out = project_feasible(np.array([[3.0], [0.0]]), two_path_layout())
         oracle = qp_simplex_projection_active_set(np.array([3.0, 0.0]), 2.0)
         np.testing.assert_allclose(out.ravel(), oracle, atol=1e-12)
         np.testing.assert_allclose(out.ravel(), [2.0, 0.0], atol=1e-12)
@@ -119,21 +124,26 @@ class TestProjectFeasible:
 
     def test_empty_path_set_is_config_error(self):
         trips = TripTable({"w": 2.0}, {"w": 0.5})
-        with pytest.raises(ConfigurationError):
-            project_feasible(np.ones((2, 1)), 1.0, trips, {"w": np.array([], dtype=int)})
+        with pytest.raises(ConfigurationError, match="empty path set"):
+            ODLayout.build(trips, {"w": np.array([], dtype=int)}, TimeGrid(0.0, 1.0, 1))
 
     def test_nonpositive_demand_is_validation_error(self):
         with pytest.raises(ValidationError):
             TripTable({"w": 0.0}, {"w": 0.5})
 
+    def test_rates_of_other_shape_rejected(self):
+        layout = two_path_layout(k=2)
+        for shape in ((3, 2), (2, 1)):
+            with pytest.raises(ValidationError, match="O-D layout"):
+                project_feasible(np.ones(shape), layout)
+
     @given(st.lists(st.floats(-20, 20), min_size=4, max_size=4))
     @settings(max_examples=60)
     def test_idempotent(self, vals):
-        _, trips, by_od = two_path_setup()
+        layout = two_path_layout(k=2)
         f = np.array(vals).reshape(2, 2)
-        trips2 = TripTable({"w": 2.0}, {"w": 1.0})
-        once = project_feasible(f, 1.0, trips2, by_od)
-        twice = project_feasible(once, 1.0, trips2, by_od)
+        once = project_feasible(f, layout)
+        twice = project_feasible(once, layout)
         assert norm(once - twice, 1.0) <= 1e-12
 
     @given(
@@ -142,25 +152,25 @@ class TestProjectFeasible:
     )
     @settings(max_examples=60)
     def test_nonexpansive(self, a, b):
-        _, trips, by_od = two_path_setup()
+        layout = two_path_layout(k=2)
         f = np.array(a).reshape(2, 2)
         g = np.array(b).reshape(2, 2)
-        trips2 = TripTable({"w": 2.0}, {"w": 1.0})
-        pf = project_feasible(f, 1.0, trips2, by_od)
-        pg = project_feasible(g, 1.0, trips2, by_od)
+        pf = project_feasible(f, layout)
+        pg = project_feasible(g, layout)
         assert norm(pf - pg, 1.0) <= norm(f - g, 1.0) + 1e-10
 
     def test_projection_inequalities_on_random_points(self):
         # Variational characterization and the distance-reduction identity.
         rng = np.random.default_rng(3)
-        dt = TimeGrid(0.0, 1.5, 3).dt
+        grid = TimeGrid(0.0, 1.5, 3)
+        dt = grid.dt
         trips = TripTable({"a": 2.0, "b": 1.0}, {"a": 1.0, "b": 1.0})
-        by_od = {"a": np.array([0, 1]), "b": np.array([2])}
+        layout = ODLayout.build(trips, {"a": np.array([0, 1]), "b": np.array([2])}, grid)
         for _ in range(50):
             f = rng.normal(scale=4.0, size=(3, 3))
-            pf = project_feasible(f, dt, trips, by_od)
+            pf = project_feasible(f, layout)
             # random feasible y: project a random point
-            y = project_feasible(rng.normal(scale=4.0, size=(3, 3)), dt, trips, by_od)
+            y = project_feasible(rng.normal(scale=4.0, size=(3, 3)), layout)
             assert inner(pf - f, y - pf, dt) >= -1e-10
             lhs = norm(pf - y, dt) ** 2
             rhs = norm(f - y, dt) ** 2 - norm(f - pf, dt) ** 2
@@ -171,44 +181,117 @@ class TestProjectFeasible:
         grid = TimeGrid(0.0, 2.0, 4)
         trips = TripTable({"a": 3.0, "b": 7.0}, {"a": 1.0, "b": 1.0})
         by_od = {"a": np.array([0, 1]), "b": np.array([2, 3, 4])}
+        layout = ODLayout.build(trips, by_od, grid)
         for _ in range(30):
-            pf = project_feasible(rng.normal(scale=5.0, size=(5, 4)), grid.dt, trips, by_od)
+            pf = project_feasible(rng.normal(scale=5.0, size=(5, 4)), layout)
             assert np.all(pf >= 0)
             for od, rows in by_od.items():
                 mass = pf[rows].sum() * grid.dt
                 assert mass == pytest.approx(trips.demands[od], rel=1e-9)
 
+    @given(
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+        k=st.sampled_from([1, 10, 100]),
+        chunk_cells=st.integers(1, 2000),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_bitwise_equal_to_per_block_oracle(self, sizes, k, chunk_cells, ties, seed):
+        # Rows of each O-D pair are interleaved across the path matrix; small
+        # chunk sizes split a group of equal-size blocks over several chunks.
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(sum(sizes))
+        by_od = {f"w{i}": rows for i, rows in enumerate(np.split(perm, np.cumsum(sizes)[:-1]))}
+        trips = TripTable({od: float(rng.uniform(0.1, 10.0)) for od in by_od},
+                          {od: 1.0 for od in by_od})
+        grid = TimeGrid(0.0, 1.5, k)
+        if ties:
+            rates = rng.choice([-0.0, 0.0, 0.5, -1.0, 2.0], size=(len(perm), k))
+        else:
+            rates = rng.normal(scale=5.0, size=(len(perm), k))
+        with mock.patch.object(space, "_CHUNK_CELLS", chunk_cells):
+            layout = ODLayout.build(trips, by_od, grid)
+        got = project_feasible(rates, layout)
+        want = project_feasible_by_block(rates, grid.dt, trips, by_od)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_group_larger_than_one_chunk(self):
+        # one-path blocks of 100 intervals, more than one chunk holds
+        k = 100
+        n = space._CHUNK_CELLS // k + 37
+        rng = np.random.default_rng(17)
+        by_od = {f"w{i}": np.array([r]) for i, r in enumerate(rng.permutation(n))}
+        trips = TripTable({od: 1.0 + i % 7 for i, od in enumerate(by_od)},
+                          {od: 1.0 for od in by_od})
+        grid = TimeGrid(0.0, 2.0, k)
+        layout = ODLayout.build(trips, by_od, grid)
+        assert len(layout.chunks) > 1
+        assert all(rows.size * k <= space._CHUNK_CELLS for rows, _ in layout.chunks)
+        rates = rng.normal(scale=3.0, size=(n, k))
+        got = project_feasible(rates, layout)
+        want = project_feasible_by_block(rates, grid.dt, trips, by_od)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestODLayout:
+    grid = TimeGrid(0.0, 1.0, 2)
+    trips = TripTable({"a": 2.0, "b": 1.0}, {"a": 1.0, "b": 1.0})
+
+    @pytest.mark.parametrize("by_od, named", [
+        ({"a": [0, 0], "b": [1]}, "'a'"),
+        ({"a": [0, 1], "b": [0]}, "'b'"),
+        ({"a": [0, -1], "b": [1]}, "'a'"),
+        ({"a": [0, 1], "b": [3]}, "'b'"),
+        ({"a": [0], "b": [2]}, "'b'"),
+        ({"a": [0, 1]}, "'b'"),
+        ({"a": [0], "b": [1], "c": [2]}, "'c'"),
+    ], ids=["repeat_in_block", "repeat_across_blocks", "negative_row", "row_past_end",
+            "path_not_covered", "missing_path_set", "paths_without_demand"])
+    def test_bad_partition_is_config_error(self, by_od, named):
+        by_od = {od: np.array(rows, dtype=int) for od, rows in by_od.items()}
+        with pytest.raises(ConfigurationError, match=named):
+            ODLayout.build(self.trips, by_od, self.grid)
+
+    def test_blocks_grouped_by_size(self):
+        by_od = {"a": np.array([3, 0]), "b": np.array([2]), "c": np.array([1, 4])}
+        trips = TripTable({"a": 2.0, "b": 1.0, "c": 4.0}, dict.fromkeys("abc", 1.0))
+        layout = ODLayout.build(trips, by_od, self.grid)
+        assert layout.num_paths == 5
+        (one, one_totals), (two, two_totals) = layout.chunks
+        np.testing.assert_array_equal(one, [[2]])
+        np.testing.assert_array_equal(two, [[3, 0], [1, 4]])
+        np.testing.assert_array_equal(one_totals, [[2.0]])
+        np.testing.assert_array_equal(two_totals, [[4.0], [8.0]])
+
 
 class TestResidualNorm:
     def test_zero_delay_gives_zero_residual(self):
-        _, trips, by_od = two_path_setup()
         h = np.array([[1.0], [1.0]])
-        assert residual_norm(h, 1.0, np.zeros((2, 1)), 1.0, trips, by_od) == \
+        assert residual_norm(h, 1.0, np.zeros((2, 1)), two_path_layout()) == \
             pytest.approx(0.0, abs=1e-14)
 
     def test_constant_delay_shifts_uniformly(self):
         # constant costs over one O-D move every coordinate equally, and the
         # projection restores the original feasible point
-        _, trips, by_od = two_path_setup()
+        layout = two_path_layout()
         h = np.array([[0.5], [1.5]])
         ah = np.array([[4.0], [4.0]])
-        back = project_feasible(h - 2.0 * ah, 1.0, trips, by_od)
+        back = project_feasible(h - 2.0 * ah, layout)
         assert norm(back - h, 1.0) <= 1e-12
-        assert residual_norm(h, 2.0, ah, 1.0, trips, by_od) == pytest.approx(0.0, abs=1e-12)
+        assert residual_norm(h, 2.0, ah, layout) == pytest.approx(0.0, abs=1e-12)
 
     def test_cheap_path_carries_all_flow(self):
-        _, trips, by_od = two_path_setup()
         h = np.array([[2.0], [0.0]])
         ah = np.array([[0.0], [10.0]])
         oracle = qp_simplex_projection_active_set(np.array([2.0, -10.0]), 2.0)
         np.testing.assert_allclose(oracle, [2.0, 0.0], atol=1e-12)
-        assert residual_norm(h, 1.0, ah, 1.0, trips, by_od) == pytest.approx(0.0, abs=1e-12)
+        assert residual_norm(h, 1.0, ah, two_path_layout()) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_nonpositive_tau(self):
-        _, trips, by_od = two_path_setup()
         h = np.array([[1.0], [1.0]])
         with pytest.raises(ValidationError):
-            residual_norm(h, 0.0, np.zeros((2, 1)), 1.0, trips, by_od)
+            residual_norm(h, 0.0, np.zeros((2, 1)), two_path_layout())
 
 
 class TestProfileArithmetic:
