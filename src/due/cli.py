@@ -304,6 +304,7 @@ def _execute_run(cfg: RunConfig) -> tuple[dict, ConvergenceLog]:
                        "num_intervals": cfg.grid.num_intervals}
     summary["gamma"] = cfg.gamma
     summary["operator_evaluations"] = op.eval_count
+    summary["final_loading"] = {"steps": result.engine.steps, "drained_step": result.drained_step}
     summary["total_wall_time"] = time.perf_counter() - t_begin
     _write_atomic(out / "summary.json", [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
     return summary, log

@@ -88,6 +88,7 @@ class _Engine:
         self.buffer = buffer
         self.steps = grid.num_intervals + int(math.ceil(buffer / dt - 1e-12))
         self.grid_ext = TimeGrid(grid.t0, grid.t0 + self.steps * dt, self.steps)
+        self.boundaries = self.grid_ext.boundaries()
 
         self.link_ids = list(net.links)
         self.index_of = {lid: i for i, lid in enumerate(self.link_ids)}
@@ -243,7 +244,15 @@ class _Engine:
                  "path_split": 0.0, "flow_bounds": 0.0}
         p_down_now = np.zeros(I)  # per-incidence exit totals, for path_split
 
+        drained = None
         for k in range(T):
+            if k >= K and self._drained(n_up, n_down, q_paths, k):
+                # every later step would copy column k: copy it and stop
+                for curve in (n_up, n_down, q_arr, q_rel):
+                    curve[:, k + 1:] = curve[:, k:k + 1]
+                curves[k + 1:] = curves[k]
+                drained = k
+                break
             # sending and receiving flows, integrated over the step (vehicles)
             d_veh = np.minimum(np.maximum(
                 self._interp_rowwise(n_up, k + 1 - self.lag_v) - n_down[:, k], 0.0), cap)
@@ -338,7 +347,22 @@ class _Engine:
             q_paths=q_paths,
             exited_by_path=exited,
             invariant_report=worst if validate else None,
+            drained_step=drained,
         )
+
+    def _drained(self, n_up, n_down, q_paths, k) -> bool:
+        """Whether step k, after the departures, moves nothing: no origin queue
+        is above the release threshold, every link is empty, and every entry
+        curve is flat (it never decreases: two ends suffice) from the floor
+        column of its sending read through column k.  Then column k + 1 equals
+        column k bit for bit, and the same holds at k + 1."""
+        up = n_up[:, k]
+        if not (up <= n_down[:, k]).all():
+            return False
+        if not (np.bincount(self.queue_of_path, q_paths[k], len(self.queues)) <= 1e-15).all():
+            return False
+        fl = np.floor(np.maximum(k + 1 - self.lag_v, 0.0)).astype(int)
+        return bool((n_up[np.arange(up.size), fl] == up).all())
 
     def _per_link(self, values: np.ndarray) -> np.ndarray:
         """Sums of per-incidence values over each link's incidences."""
@@ -429,6 +453,7 @@ class LoadingResult:
     q_paths: np.ndarray  # (step, path): content of the path's origin queue
     exited_by_path: np.ndarray
     invariant_report: dict | None = None
+    drained_step: int | None = None  # where stepping stopped; None: the full horizon
 
     @property
     def grid_ext(self) -> TimeGrid:
@@ -459,11 +484,11 @@ class LoadingResult:
         The result is never below `times + floor`.  Also returns the mask of
         unfinished probes: levels `down` never reaches.
         """
-        bt = self.grid_ext.boundaries()
+        bt = self.engine.boundaries
         levels = np.interp(times, bt, up)
         unfinished = levels > down[-1] + EPS_COUNT
         idx = np.searchsorted(down, levels - EPS_COUNT, side="left")
-        idx = np.clip(idx, 1, down.size - 1)
+        idx = np.minimum(np.maximum(idx, 1), down.size - 1)
         lo, hi = down[idx - 1], down[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(hi > lo, np.minimum((levels - lo) / (hi - lo), 1.0), 0.0)

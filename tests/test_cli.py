@@ -371,6 +371,9 @@ class TestNguyenProtocol:
         assert summary["iterations"] == 8
         assert summary["operator_evaluations"] == 16
         assert summary["gap_median"] >= 0.0
+        # the final report loading stops stepping once the network has drained
+        loading = summary["final_loading"]
+        assert loading["steps"] == 158 and loading["drained_step"] < loading["steps"]
         lines = (tmp_path / "out" / "iterations.csv").read_text().splitlines()
         assert len(lines) == 9
 

@@ -444,6 +444,23 @@ class TestRunDnl:
         with pytest.raises(ValidationError):
             run_dnl(h, line_network, grid)
 
+    @pytest.mark.parametrize("state", ["drained", "link_holds", "queue_holds", "recent_entry"])
+    def test_drain_needs_empty_links_and_queues_and_flat_entries(self, state):
+        # a 4 km link: free flow takes two steps, so the sending read at step
+        # k starts at column k - 1
+        engine = _Engine(build_line_network(num_links=1, length=4.0), GRID, 0.5)
+        k = GRID.num_intervals + 2
+        n_up = np.full((1, engine.steps + 1), 5.0)
+        n_down = n_up.copy()
+        q_paths = np.zeros((engine.steps + 1, 1))
+        if state == "link_holds":
+            n_down[0, k] = 4.0
+        elif state == "queue_holds":
+            q_paths[k] = 1e-12
+        elif state == "recent_entry":
+            n_up[0, :k] = 4.0
+        assert engine._drained(n_up, n_down, q_paths, k) == (state == "drained")
+
     def test_invariants_on_loaded_network(self, nguyen):
         grid = TimeGrid(0.0, 2.0, 70)
         h = uniform_profile(nguyen, grid)
@@ -538,6 +555,7 @@ class TestPathDelaysByPath:
         grid = TimeGrid(0.0, 2.0, 70)
         res = run_dnl(uniform_profile(net, grid), net, grid, buffer=2.5)
         assert (np.max(res.q_arrivals - res.q_releases) > 0) == (factor > 1)
+        assert res.drained_step is not None
         np.testing.assert_array_equal(res.path_delays(), path_delays_by_path(res))
         ((rates, _res),) = loadings
         assert_matches_reference(res, rates)
@@ -559,6 +577,7 @@ class TestPathDelaysByPath:
         effective = op.evaluate(h0).delays
         ((rates, res),) = loaded
         assert res.total_exited == pytest.approx(sum(net.trips.demands.values()), rel=1e-6)
+        assert res.drained_step is not None
         delays = res.path_delays()
         np.testing.assert_array_equal(
             effective, effective_delay(delays, grid, net.trips, net.od_by_path()).delays)

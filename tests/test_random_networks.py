@@ -5,7 +5,8 @@ links, which make merges, diverges, parallel links and links shared by
 several paths.  Every link meets the wave-speed condition on the grid, and
 1 to 4 O-D pairs load up to three of their paths with demands from free flow
 to spillback.  The engine is compared with the junction-by-junction reference
-loader and checked for its invariants.
+loader and checked for its invariants, and its early exit once the network
+has drained with stepping the full horizon.
 """
 
 import numpy as np
@@ -87,10 +88,14 @@ def random_loadings(draw):
     return net, rates, free
 
 
-def load(net, rates, validate=False):
+def load(net, rates, validate=False, buffer_factor=3.0):
     # three free-flow times of buffer: every trip ends in a free-flowing network
-    engine = _Engine(net, GRID, 3.0 * net.longest_free_flow_time())
+    engine = _Engine(net, GRID, buffer_factor * net.longest_free_flow_time())
     return engine.run(rates, validate=validate)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
 
 
 @RANDOM_NETWORKS
@@ -131,3 +136,30 @@ def test_loading_properties(case):
     free_flow = np.array([sum(net.links[e].free_flow_time for e in p.links) for p in net.paths])
     assert np.all(delays >= free_flow[:, None] - 1e-12)
     assert np.all(np.diff(GRID.starts() + delays, axis=1) >= -1e-9)
+
+
+@RANDOM_NETWORKS
+@given(random_loadings(), st.sampled_from([3.0, 0.3]))
+def test_drain_exit_matches_full_horizon(case, buffer_factor):
+    # a short buffer leaves trips unfinished; spillback may never drain
+    net, rates, _free = case
+    res = load(net, rates, validate=True, buffer_factor=buffer_factor)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "_drained", lambda *args: False)
+        full = load(net, rates, validate=True, buffer_factor=buffer_factor)
+    assert full.drained_step is None
+    for name in ("n_up", "n_down", "p_up", "q_arrivals", "q_releases", "q_paths",
+                 "exited_by_path"):
+        np.testing.assert_array_equal(bits(getattr(res, name)), bits(getattr(full, name)),
+                                      err_msg=name)
+    assert res.invariant_report.keys() == full.invariant_report.keys()
+    np.testing.assert_array_equal(bits(list(res.invariant_report.values())),
+                                  bits(list(full.invariant_report.values())))
+    try:
+        delays = res.path_delays()
+    except UnfinishedTripError as exc:
+        with pytest.raises(UnfinishedTripError) as info:
+            full.path_delays()
+        assert (info.value.path_id, info.value.interval) == (exc.path_id, exc.interval)
+        return
+    np.testing.assert_array_equal(bits(delays), bits(full.path_delays()))
