@@ -260,22 +260,42 @@ def _write_log(path: Path, log: ConvergenceLog) -> None:
 
 def _execute_run(cfg: RunConfig) -> tuple[dict, ConvergenceLog]:
     """Solve one configuration and write all artifacts; returns the summary
-    and the convergence log, which carries the final O-D gaps."""
+    and the convergence log, which carries the final O-D gaps.  A failed solve
+    or final loading leaves `iterations.csv` up to the failure and a summary
+    with stop reason `error:<category>`, then raises again."""
     t_begin = time.perf_counter()
     net = load_network_dir(cfg.network_dir)
     by_od = net.path_rows_by_od()
     op = dnl_operator(net, cfg.grid, gamma=cfg.gamma, buffer=cfg.horizon_buffer)
     h0 = uniform_start(cfg.grid, net.trips, by_od)
-    h_final, log = solve(op, cfg.solver, h0, net.trips, by_od)
+    out = cfg.output_dir
 
-    # final reporting loads once more outside the operator-call accounting
-    result = run_dnl(h_final, net, cfg.grid, buffer=cfg.horizon_buffer)
-    delays = result.path_delays()
+    def write_summary(log: ConvergenceLog, **extra) -> dict:
+        summary = {**log.summary(), "network_dir": str(cfg.network_dir), "gamma": cfg.gamma,
+                   "grid": {"t0": cfg.grid.t0, "t1": cfg.grid.t1,
+                            "num_intervals": cfg.grid.num_intervals},
+                   "operator_evaluations": op.eval_count, **extra,
+                   "total_wall_time": time.perf_counter() - t_begin}
+        _write_atomic(out / "summary.json", [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
+        return summary
+
+    log = None
+    try:
+        h_final, log = solve(op, cfg.solver, h0, net.trips, by_od)
+        # final reporting loads once more outside the operator-call accounting
+        result = run_dnl(h_final, net, cfg.grid, buffer=cfg.horizon_buffer)
+        delays = result.path_delays()
+    except DueError as exc:
+        log = log or exc.log  # set when the solve finished
+        if log is not None:
+            log.stop_reason = f"error:{exc.category}"
+            _write_log(out / "iterations.csv", log)
+            write_summary(log, error=str(exc))
+        raise
     eff = effective_delay(delays, cfg.grid, net.trips, net.od_by_path(), cfg.gamma)
     gaps = od_gap(h_final, eff, by_od)
     log.final_gaps = gaps
 
-    out = cfg.output_dir
     _write_log(out / "iterations.csv", log)
     index = _csv(_cells(range(cfg.grid.num_intervals)),
                  _cells(cfg.grid.starts().tolist())).splitlines()
@@ -298,15 +318,8 @@ def _execute_run(cfg: RunConfig) -> tuple[dict, ConvergenceLog]:
                    _row_blocks(queue_leads, index, result.q_arrivals, result.q_releases,
                                result.q_arrivals - result.q_releases))
 
-    summary = log.summary()
-    summary["network_dir"] = str(cfg.network_dir)
-    summary["grid"] = {"t0": cfg.grid.t0, "t1": cfg.grid.t1,
-                       "num_intervals": cfg.grid.num_intervals}
-    summary["gamma"] = cfg.gamma
-    summary["operator_evaluations"] = op.eval_count
-    summary["final_loading"] = {"steps": result.engine.steps, "drained_step": result.drained_step}
-    summary["total_wall_time"] = time.perf_counter() - t_begin
-    _write_atomic(out / "summary.json", [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
+    summary = write_summary(log, final_loading={"steps": result.engine.steps,
+                                                "drained_step": result.drained_step})
     return summary, log
 
 

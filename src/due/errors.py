@@ -7,6 +7,7 @@ exit messages (parse / validation / config / numeric).
 
 class DueError(Exception):
     category = "error"
+    log = None  # a failed solve's convergence log, up to the failure
 
 
 class ParseError(DueError):

@@ -123,14 +123,6 @@ class _Engine:
             raise ValidationError(
                 f"path {paths[hop_path[f]].id!r} is not connected between links "
                 f"{self.link_ids[hop_link[f]]!r} and {self.link_ids[succ_link[f]]!r}")
-        # the probe schedule groups the paths by (hop, link)
-        self.hops = [[] for _ in range(int(lengths.max()))]
-        group = hop * E + hop_link
-        by_hop = _stable_order(group)
-        cuts = np.flatnonzero(np.diff(group[by_hop])) + 1
-        for g in np.split(by_hop, cuts):
-            self.hops[hop[g[0]]].append((int(hop_link[g[0]]), hop_path[g]))
-
         # origin point queues, one per (origin node, first link)
         specs: dict[tuple[str, int], list[int]] = {}
         for r, p in enumerate(paths):
@@ -146,6 +138,29 @@ class _Engine:
                 )
             self.queue_of_path[q.rows] = qi
         self.queue_node = np.array([node_of[q.node] for q in self.queues], dtype=int)
+
+        # the probe schedule runs on the prefix trie: a path's exit time after
+        # its h-th link depends only on its origin queue and its first h links.
+        # The distinct (queue, link prefix) nodes are numbered after the queues,
+        # by (hop, link, parent), so each (hop, link) group of nodes is an id
+        # range; their parents are queues or nodes one hop shorter
+        deepest = self.queue_of_path.copy()  # each path's deepest node so far
+        n = Q = len(self.queues)
+        span = Q + hop_link.size  # above every id
+        keys = []
+        for h in range(int(lengths.max())):
+            at = hop == h
+            rows = hop_path[at]
+            k, inv = np.unique((h * E + hop_link[at]) * span + deepest[rows], return_inverse=True)
+            deepest[rows] = n + inv
+            n += k.size
+            keys.append(k)
+        group, parent = np.divmod(np.concatenate(keys), span)
+        lo = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
+        # (link, lo, hi, parents of the ids lo..hi-1)
+        self.probe_groups = [(int(group[a] % E), Q + a, Q + b, parent[a:b])
+                             for a, b in zip(lo, lo[1:] + [group.size])]
+        self.path_node, self.num_probe_rows = deepest, n
 
         # padded (node, approach, out-slot) layout of the junctions
         J = len(node_of)
@@ -459,25 +474,6 @@ class LoadingResult:
     def grid_ext(self) -> TimeGrid:
         return self.engine.grid_ext
 
-    @property
-    def total_exited(self) -> float:
-        return float(self.exited_by_path.sum())
-
-    # -- probe tracing ------------------------------------------------------
-
-    def probe_link_exit(self, link_idx: int, times: np.ndarray,
-                        path_id=None, intervals=None) -> np.ndarray:
-        """Exit times for probes entering the link at the given times.
-
-        Rides the aggregate boundary curves and never undercuts free flow.
-        """
-        exits, unfinished = self._probe_exit(self.n_up[link_idx], self.n_down[link_idx],
-                                             times, self.engine.ff_time[link_idx])
-        if np.any(unfinished):
-            bad = int(np.argmax(unfinished))
-            raise UnfinishedTripError(path_id, None if intervals is None else int(intervals[bad]))
-        return exits
-
     def _probe_exit(self, up, down, times, floor) -> tuple[np.ndarray, np.ndarray]:
         """Earliest time `down` reaches the level `up` has at each of `times`.
 
@@ -499,35 +495,38 @@ class LoadingResult:
     def path_delays(self) -> np.ndarray:
         """Travel time per (path, departure interval) on the departure grid.
 
-        Probes all paths together, hop by hop: each origin queue once on the
-        departure starts, then one probe per (hop, link) group of the engine's
-        schedule.  An unfinished trip is reported for the lowest path row that
-        has one, at its earliest failing hop and that hop's first failing
-        interval.
+        Probes the engine's prefix trie into one stacked array of exit times,
+        origin queues first, on the departure starts, then each (hop, link)
+        group of nodes once, from its parents' rows.  Each row is probed on
+        its own, so a path takes its last node's row bit for bit.  A failure
+        passes from parent to child: an unfinished trip is reported for the
+        lowest path row that has one, at its earliest failing hop and that
+        hop's first failing interval.
         """
         eng = self.engine
         starts = eng.grid.starts()
-        exits = np.empty((eng.num_paths, starts.size))
-        first_bad = np.full(eng.num_paths, -1)  # first failing interval per row
-        for qi, q in enumerate(eng.queues):
-            # every path of a queue departs at the same starts: probe it once
-            out, unfinished = self._probe_exit(self.q_arrivals[qi], self.q_releases[qi],
-                                               starts, 0.0)
-            exits[q.rows] = out
+        exits = np.empty((eng.num_probe_rows, starts.size))
+        first_bad = np.full(eng.num_probe_rows, -1)  # first failing interval per row
+        for qi in range(len(eng.queues)):
+            exits[qi], unfinished = self._probe_exit(self.q_arrivals[qi], self.q_releases[qi],
+                                                     starts, 0.0)
             if unfinished.any():
-                first_bad[q.rows] = int(np.argmax(unfinished))
-        for hop in eng.hops:
-            for e, rows in hop:
-                exits[rows], unfinished = self._probe_exit(
-                    self.n_up[e], self.n_down[e], exits[rows], eng.ff_time[e])
-                if unfinished.any():  # keep each row's earliest failing hop
-                    hit = unfinished.any(axis=1) & (first_bad[rows] < 0)
-                    first_bad[rows[hit]] = unfinished[hit].argmax(axis=1)
-        failed = np.flatnonzero(first_bad >= 0)
+                first_bad[qi] = int(np.argmax(unfinished))
+        for e, lo, hi, parents in eng.probe_groups:
+            exits[lo:hi], unfinished = self._probe_exit(
+                self.n_up[e], self.n_down[e], exits[parents], eng.ff_time[e])
+            bad = first_bad[lo:hi]
+            bad[:] = first_bad[parents]
+            if unfinished.any():  # keep each node's earliest failing hop
+                hit = unfinished.any(axis=1) & (bad < 0)
+                bad[hit] = unfinished[hit].argmax(axis=1)
+        failed = np.flatnonzero(first_bad[eng.path_node] >= 0)
         if failed.size:
             r = int(failed[0])
-            raise UnfinishedTripError(eng.net.paths[r].id, int(first_bad[r]))
-        return exits - starts
+            raise UnfinishedTripError(eng.net.paths[r].id, int(first_bad[eng.path_node[r]]))
+        delays = exits[eng.path_node]
+        delays -= starts
+        return delays
 
 
 # --------------------------------------------------------------------------

@@ -34,8 +34,6 @@ __all__ = [
     "affine_operator",
     "scaled_pseudo_monotone",
     "power_iteration_norm",
-    "monotonicity_violation_witness",
-    "pseudo_monotone_audit",
 ]
 
 
@@ -228,54 +226,3 @@ def scaled_pseudo_monotone(
         vi.certify_solution()
         op.reset_count()
     return vi
-
-
-def monotonicity_violation_witness(
-    vi: SyntheticVI, radius: float = 3.0, samples: int = 2000, seed: int = 0
-) -> tuple[PathFlowProfile, PathFlowProfile, float] | None:
-    """Search for x, y with <A(x) - A(y), x - y> < 0; None if not found.
-
-    Random pairs are drawn from a ball around the feasible region.  The
-    returned witness certifies that the operator is not monotone.
-    """
-    rng = np.random.default_rng(seed)
-    op = vi.operator
-    shape = (vi.num_paths, vi.grid.num_intervals)
-    best = None
-    best_val = 0.0
-    for _ in range(samples):
-        # monotonicity is a whole-space property: sample the symmetric box
-        x = PathFlowProfile(vi.grid, rng.uniform(-radius, radius, size=shape))
-        y = PathFlowProfile(vi.grid, rng.uniform(-radius, radius, size=shape))
-        ax = op._compute(x).delays
-        ay = op._compute(y).delays
-        val = float(((ax - ay) * (x.rates - y.rates)).sum()) * vi.grid.dt
-        if val < best_val:
-            best_val = val
-            best = (x, y, val)
-    return best
-
-
-def pseudo_monotone_audit(
-    vi: SyntheticVI, pairs: int = 10_000, radius: float = 3.0, seed: int = 1
-) -> float:
-    """Sampling check of pseudo-monotonicity over a symmetric box.
-
-    Over random pairs with <A(x), y - x> >= 0, returns the most negative
-    observed <A(y), y - x> (zero if the property held everywhere).
-    """
-    rng = np.random.default_rng(seed)
-    op = vi.operator
-    shape = (vi.num_paths, vi.grid.num_intervals)
-    worst = 0.0
-    for _ in range(pairs):
-        x = PathFlowProfile(vi.grid, rng.uniform(-radius, radius, size=shape))
-        y = PathFlowProfile(vi.grid, rng.uniform(-radius, radius, size=shape))
-        ax = op._compute(x).delays
-        fwd = float((ax * (y.rates - x.rates)).sum()) * vi.grid.dt
-        if fwd < 0:
-            continue
-        ay = op._compute(y).delays
-        rev = float((ay * (y.rates - x.rates)).sum()) * vi.grid.dt
-        worst = min(worst, rev)
-    return worst

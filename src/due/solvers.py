@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DueError
 from .metrics import ConvergenceLog, IterationRecord, relative_energy, relative_step
 from .operators import DelayOperator
 from .space import ODLayout, PathFlowProfile, TripTable, norm, project_feasible
@@ -277,6 +278,16 @@ def _base_header(config: SolverConfig, op: DelayOperator, notes: list[str]) -> d
     return header
 
 
+@contextmanager
+def _keeps_log(log: ConvergenceLog):
+    """Attach `log`, the iterations recorded so far, to a DueError raised inside."""
+    try:
+        yield
+    except DueError as exc:
+        exc.log = log
+        raise
+
+
 def uniform_start(grid, trips: TripTable, paths_by_od: Mapping[str, np.ndarray]) -> PathFlowProfile:
     """Feasible start: each O-D demand split evenly over its paths and time."""
     num_paths = sum(len(rows) for rows in paths_by_od.values())
@@ -302,17 +313,18 @@ def run_fb(
     grid, dt = h0.grid, h0.grid.dt
     layout = ODLayout.build(trips, paths_by_od, grid)
     h = h0.rates
-    for n in range(config.max_iterations):
-        ah = op.evaluate(PathFlowProfile(grid, h)).delays
-        y = project_feasible(h - tau * ah, layout)
-        residual = norm(h - y, dt)
-        energy = relative_energy(y, h, dt)
-        h = y
-        log.append(IterationRecord(n, tau, math.nan, math.nan, residual, energy,
-                                   op.eval_count))
-        if config.tolerance > 0 and residual <= config.tolerance:
-            log.stop_reason = "residual_tolerance"
-            break
+    with _keeps_log(log):
+        for n in range(config.max_iterations):
+            ah = op.evaluate(PathFlowProfile(grid, h)).delays
+            y = project_feasible(h - tau * ah, layout)
+            residual = norm(h - y, dt)
+            energy = relative_energy(y, h, dt)
+            h = y
+            log.append(IterationRecord(n, tau, math.nan, math.nan, residual, energy,
+                                       op.eval_count))
+            if config.tolerance > 0 and residual <= config.tolerance:
+                log.stop_reason = "residual_tolerance"
+                break
     return PathFlowProfile(grid, h), log
 
 
@@ -330,23 +342,24 @@ def run_fbf(
     layout = ODLayout.build(trips, paths_by_od, grid)
     h = h0.rates
     tau = config.tau0
-    for n in range(config.max_iterations):
-        a_n = alpha_s.value(n)
-        b_n = beta_s.value(n)
-        ah = op.evaluate(PathFlowProfile(grid, h)).delays
-        y = project_feasible(h - tau * ah, layout)
-        ay = op.evaluate(PathFlowProfile(grid, y)).delays
-        z = y + tau * (ah - ay)
-        h_next = (1.0 - a_n - b_n) * h + b_n * z
-        residual = norm(h - y, dt)
-        energy = relative_energy(h_next, h, dt)
-        tau_next = _adaptive_step(tau, config.mu, residual, ah, ay, dt)
-        log.append(IterationRecord(n, tau, a_n, b_n, residual, energy,
-                                   op.eval_count))
-        h, tau = h_next, tau_next
-        if config.tolerance > 0 and residual <= config.tolerance:
-            log.stop_reason = "residual_tolerance"
-            break
+    with _keeps_log(log):
+        for n in range(config.max_iterations):
+            a_n = alpha_s.value(n)
+            b_n = beta_s.value(n)
+            ah = op.evaluate(PathFlowProfile(grid, h)).delays
+            y = project_feasible(h - tau * ah, layout)
+            ay = op.evaluate(PathFlowProfile(grid, y)).delays
+            z = y + tau * (ah - ay)
+            h_next = (1.0 - a_n - b_n) * h + b_n * z
+            residual = norm(h - y, dt)
+            energy = relative_energy(h_next, h, dt)
+            tau_next = _adaptive_step(tau, config.mu, residual, ah, ay, dt)
+            log.append(IterationRecord(n, tau, a_n, b_n, residual, energy,
+                                       op.eval_count))
+            h, tau = h_next, tau_next
+            if config.tolerance > 0 and residual <= config.tolerance:
+                log.stop_reason = "residual_tolerance"
+                break
     return PathFlowProfile(grid, project_feasible(h, layout)), log
 
 
@@ -365,28 +378,29 @@ def run_ifbf(
     h_prev = h = h0.rates
     tau = config.tau0
     alpha_n = config.alpha
-    for n in range(config.max_iterations):
-        b_n = beta_s.value(n)
-        w = (1.0 - b_n) * (h + alpha_n * (h - h_prev))
-        aw = op.evaluate(PathFlowProfile(grid, w)).delays
-        y = project_feasible(w - tau * aw, layout)
-        ay = op.evaluate(PathFlowProfile(grid, y)).delays
-        h_next = (1.0 - config.lam) * w + config.lam * (y + tau * (aw - ay))
-        residual = norm(w - y, dt)
-        step = norm(h_next - h, dt)
-        energy = relative_step(step, h, dt)
-        tau_next = _adaptive_step(tau, config.mu, residual, aw, ay, dt)
-        if np.array_equal(h_next, h):
-            alpha_next = config.alpha
-        else:
-            alpha_next = min(config.alpha, eps_s.value(n + 1) / step)
-        log.append(IterationRecord(n, tau, alpha_n, b_n, residual, energy,
-                                   op.eval_count))
-        h_prev, h = h, h_next
-        tau, alpha_n = tau_next, alpha_next
-        if config.tolerance > 0 and residual <= config.tolerance:
-            log.stop_reason = "residual_tolerance"
-            break
+    with _keeps_log(log):
+        for n in range(config.max_iterations):
+            b_n = beta_s.value(n)
+            w = (1.0 - b_n) * (h + alpha_n * (h - h_prev))
+            aw = op.evaluate(PathFlowProfile(grid, w)).delays
+            y = project_feasible(w - tau * aw, layout)
+            ay = op.evaluate(PathFlowProfile(grid, y)).delays
+            h_next = (1.0 - config.lam) * w + config.lam * (y + tau * (aw - ay))
+            residual = norm(w - y, dt)
+            step = norm(h_next - h, dt)
+            energy = relative_step(step, h, dt)
+            tau_next = _adaptive_step(tau, config.mu, residual, aw, ay, dt)
+            if np.array_equal(h_next, h):
+                alpha_next = config.alpha
+            else:
+                alpha_next = min(config.alpha, eps_s.value(n + 1) / step)
+            log.append(IterationRecord(n, tau, alpha_n, b_n, residual, energy,
+                                       op.eval_count))
+            h_prev, h = h, h_next
+            tau, alpha_n = tau_next, alpha_next
+            if config.tolerance > 0 and residual <= config.tolerance:
+                log.stop_reason = "residual_tolerance"
+                break
     return PathFlowProfile(grid, project_feasible(h, layout)), log
 
 

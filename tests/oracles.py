@@ -5,10 +5,12 @@ enumerates KKT candidates instead of running the cumulative threshold scan,
 and the small-instance variant enumerates every support subset outright.
 The junction reference is written over (demands, supplies, split matrix)
 rather than over the engine's per-approach slot amounts.  The path-delay
-reference probes one path at a time instead of one (hop, link) group, the
-reference loader steps junction by junction instead of all at once, and the
+reference probes one path at a time, link by link, instead of each shared
+path prefix once; the reference loader steps junction by junction instead of
+all at once, and the
 reference projection loops over the O-D blocks one at a time instead of
-projecting the stacked blocks of a chunk together.
+projecting the stacked blocks of a chunk together.  The monotonicity checks
+sample random pairs of profiles.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from due.errors import UnfinishedTripError
 from due.loading import LoadingResult
+from due.space import PathFlowProfile
 
 
 def qp_simplex_projection_active_set(y: np.ndarray, total: float) -> np.ndarray:
@@ -132,6 +135,26 @@ def junction_flows(
     return f_out, f_out @ w
 
 
+def total_exited(res) -> float:
+    """Vehicles that finished their trips in a `LoadingResult`."""
+    return float(res.exited_by_path.sum())
+
+
+def probe_link_exit(res, link_idx: int, times: np.ndarray, path_id=None,
+                    intervals=None) -> np.ndarray:
+    """Exit times from link `link_idx` of probes entering it at `times`.
+
+    Rides the aggregate boundary curves and never undercuts free flow.  An
+    unfinished probe raises, naming `path_id` and its entry in `intervals`.
+    """
+    exits, unfinished = res._probe_exit(res.n_up[link_idx], res.n_down[link_idx], times,
+                                        res.engine.ff_time[link_idx])
+    if np.any(unfinished):
+        bad = int(np.argmax(unfinished))
+        raise UnfinishedTripError(path_id, None if intervals is None else int(intervals[bad]))
+    return exits
+
+
 def path_delays_by_path(res) -> np.ndarray:
     """Path delays of a `LoadingResult`, probed one path at a time.
 
@@ -150,7 +173,7 @@ def path_delays_by_path(res) -> np.ndarray:
         if np.any(unfinished):
             raise UnfinishedTripError(path.id, int(np.argmax(unfinished)))
         for lid in path.links:
-            s = res.probe_link_exit(eng.index_of[lid], s, path.id, intervals)
+            s = probe_link_exit(res, eng.index_of[lid], s, path.id, intervals)
         out[r] = s - starts
     return out
 
@@ -333,3 +356,54 @@ def reference_loading(engine, rates: np.ndarray):
     return LoadingResult(engine=engine, n_up=n_up, n_down=n_down, p_up=p_up,
                          q_arrivals=q_arr, q_releases=q_rel, q_paths=q_path,
                          exited_by_path=exited)
+
+
+def monotonicity_violation_witness(
+    vi, radius: float = 3.0, samples: int = 2000, seed: int = 0
+) -> tuple[PathFlowProfile, PathFlowProfile, float] | None:
+    """Search for x, y with <A(x) - A(y), x - y> < 0; None if not found.
+
+    Random pairs are drawn from a ball around the feasible region.  The
+    returned witness certifies that the operator is not monotone.
+    """
+    rng = np.random.default_rng(seed)
+    op = vi.operator
+    shape = (vi.num_paths, vi.grid.num_intervals)
+    best = None
+    best_val = 0.0
+    for _ in range(samples):
+        # monotonicity is a whole-space property: sample the symmetric box
+        x = PathFlowProfile(vi.grid, rng.uniform(-radius, radius, size=shape))
+        y = PathFlowProfile(vi.grid, rng.uniform(-radius, radius, size=shape))
+        ax = op._compute(x).delays
+        ay = op._compute(y).delays
+        val = float(((ax - ay) * (x.rates - y.rates)).sum()) * vi.grid.dt
+        if val < best_val:
+            best_val = val
+            best = (x, y, val)
+    return best
+
+
+def pseudo_monotone_audit(
+    vi, pairs: int = 10_000, radius: float = 3.0, seed: int = 1
+) -> float:
+    """Sampling check of pseudo-monotonicity over a symmetric box.
+
+    Over random pairs with <A(x), y - x> >= 0, returns the most negative
+    observed <A(y), y - x> (zero if the property held everywhere).
+    """
+    rng = np.random.default_rng(seed)
+    op = vi.operator
+    shape = (vi.num_paths, vi.grid.num_intervals)
+    worst = 0.0
+    for _ in range(pairs):
+        x = PathFlowProfile(vi.grid, rng.uniform(-radius, radius, size=shape))
+        y = PathFlowProfile(vi.grid, rng.uniform(-radius, radius, size=shape))
+        ax = op._compute(x).delays
+        fwd = float((ax * (y.rates - x.rates)).sum()) * vi.grid.dt
+        if fwd < 0:
+            continue
+        ay = op._compute(y).delays
+        rev = float((ay * (y.rates - x.rates)).sum()) * vi.grid.dt
+        worst = min(worst, rev)
+    return worst

@@ -14,12 +14,7 @@ from conftest import uniform_profile
 from due.cli import main as cli_main
 from due.loading import effective_delay, run_dnl
 from due.metrics import od_gap
-from due.operators import (
-    affine_operator,
-    dnl_operator,
-    monotonicity_violation_witness,
-    scaled_pseudo_monotone,
-)
+from due.operators import affine_operator, dnl_operator, scaled_pseudo_monotone
 from due.solvers import SolverConfig, run_fb, run_fbf, run_ifbf, uniform_start
 from due.space import (
     PathFlowProfile,
@@ -30,7 +25,12 @@ from due.space import (
     project_simplex,
 )
 
-from oracles import qp_simplex_projection_active_set
+from oracles import (
+    monotonicity_violation_witness,
+    probe_link_exit,
+    qp_simplex_projection_active_set,
+    total_exited,
+)
 
 FBF_SCHEDULES = dict(alpha_schedule="pow(9, -1, 1)", beta_schedule="const(0.7)")
 IFBF_SCHEDULES = dict(beta_schedule="pow(9, -1, 1)", eps_schedule="pow(1, -2, 0.1)")
@@ -155,7 +155,7 @@ def test_criterion_06_dnl_conservation_and_fifo(nguyen):
     h = uniform_profile(nguyen, grid)
     res = run_dnl(h, nguyen, grid, buffer=2.5, validate=True)
     total_demand = sum(nguyen.trips.demands.values())
-    assert res.total_exited == pytest.approx(total_demand, rel=1e-6)
+    assert total_exited(res) == pytest.approx(total_demand, rel=1e-6)
     rep = res.invariant_report
     assert rep["junction_conservation"] <= 1e-12
     assert rep["occupancy"] <= 1e-9
@@ -164,7 +164,7 @@ def test_criterion_06_dnl_conservation_and_fifo(nguyen):
     assert rep["flow_bounds"] <= 0.0
     bt = res.grid_ext.boundaries()
     for e in range(len(res.engine.link_ids)):
-        lam = res.probe_link_exit(e, bt[:-1])
+        lam = probe_link_exit(res, e, bt[:-1])
         assert np.all(np.diff(lam) >= -1e-9)
     _report(6, "loading conservation and FIFO", time.perf_counter() - start, 60)
 

@@ -42,6 +42,25 @@ class TestRun:
         assert summary["iterations"] == 3
         assert summary["operator_evaluations"] == 3
 
+    def test_failed_run_leaves_partial_artifacts(self, tmp_path, instance_dir, capsys):
+        # without a horizon buffer the last departures cannot finish their
+        # trips: the first operator call fails
+        cfg_path = line_config(tmp_path, instance_dir, out_name="failed")
+        raw = json.loads(cfg_path.read_text())
+        raw["horizon_buffer"] = 0.0
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "-c", str(cfg_path)]) == EXIT_CODES["numeric"] == 5
+        assert "error[numeric]" in capsys.readouterr().err
+        out = tmp_path / "failed"
+        assert (out / "iterations.csv").read_text() == (
+            "n,tau,alpha,beta,residual,energy,operator_calls\n")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stop_reason"] == "error:numeric"
+        assert summary["iterations"] == 0
+        assert summary["operator_evaluations"] == 1
+        assert "does not exit within the loading horizon" in summary["error"]
+        assert not (out / "final_flows.csv").exists()
+
     def test_dump_dnl_flag(self, tmp_path, instance_dir):
         cfg = line_config(tmp_path, instance_dir, out_name="dump")
         assert main(["run", "-c", str(cfg), "--dump-dnl"]) == 0

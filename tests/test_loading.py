@@ -5,12 +5,12 @@ import pytest
 
 from conftest import assert_matches_reference, build_line_network, uniform_profile
 from due.errors import ConfigurationError, UnfinishedTripError, ValidationError
-from due.loading import _Engine, effective_delay, run_dnl
+from due.loading import LoadingResult, _Engine, effective_delay, run_dnl
 from due.network import Link, Network, PathDef, load_network_dir
 from due.operators import DNLDelayOperator
 from due.solvers import uniform_start
 from due.space import PathFlowProfile, TimeGrid, TripTable
-from oracles import junction_flows, path_delays_by_path
+from oracles import junction_flows, path_delays_by_path, probe_link_exit, total_exited
 
 # Line links default to 2 km at 60 km/h (w 20 km/h, kjam 160 veh/km): on this
 # grid one step is one free-flow time, L/w is three steps, and capacity is
@@ -67,6 +67,11 @@ def scaled(net, factor):
     return dataclasses.replace(net, trips=trips)
 
 
+def line_link(lid, tail, head, vf=60.0, w=20.0, kjam=160.0):
+    """A 2 km link, by default one of `build_line_network`'s."""
+    return Link(lid, tail, head, 2.0, vf, w, kjam, vf * w * kjam / (vf + w))
+
+
 def two_lines():
     """Two disjoint lines: path row 0 stalls on its links, row 1 in its origin queue.
 
@@ -77,13 +82,9 @@ def two_lines():
     and b2, which lets through 0.04 vehicles a step: b1 jams and the origin
     queue never empties.
     """
-    base = build_line_network(num_links=1).links["1"]
-
-    def link(lid, vf=base.vf, w=base.w, kjam=base.kjam):
-        tail = f"{lid[0]}{int(lid[1]) - 1}"
-        return Link(lid, tail, lid, base.length, vf, w, kjam, vf * w * kjam / (vf + w))
-
-    links = [link("a1"), link("a2"), link("a3", vf=1.0, w=1.0), link("b1"), link("b2", kjam=0.08)]
+    links = [line_link("a1", "a0", "a1"), line_link("a2", "a1", "a2"),
+             line_link("a3", "a2", "a3", vf=1.0, w=1.0), line_link("b1", "b0", "b1"),
+             line_link("b2", "b1", "b2", kjam=0.08)]
     nodes = {f"{side}{i}": (float(i), y) for side, y in (("a", 0.0), ("b", 1.0))
              for i in range(4)}
     net = Network(nodes=nodes, links={l.id: l for l in links},
@@ -93,6 +94,34 @@ def two_lines():
                          PathDef("pb", "wb", ("b1", "b2"))),
                   junctions=None)
     rates = np.array([[300.0] * 15, [2400.0] * 15])
+    return net, run_dnl(PathFlowProfile(GRID, rates), net, GRID, buffer=1.0)
+
+
+def shared_prefix():
+    """Path row 0 stalls on its last link; rows 1 and 2 stall on the prefix they share.
+
+    Row 0 (`pa`) departs 50 vehicles over a1, a2 and the slow a3 (as in
+    `two_lines`), which takes them all in and lets none out.  Rows 1 and 2
+    (`pb`, `pc`) depart 20 vehicles each over b1 and the slow b2, then split
+    onto b3 and c3.  So the first failing probe node, (b1, b2) at hop 1,
+    comes before row 0's failing node (a1, a2, a3) at hop 2.
+    """
+    links = [line_link("a1", "a0", "a1"), line_link("a2", "a1", "a2"),
+             line_link("a3", "a2", "a3", vf=1.0, w=1.0), line_link("b1", "b0", "b1"),
+             line_link("b2", "b1", "b2", vf=1.0, w=1.0), line_link("b3", "b2", "b3"),
+             line_link("c3", "b2", "c3")]
+    nodes = {f"{side}{i}": (float(i), y) for side, y in (("a", 0.0), ("b", 1.0))
+             for i in range(4)}
+    nodes["c3"] = (3.0, 2.0)
+    net = Network(nodes=nodes, links={l.id: l for l in links},
+                  od_pairs={"wa": ("a0", "a3"), "wb": ("b0", "b3"), "wc": ("b0", "c3")},
+                  trips=TripTable({"wa": 50.0, "wb": 20.0, "wc": 20.0},
+                                  {"wa": 1.0, "wb": 1.0, "wc": 1.0}),
+                  paths=(PathDef("pa", "wa", ("a1", "a2", "a3")),
+                         PathDef("pb", "wb", ("b1", "b2", "b3")),
+                         PathDef("pc", "wc", ("b1", "b2", "c3"))),
+                  junctions=None)
+    rates = np.array([[100.0] * 15, [40.0] * 15, [40.0] * 15])
     return net, run_dnl(PathFlowProfile(GRID, rates), net, GRID, buffer=1.0)
 
 
@@ -339,13 +368,13 @@ class TestExitTime:
         res = load(build_line_network(num_links=1), np.full(15, 600.0))
         t = res.grid_ext.boundaries()[:30]
         ff = res.engine.ff_time[0]
-        np.testing.assert_allclose(res.probe_link_exit(0, t), t + ff, atol=1e-12)
+        np.testing.assert_allclose(probe_link_exit(res, 0, t), t + ff, atol=1e-12)
 
     def test_no_vehicle_convention(self):
         # an empty link is crossed at free flow
         res = load(build_line_network(num_links=1), np.zeros(15))
         t = res.grid_ext.boundaries()[:30]
-        np.testing.assert_array_equal(res.probe_link_exit(0, t), t + res.engine.ff_time[0])
+        np.testing.assert_array_equal(probe_link_exit(res, 0, t), t + res.engine.ff_time[0])
 
     def test_queued_staircase_brute_force(self):
         net, res = bottleneck()
@@ -356,7 +385,7 @@ class TestExitTime:
         fine = np.linspace(bt[0], bt[-1], 200001)
         vals = np.interp(fine, bt, down)
         times = np.array([0.0, 0.01, 0.03, 0.05, 0.07, 0.09])
-        lam = res.probe_link_exit(e, times)
+        lam = probe_link_exit(res, e, times)
         for t, got in zip(times, lam):
             level = np.interp(t, bt, up)
             expected = max(fine[np.argmax(vals >= level - 1e-12)], t + ff)
@@ -369,7 +398,7 @@ class TestExitTime:
             res.path_delays()
         assert info.value.path_id == "p1"
         with pytest.raises(UnfinishedTripError):
-            res.probe_link_exit(res.engine.index_of["1"], res.grid_ext.boundaries()[10:20])
+            probe_link_exit(res, res.engine.index_of["1"], res.grid_ext.boundaries()[10:20])
 
     def test_unfinished_trip_names_lowest_row(self):
         # row 1 stalls in its origin queue, the first probe of every path.
@@ -391,6 +420,38 @@ class TestExitTime:
         assert (batched.value.path_id, batched.value.interval) == ("pa", 12)
         assert (by_path.value.path_id, by_path.value.interval) == ("pa", 12)
 
+    def test_unfinished_trip_not_named_by_shared_prefix(self):
+        # the shared prefix (b1, b2) of rows 1 and 2 fails at hop 1, before
+        # row 0 fails at hop 2: the error still names row 0
+        _net, res = shared_prefix()
+        eng = res.engine
+        starts = GRID.starts()
+        intervals = np.arange(starts.size)
+
+        def ride(row, links):
+            qi = eng.queue_of_path[row]
+            t, unfinished = res._probe_exit(res.q_arrivals[qi], res.q_releases[qi],
+                                            starts, 0.0)
+            assert not unfinished.any()
+            for lid in links:
+                t = probe_link_exit(res, eng.index_of[lid], t, row, intervals)
+
+        ride(0, ["a1", "a2"])
+        with pytest.raises(UnfinishedTripError):
+            ride(0, ["a1", "a2", "a3"])
+        with pytest.raises(UnfinishedTripError):
+            ride(1, ["b1", "b2"])
+        shared = [g for g in eng.probe_groups if g[0] == eng.index_of["b2"]]
+        own = [g for g in eng.probe_groups if g[0] == eng.index_of["a3"]]
+        assert len(shared) == len(own) == 1 and shared[0][2] - shared[0][1] == 1
+        assert shared[0][1] < own[0][1]
+        with pytest.raises(UnfinishedTripError) as batched:
+            res.path_delays()
+        with pytest.raises(UnfinishedTripError) as by_path:
+            path_delays_by_path(res)
+        assert (batched.value.path_id, batched.value.interval) == ("pa", 1)
+        assert (by_path.value.path_id, by_path.value.interval) == ("pa", 1)
+
 
 class TestRunDnl:
     def test_zero_flow_zero_curves(self, line_network):
@@ -401,7 +462,7 @@ class TestRunDnl:
             up, down = curves(res, lid)
             assert np.all(up == 0.0)
             assert np.all(down == 0.0)
-        assert res.total_exited == 0.0
+        assert total_exited(res) == 0.0
 
     def test_pulse_conservation(self):
         net = build_line_network(num_links=2, demand=10.0)
@@ -410,7 +471,7 @@ class TestRunDnl:
         rates[0, 0] = 10.0 / grid.dt  # all vehicles depart in the first interval
         h = PathFlowProfile(grid, rates)
         res = run_dnl(h, net, grid, buffer=1.0, validate=True)
-        assert res.total_exited == pytest.approx(10.0, rel=1e-9)
+        assert total_exited(res) == pytest.approx(10.0, rel=1e-9)
         _up, down = curves(res, net.paths[0].links[-1])
         assert down[-1] == pytest.approx(10.0, rel=1e-9)
 
@@ -470,7 +531,7 @@ class TestRunDnl:
         assert rep["occupancy"] <= 1e-9
         assert rep["monotone"] <= 1e-12
         assert rep["path_split"] <= 1e-9
-        assert res.total_exited == pytest.approx(
+        assert total_exited(res) == pytest.approx(
             sum(nguyen.trips.demands.values()), rel=1e-6
         )
 
@@ -480,7 +541,7 @@ class TestRunDnl:
         res = run_dnl(h, nguyen, grid, buffer=2.5)
         bt = res.grid_ext.boundaries()[:-20]
         for e in range(len(res.engine.link_ids)):
-            lam = res.probe_link_exit(e, bt)
+            lam = probe_link_exit(res, e, bt)
             assert np.all(np.diff(lam) >= -1e-9)
 
 
@@ -528,8 +589,8 @@ class TestPathDelay:
 
 
 class TestPathDelaysByPath:
-    """`path_delays` probes per (hop, link) group; the reference probes path by
-    path.  Each loading is also checked against the reference loader."""
+    """`path_delays` probes each shared path prefix once; the reference probes
+    path by path.  Each loading is also checked against the reference loader."""
 
     @pytest.mark.parametrize("case", ["free", "burst", "bottleneck", "two_links"])
     def test_line_fixtures(self, case, loadings):
@@ -576,7 +637,7 @@ class TestPathDelaysByPath:
         h0 = uniform_start(grid, net.trips, net.path_rows_by_od())
         effective = op.evaluate(h0).delays
         ((rates, res),) = loaded
-        assert res.total_exited == pytest.approx(sum(net.trips.demands.values()), rel=1e-6)
+        assert total_exited(res) == pytest.approx(sum(net.trips.demands.values()), rel=1e-6)
         assert res.drained_step is not None
         delays = res.path_delays()
         np.testing.assert_array_equal(
@@ -587,17 +648,45 @@ class TestPathDelaysByPath:
         np.testing.assert_array_equal(delays, path_delays_by_path(res))
         assert_matches_reference(res, rates)
 
+    def test_siouxfalls_probes_each_node_once(self, siouxfalls_dir, monkeypatch):
+        # 6,180 paths make 33,083 (link, path) incidences over 76 origin
+        # queues but only 6,289 distinct (queue, link prefix) nodes
+        net = scaled(load_network_dir(siouxfalls_dir), 0.25)
+        grid = TimeGrid(0.0, 2.0, 100)
+        res = run_dnl(uniform_start(grid, net.trips, net.path_rows_by_od()), net, grid,
+                      buffer=2.0)
+        assert res.engine.link_count.sum() == 33083
+        shapes = []
+        probe = LoadingResult._probe_exit
+
+        def counted(self, up, down, times, floor):
+            shapes.append(times.shape)
+            return probe(self, up, down, times, floor)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(LoadingResult, "_probe_exit", counted)
+            delays = res.path_delays()
+        queue_rows = [s for s in shapes if len(s) == 1]
+        assert queue_rows == [(100,)] * 76
+        assert sum(s[0] for s in shapes if len(s) == 2) == 6289
+        assert {s[1] for s in shapes if len(s) == 2} == {100}
+        assert sum(np.prod(s) for s in shapes) == (76 + 6289) * 100
+        np.testing.assert_array_equal(delays.view(np.int64),
+                                      path_delays_by_path(res).view(np.int64))
+
 
 class TestReferenceLoading:
     """Cases the delay comparisons above cannot take: unfinished trips and a
     trickle below the origin release threshold, against the reference loader."""
 
-    @pytest.mark.parametrize("case", ["spillback", "two_lines", "trickle"])
+    @pytest.mark.parametrize("case", ["spillback", "two_lines", "shared_prefix", "trickle"])
     def test_line_fixtures(self, case, loadings):
         if case == "spillback":
             spillback()
         elif case == "two_lines":
             two_lines()
+        elif case == "shared_prefix":
+            shared_prefix()
         else:
             load(build_line_network(num_links=1), np.full(15, 1e-16 / DT))
         ((rates, res),) = loadings

@@ -3,15 +3,10 @@ import pytest
 
 from conftest import uniform_profile
 from due.errors import ValidationError
-from due.operators import (
-    affine_operator,
-    dnl_operator,
-    monotonicity_violation_witness,
-    power_iteration_norm,
-    pseudo_monotone_audit,
-    scaled_pseudo_monotone,
-)
+from due.operators import (affine_operator, dnl_operator, power_iteration_norm,
+                           scaled_pseudo_monotone)
 from due.space import PathFlowProfile, TimeGrid, norm, residual_norm
+from oracles import monotonicity_violation_witness, pseudo_monotone_audit
 
 
 def cocoercive_instance():

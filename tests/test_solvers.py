@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from due.errors import ConfigurationError, ValidationError
+from due.errors import ConfigurationError, UnfinishedTripError, ValidationError
 from due.operators import DelayOperator, affine_operator, scaled_pseudo_monotone
 from due.solvers import (
     ScheduleSpec,
@@ -273,6 +273,29 @@ class TestSolveDispatch:
         vi2 = cocoercive_instance()
         h2, _ = run_fb(vi2.operator, cfg, vertex_start(vi2), vi2.trips, vi2.paths_by_od)
         np.testing.assert_array_equal(h1.rates, h2.rates)
+
+    @pytest.mark.parametrize("algorithm, schedules, calls", [
+        ("fb", {}, 3), ("fbf", FBF_TEST, 6), ("ifbf", IFBF_TEST, 6),
+    ], ids=["fb", "fbf", "ifbf"])
+    def test_failure_carries_log_so_far(self, algorithm, schedules, calls):
+        # the operator fails in its (calls + 1)-th evaluation, the first of
+        # iteration 3 on every algorithm
+        vi = cocoercive_instance()
+
+        class Failing(DelayOperator):
+            def _compute(self, h):
+                if self.eval_count > calls:
+                    raise UnfinishedTripError("p", 0)
+                return vi.operator.evaluate(h)
+
+        cfg = SolverConfig(algorithm=algorithm, max_iterations=10, tau0=1.0, tau_fixed=0.5,
+                           **schedules)
+        with pytest.raises(UnfinishedTripError) as info:
+            solve(Failing(), cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        log = info.value.log
+        assert [r.n for r in log.records] == [0, 1, 2]
+        assert log.records[-1].operator_calls == calls
+        assert log.algorithm == algorithm
 
     def test_uniform_start_is_feasible(self):
         vi = cocoercive_instance()
