@@ -44,15 +44,6 @@ DEFAULT_BUFFER_FACTOR = 2.0
 # loading engine
 
 
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """Indices that sort integer `keys`, ties in their given order.
-
-    Python's sort: numpy's stable integer sort would page in another 128 KiB
-    of numpy's library, which shows in the peak RSS of a small run.
-    """
-    return np.array(sorted(range(keys.size), key=keys.tolist().__getitem__), dtype=int)
-
-
 class _QueueSpec:
     __slots__ = ("node", "link_idx", "rows")
 
@@ -168,10 +159,10 @@ class _Engine:
         slot = np.zeros(E, dtype=int)
         app_of_link = np.zeros(E, dtype=int)
         n_app = np.zeros(J, dtype=int)
-        self.n_out = np.zeros(J, dtype=int)
+        n_out = np.zeros(J, dtype=int)
         for node, jn in net.junctions.items():
             j = node_of[node]
-            self.n_out[j] = len(jn.outgoing)
+            n_out[j] = len(jn.outgoing)
             for s, lid in enumerate(jn.outgoing):
                 slot[self.index_of[lid]] = s
             for lid in jn.incoming:
@@ -183,10 +174,13 @@ class _Engine:
         for qi, j in enumerate(self.queue_node):
             app_of_queue[qi] = n_app[j]
             n_app[j] += 1
-        A, S = int(n_app.max()), int(self.n_out.max())
+        A, S = int(n_app.max()), int(n_out.max())
         self.shape = (J, A, S)
-        self.out_links = np.full((J, S), E)  # E pads: a zero supply
-        self.out_links[self.tail, slot] = np.arange(E)
+        # a junction rescales in rounds 0..n_out (see _resolve)
+        self.rounds = np.arange(S + 1)[:, None] <= n_out
+        # each out-slot's supply among a step's sending, receiving, zero flows
+        self.supply_at = np.full((J, S), 2 * E)
+        self.supply_at[self.tail, slot] = E + np.arange(E)
         self.link_app = self.head * A + app_of_link
         self.queue_app = self.queue_node * A + app_of_queue
         self.queue_seg = self.queue_app * S + slot[[q.link_idx for q in self.queues]]
@@ -195,19 +189,24 @@ class _Engine:
         # link-major, then the out-slot of the path's next link (0: the path
         # ends here), then path row
         key = np.where(has_succ, slot[succ_link] + 1, 0)
-        order = _stable_order(hop_link * (S + 1) + key)
+        I = hop_link.size
+        # the keys made unique by position: any sort is the stable one
+        order = np.argsort((hop_link * (S + 1) + key) * I + np.arange(I))
         inc = np.empty_like(order)
-        inc[order] = np.arange(order.size)
-        I = order.size
+        inc[order] = np.arange(I)
         self.link_of = hop_link[order]
         self.last_inc = inc[last]
-        # where each incidence's entries come from: the path's previous
-        # incidence, or I + row, the path's origin queue
-        pred = I + hop_path
-        pred[hop > 0] = inc[:-1][hop[1:] > 0]
+        # where each incidence's entries come from in a step's flows: the exits
+        # of the path's previous incidence, or its origin queue's release
+        pred = 2 * I + hop_path
+        pred[hop > 0] = I + inc[:-1][hop[1:] > 0]
         self.pred = pred[order]
         key = key[order]
         self.link_start = np.flatnonzero(np.r_[True, np.diff(self.link_of) != 0])
+        self.link_used = self.link_of[self.link_start]
+        # a step's per-link sums of entries, then of exits, in n_up and n_down
+        self.sum_rows = np.concatenate((self.link_used, E + self.link_used))
+        self.sum_starts = np.concatenate((self.link_start, I + self.link_start))
         self.seg_start = np.flatnonzero(
             np.r_[True, (np.diff(self.link_of) != 0) | (np.diff(key) != 0)])
         # each segment's (approach, out-slot) bin; ending segments go to the
@@ -216,6 +215,7 @@ class _Engine:
         self.seg_bin = np.where(key[at] > 0, self.link_app[self.link_of[at]] * S + key[at] - 1,
                                 J * A * S)
         self._cols = np.arange(I)
+        self._links = np.arange(E)
 
     # -- stepping ----------------------------------------------------------
 
@@ -239,21 +239,30 @@ class _Engine:
         I = self.link_of.size
         J, A, S = self.shape
         link_of, qop = self.link_of, self.queue_of_path
-        cap = self.capacity * dt
+        floor_at, next_at, frac, now_at = self._read_schedule()
+        cap = np.tile(self.capacity * dt, 2)
 
-        n_up = np.zeros((E, T + 1))
-        n_down = np.zeros((E, T + 1))
+        counts = np.zeros((2 * E, T + 1))  # the boundary curves, n_up on n_down
+        n_up, n_down = counts[:E], counts[E:]
         # time-major per-path curves: entries per incidence, then the origin
         # queue content per path; each step writes one row
         curves = np.zeros((T + 1, I + P))
         p_up, q_paths = curves[:, :I], curves[:, I:]
-        q_arr = np.zeros((Q, T + 1))
-        q_rel = np.zeros((Q, T + 1))
-        exited = np.zeros(P)
-        flat = curves.ravel()
+        # per-queue arrivals and releases by step, summed into curves at the end
+        q_steps = np.zeros((2 * Q, T + 1))
         no_arrivals = np.zeros(P)
-        flow = np.empty(I + P)  # moved per incidence, then released per path
-        s_pad = np.zeros(E + 1)  # supplies; the last entry pads missing out-slots
+        # sending and receiving flows, then a zero supply for padded out-slots
+        limits = np.zeros(2 * E + 1)
+        both, sending, receiving = limits[:-1], limits[:E], limits[E:-1]
+        levels = np.empty((3, E))  # entry levels hi and lo = n_down[:, k], then n_up[:, k]
+        hi, lo, up = levels
+        now = levels[1:].reshape(-1)  # column k of the curves opposite the reads
+        amounts = np.zeros(J * A * S + 1)  # the last bin takes the ending paths
+        slots = amounts[:-1].reshape(J, A, S)
+        flows = np.empty(2 * I + P)  # entries and exits per incidence, releases per path
+        entered, moved, rel_p = flows[:I], flows[I:2 * I], flows[2 * I:]
+        column = np.zeros(2 * E)  # one step's per-link entries and exits
+        exited = np.zeros(P)
 
         worst = {"junction_conservation": 0.0, "occupancy": 0.0, "monotone": 0.0,
                  "path_split": 0.0, "flow_bounds": 0.0}
@@ -261,63 +270,58 @@ class _Engine:
 
         drained = None
         for k in range(T):
-            if k >= K and self._drained(n_up, n_down, q_paths, k):
+            if k >= K and self._drained(n_up, n_down, q_paths, k, floor_at[k, :E]):
                 # every later step would copy column k: copy it and stop
-                for curve in (n_up, n_down, q_arr, q_rel):
-                    curve[:, k + 1:] = curve[:, k:k + 1]
+                counts[:, k + 1:] = counts[:, k:k + 1]
                 curves[k + 1:] = curves[k]
                 drained = k
                 break
-            # sending and receiving flows, integrated over the step (vehicles)
-            d_veh = np.minimum(np.maximum(
-                self._interp_rowwise(n_up, k + 1 - self.lag_v) - n_down[:, k], 0.0), cap)
-            np.minimum(np.maximum(
-                self._interp_rowwise(n_down, k + 1 - self.lag_w) + self.storage - n_up[:, k],
-                0.0), cap, out=s_pad[:E])
+            # sending and receiving flows, integrated over the step (vehicles):
+            # the lagged reads, less column k of the opposite curve
+            base = counts.take(floor_at[k])
+            np.add(base, frac[k] * (counts.take(next_at[k]) - base), out=both)
+            receiving += self.storage
+            counts.take(now_at[k], out=now, mode="clip")  # in range: unbuffered
+            both -= now
+            np.maximum(both, 0.0, out=both)
+            np.minimum(both, cap, out=both)
 
-            # per-path share of each link's next d_veh vehicles to exit: the
-            # entry curves read at the count levels [n_down, n_down + d_veh]
+            # per-path share of each link's next sending vehicles to exit: the
+            # entry curves read at the count levels [n_down, n_down + sending]
             # (FIFO: exit order equals entry order); a link that sends no more
             # than 1e-15 reads an empty interval
-            lo = n_down[:, k]
-            hi = np.where(d_veh > 1e-15, np.minimum(lo + d_veh, n_up[:, k]), lo)
-            read = self._eval_paths(flat, self._invert(n_up[:, : k + 1], np.stack((hi, lo))))
-            comp = np.maximum(read[0] - read[1], 0.0)
+            np.minimum(lo + sending, up, out=hi)
+            np.copyto(hi, lo, where=sending <= 1e-15)
+            comp = self._entries_between(curves, n_up[:, : k + 1], levels[:2])
             total = self._per_link(comp)
-            fix = (total > 0) & (np.abs(total - d_veh) > 1e-9 * np.maximum(1.0, d_veh))
+            fix = (total > 0) & (np.abs(total - sending) > 1e-9 * np.maximum(1.0, sending))
             if fix.any():
-                comp *= np.repeat(np.divide(d_veh, total, out=np.ones(E), where=fix),
+                comp *= np.repeat(np.divide(sending, total, out=np.ones(E), where=fix),
                                   self.link_count)
-            amounts = np.zeros(J * A * S + 1)
             amounts[self.seg_bin] = np.add.reduceat(comp, self.seg_start)
-            amounts = amounts[:-1]
 
             # origin queues: a backed-up queue sends big M, an empty one its
             # inflow, either capped by its content
             arr_in = rates[:, k] * dt if k < K else no_arrivals
             avail = q_paths[k] + arr_in
             total_avail = np.bincount(qop, avail, Q)
-            arr_sum = np.bincount(qop, arr_in, Q)
-            q_arr[:, k + 1] = q_arr[:, k] + arr_sum
+            arr_sum = q_steps[:Q, k + 1] = np.bincount(qop, arr_in, Q)
             live = total_avail > 1e-15
             d_rate = np.where(np.bincount(qop, q_paths[k], Q) > 0, self.big_m, arr_sum / dt)
             want = np.where(live, np.minimum(d_rate * dt, total_avail), 0.0)
             amounts[self.queue_seg] = want
 
-            supplies = s_pad.take(self.out_links)
-            theta = self._resolve(amounts.reshape(J, A, S), supplies, self.n_out).ravel()
-            moved = np.multiply(np.repeat(theta.take(self.link_app), self.link_count), comp,
-                                out=flow[:I])
-            released = theta[self.queue_app] * want
+            theta = self._resolve(slots, limits.take(self.supply_at), self.rounds).ravel()
+            np.multiply(np.repeat(theta.take(self.link_app), self.link_count), comp, out=moved)
+            released = np.multiply(theta.take(self.queue_app), want, out=q_steps[Q:, k + 1])
             share = np.divide(released, total_avail, out=np.zeros(Q), where=live)
-            rel_p = np.multiply(avail, share[qop], out=flow[I:])
-            q_paths[k + 1] = avail - rel_p
-            q_rel[:, k + 1] = q_rel[:, k] + released
-            entered = flow.take(self.pred)
+            np.multiply(avail, share.take(qop), out=rel_p)
+            np.subtract(avail, rel_p, out=q_paths[k + 1])
+            flows.take(self.pred, out=entered, mode="clip")
             np.add(p_up[k], entered, out=p_up[k + 1])
-            n_up[:, k + 1] = n_up[:, k] + self._per_link(entered)
-            n_down[:, k + 1] = n_down[:, k] + self._per_link(moved)
-            exited += moved[self.last_inc]
+            column[self.sum_rows] = np.add.reduceat(flows[:2 * I], self.sum_starts)
+            np.add(counts[:, k], column, out=counts[:, k + 1])
+            exited += moved.take(self.last_inc)
 
             if validate:
                 ends = moved[self.last_inc]
@@ -329,19 +333,19 @@ class _Engine:
                 worst["junction_conservation"] = max(
                     worst["junction_conservation"],
                     float(np.max(np.abs(sent - received) / np.maximum(1.0, sent))))
-                s_veh = s_pad[:E]
                 worst["flow_bounds"] = max(
                     worst["flow_bounds"],
-                    float(np.max(d_veh - cap, initial=0.0)),
-                    float(np.max(s_veh - cap, initial=0.0)),
-                    float(np.max(-d_veh, initial=0.0)),
-                    float(np.max(-s_veh, initial=0.0)),
+                    float(np.max(sending - cap[:E], initial=0.0)),
+                    float(np.max(receiving - cap[E:], initial=0.0)),
+                    float(np.max(-sending, initial=0.0)),
+                    float(np.max(-receiving, initial=0.0)),
                 )
                 worst["path_split"] = max(
                     worst["path_split"],
                     float(np.max(np.abs(self._per_link(p_down_now)
                                         - n_down[:, k + 1]))))
 
+        q_arr, q_rel = np.cumsum(q_steps, axis=1, out=q_steps).reshape(2, Q, T + 1)
         if validate:
             occ = n_up - n_down
             worst["occupancy"] = max(float(np.max(occ - self.storage[:, None])),
@@ -349,7 +353,7 @@ class _Engine:
             worst["monotone"] = max(float(np.max(-np.diff(n_up), initial=0.0)),
                                     float(np.max(-np.diff(n_down), initial=0.0)))
             split = (np.add.reduceat(p_up, self.link_start, axis=1)
-                     - n_up[link_of[self.link_start]].T)
+                     - n_up[self.link_used].T)
             worst["path_split"] = max(worst["path_split"], float(np.max(np.abs(split))))
 
         return LoadingResult(
@@ -365,93 +369,89 @@ class _Engine:
             drained_step=drained,
         )
 
-    def _drained(self, n_up, n_down, q_paths, k) -> bool:
+    def _read_schedule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per step k and row of the raveled stacked (n_up, n_down) curves: the
+        floor column of the read at k + 1 - lag (lag_v, lag_w), the next (the
+        last at most), the fraction between, and column k of the opposite curve:
+        the per-step operations vectorised over k, bitwise the same.  Column 0
+        holds zeros, so a read before it needs no mask: 0 + 0 * x is +0.0.
+        """
+        E, T = len(self.link_ids), self.steps
+        lag = np.concatenate((self.lag_v, self.lag_w))
+        pos = np.maximum(np.arange(1, T + 1)[:, None] - lag, 0.0)
+        fl = np.floor(pos).astype(int)
+        row = np.arange(2 * E) * (T + 1)
+        opposite = np.concatenate((row[E:], row[:E])) + np.arange(T)[:, None]
+        return fl + row, np.minimum(fl + 1, T) + row, pos - fl, opposite
+
+    def _drained(self, n_up, n_down, q_paths, k, floor_at) -> bool:
         """Whether step k, after the departures, moves nothing: no origin queue
         is above the release threshold, every link is empty, and every entry
         curve is flat (it never decreases: two ends suffice) from the floor
-        column of its sending read through column k.  Then column k + 1 equals
-        column k bit for bit, and the same holds at k + 1."""
+        column of its sending read (at `floor_at` in the raveled `n_up`)
+        through column k.  Then every later column equals column k bit for bit."""
         up = n_up[:, k]
         if not (up <= n_down[:, k]).all():
             return False
         if not (np.bincount(self.queue_of_path, q_paths[k], len(self.queues)) <= 1e-15).all():
             return False
-        fl = np.floor(np.maximum(k + 1 - self.lag_v, 0.0)).astype(int)
-        return bool((n_up[np.arange(up.size), fl] == up).all())
+        return bool((n_up.take(floor_at) == up).all())
 
     def _per_link(self, values: np.ndarray) -> np.ndarray:
         """Sums of per-incidence values over each link's incidences."""
         out = np.zeros(len(self.link_ids))
-        out[self.link_of[self.link_start]] = np.add.reduceat(values, self.link_start)
+        out[self.link_used] = np.add.reduceat(values, self.link_start)
         return out
 
-    @staticmethod
-    def _interp_rowwise(curves: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """curves[e] evaluated at fractional column positions, zero before 0."""
-        p = np.maximum(pos, 0.0)
-        fl = np.floor(p).astype(int)
-        fr = p - fl
-        rows = np.arange(curves.shape[0])
-        base = curves[rows, fl]
-        nxt = curves[rows, np.minimum(fl + 1, curves.shape[1] - 1)]
-        out = base + fr * (nxt - base)
-        out[pos < 0] = 0.0
-        return out
-
-    @staticmethod
-    def _invert(hist: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """Fractional column at which each nondecreasing row of `hist` reaches
-        `levels[:, row]`.
-
-        The left searchsorted index of a level is the row's first entry at or
-        above it, or the row's length when there is none.
+    def _entries_between(self, curves: np.ndarray, hist: np.ndarray,
+                         levels: np.ndarray) -> np.ndarray:
+        """Each incidence's entries between its link's two count `levels`
+        (higher first), from the time-major `curves` read at the steps where
+        the nondecreasing n_up rows `hist` reach them: between the columns
+        at - 1 and at, for at the left searchsorted index capped at the last
+        column.  At column 0 both ends are column 0: the step is -1 + 1.0.
         """
-        rows = np.arange(hist.shape[0])
-        first = (hist >= levels[:, :, None]).argmax(axis=2)
-        idx = np.where(hist[rows, first] >= levels, first, hist.shape[1])
-        at = np.minimum(idx, hist.shape[1] - 1)
-        lo, hi = hist[rows, np.maximum(at - 1, 0)], hist[rows, at]
+        above = hist >= levels[:, :, None]
+        above[:, :, -1] = True  # no entry at or above: the last column
+        at = above.argmax(axis=2)
+        below = at - 1
+        lo, hi = hist[self._links, np.maximum(below, 0)], hist[self._links, at]
         frac = np.divide(levels - lo, hi - lo, out=np.ones(levels.shape), where=hi > lo)
-        return np.where(idx > 0, (at - 1) + frac, 0.0)
-
-    def _eval_paths(self, flat: np.ndarray, pos: np.ndarray) -> np.ndarray:
-        """Each incidence's entry curve at its link's fractional steps `pos`.
-
-        `flat` is the raveled time-major curves array, in which an incidence's
-        curve is a column; `pos` holds rows of per-link steps below the last.
-        """
+        pos = below + frac
         fl = pos.astype(int)
         fr = np.repeat(pos - fl, self.link_count, axis=1)
-        stride = flat.size // (self.steps + 1)
-        at = np.repeat(fl * stride, self.link_count, axis=1) + self._cols
-        base = flat.take(at)
-        return base + fr * (flat.take(at + stride) - base)
+        cell = np.repeat(fl * curves.shape[1], self.link_count, axis=1) + self._cols
+        base = curves.take(cell)
+        read = base + fr * (curves.take(cell + curves.shape[1]) - base)
+        return np.maximum(read[0] - read[1], 0.0)
 
     @staticmethod
-    def _resolve(amounts: np.ndarray, supplies: np.ndarray, n_out: np.ndarray) -> np.ndarray:
+    def _resolve(amounts: np.ndarray, supplies: np.ndarray, rounds: np.ndarray) -> np.ndarray:
         """Reduction factors per (junction, approach) of padded slot amounts.
 
-        `amounts` is (junction, approach, out-slot) and `supplies` (junction,
-        out-slot).  Each round, every junction with an out-slot over its
+        `amounts` is (junction, approach, out-slot), `supplies` (junction,
+        out-slot) and nonnegative, and `rounds` (round, junction).  In each
+        round r, every junction j with `rounds[r, j]` and an out-slot over its
         supply scales all contributors of its most violated slot to fit it
-        (FIFO: one factor per approach), for at most n_out + 1 rounds.
+        (FIFO: one factor per approach).
         """
         theta = np.ones(amounts.shape[:2])
-        uses = amounts > 0
         tol = 1e-12 * np.maximum(supplies, 1.0) + 1e-15
-        positive = supplies > 0
-        rows = np.arange(amounts.shape[0])
-        for r in range(int(n_out.max(initial=0)) + 1):
-            totals = (theta[:, :, None] * amounts).sum(axis=1)
+        totals = amounts.sum(axis=1)  # theta * amounts, theta all ones
+        for fires in rounds:
             mask = totals - supplies > tol
-            fire = mask.any(axis=1) & (r <= n_out)
+            fire = mask.any(axis=1) & fires
             if not fire.any():
                 break
-            ratio = np.divide(totals, supplies, out=np.full(totals.shape, np.inf), where=positive)
-            j = np.argmax(np.where(mask, ratio, 0.0), axis=1)
-            t, s = totals[rows, j], supplies[rows, j]
-            scale = np.divide(s, t, out=np.zeros(t.size), where=(t > 0) & (s > 0))
-            theta = np.where(fire[:, None] & uses[rows, :, j], theta * scale[:, None], theta)
+            rows = np.arange(amounts.shape[0])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # an over-full slot's total is positive: over a zero supply,
+                # its ratio is inf and its scale 0
+                j = np.where(mask, totals / supplies, 0.0).argmax(axis=1)
+                scale = (supplies / totals)[rows, j]
+                theta = np.where(fire[:, None] & (amounts[rows, :, j] > 0),
+                                 theta * scale[:, None], theta)
+            totals = (theta[:, :, None] * amounts).sum(axis=1)
         return theta
 
 

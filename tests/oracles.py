@@ -9,7 +9,10 @@ reference probes one path at a time, link by link, instead of each shared
 path prefix once; the reference loader steps junction by junction instead of
 all at once, and the
 reference projection loops over the O-D blocks one at a time instead of
-projecting the stacked blocks of a chunk together.  The monotonicity checks
+projecting the stacked blocks of a chunk together.  The lagged reads
+interpolate each step on its own instead of from the engine's precomputed
+read schedule, and the CSR incidence order comes from Python's stable sort
+instead of numpy's sort of keys made unique.  The monotonicity checks
 sample random pairs of profiles.
 """
 
@@ -178,6 +181,55 @@ def path_delays_by_path(res) -> np.ndarray:
     return out
 
 
+def interp_rowwise(curves: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Row e of `curves` at the fractional column pos[e], masked to zero before 0."""
+    p = np.clip(pos, 0.0, None)
+    fl = np.floor(p).astype(int)
+    fr = p - fl
+    idx = np.arange(curves.shape[0])
+    base = curves[idx, fl]
+    out = base + fr * (curves[idx, np.minimum(fl + 1, curves.shape[1] - 1)] - base)
+    out[pos < 0] = 0.0
+    return out
+
+
+def invert_index(values: np.ndarray, level: float) -> float:
+    """Fractional index at which the nondecreasing `values` reach `level`,
+    from the left searchsorted index capped at the last entry."""
+    idx = int(np.searchsorted(values, level, side="left"))
+    if idx <= 0:
+        return 0.0
+    idx = min(idx, values.size - 1)
+    lo, hi = values[idx - 1], values[idx]
+    return float(idx) if hi <= lo else idx - 1 + (level - lo) / (hi - lo)
+
+
+def csr_layout(engine):
+    """The engine's CSR incidence arrays, rebuilt with Python's stable sort.
+
+    The (path row, hop) incidences are sorted by link, then by the out-slot
+    of the path's next link plus one (0 where the path ends), ties in path
+    order.  Returns `link_of`, `pred` (into a step's flows: entries, then
+    exits per incidence, then releases per path), `last_inc`, `seg_start`
+    and `seg_bin` (per (link, out-slot) segment, its (approach, out-slot)
+    bin, or J*A*S for ending paths).
+    """
+    net, (J, A, S) = engine.net, engine.shape
+    slot = {lid: s for jn in net.junctions.values() for s, lid in enumerate(jn.outgoing)}
+    hops = [(engine.index_of[lid], slot[p.links[h + 1]] + 1 if h + 1 < len(p.links) else 0, r, h)
+            for r, p in enumerate(net.paths) for h, lid in enumerate(p.links)]
+    order = sorted(range(len(hops)), key=lambda i: hops[i][:2])
+    I = len(order)
+    col = {hops[i][2:]: c for c, i in enumerate(order)}
+    link_of = [hops[i][0] for i in order]
+    pred = [I + col[(r, h - 1)] if h else 2 * I + r for _e, _s, r, h in (hops[i] for i in order)]
+    last_inc = [col[(r, len(p.links) - 1)] for r, p in enumerate(net.paths)]
+    seg_start = [c for c in range(I) if c == 0 or hops[order[c]][:2] != hops[order[c - 1]][:2]]
+    seg_bin = [engine.link_app[e] * S + s - 1 if s else J * A * S
+               for e, s, _r, _h in (hops[order[c]] for c in seg_start)]
+    return tuple(np.array(x, dtype=int) for x in (link_of, pred, last_inc, seg_start, seg_bin))
+
+
 def reference_loading(engine, rates: np.ndarray):
     """Load `rates` junction by junction and approach by approach.
 
@@ -222,24 +274,6 @@ def reference_loading(engine, rates: np.ndarray):
     queue_slot = [junctions[q.node][0].index(q.link_idx) for q in engine.queues]
     queue_dst = [np.array([local_of[q.link_idx][r] for r in q.rows], dtype=int)
                  for q in engine.queues]
-
-    def interp_rowwise(curves, pos):
-        p = np.clip(pos, 0.0, None)
-        fl = np.floor(p).astype(int)
-        fr = p - fl
-        idx = np.arange(curves.shape[0])
-        base = curves[idx, fl]
-        out = base + fr * (curves[idx, np.minimum(fl + 1, curves.shape[1] - 1)] - base)
-        out[pos < 0] = 0.0
-        return out
-
-    def invert_index(values, level):
-        idx = int(np.searchsorted(values, level, side="left"))
-        if idx <= 0:
-            return 0.0
-        idx = min(idx, values.size - 1)
-        lo, hi = values[idx - 1], values[idx]
-        return float(idx) if hi <= lo else idx - 1 + (level - lo) / (hi - lo)
 
     def eval_paths(p_up_e, pos):
         fl = int(pos)

@@ -10,7 +10,8 @@ from due.network import Link, Network, PathDef, load_network_dir
 from due.operators import DNLDelayOperator
 from due.solvers import uniform_start
 from due.space import PathFlowProfile, TimeGrid, TripTable
-from oracles import junction_flows, path_delays_by_path, probe_link_exit, total_exited
+from oracles import (csr_layout, interp_rowwise, invert_index, junction_flows,
+                     path_delays_by_path, probe_link_exit, total_exited)
 
 # Line links default to 2 km at 60 km/h (w 20 km/h, kjam 160 veh/km): on this
 # grid one step is one free-flow time, L/w is three steps, and capacity is
@@ -128,7 +129,8 @@ def shared_prefix():
 def resolve_one(amounts, supplies):
     """`_Engine._resolve` on one junction: amounts (approach, out-slot)."""
     amounts, supplies = np.asarray(amounts, dtype=float), np.asarray(supplies, dtype=float)
-    return _Engine._resolve(amounts[None], supplies[None], np.array([supplies.size]))[0]
+    rounds = np.ones((supplies.size + 1, 1), dtype=bool)  # rounds 0..n_out
+    return _Engine._resolve(amounts[None], supplies[None], rounds)[0]
 
 
 def resolve_both(d, s, w):
@@ -307,7 +309,7 @@ class TestJunctionFlows:
         for j, (d, s, w) in enumerate(junctions):
             amounts[j, : d.size, : s.size] = d[:, None] * w[:, 1:]
             supplies[j, : s.size] = s
-        theta = _Engine._resolve(amounts, supplies, n_out)
+        theta = _Engine._resolve(amounts, supplies, np.arange(4)[:, None] <= n_out)
         for j, (d, s, w) in enumerate(junctions):
             alone = resolve_one(d[:, None] * w[:, 1:], s)
             np.testing.assert_allclose(theta[j, : d.size], alone, rtol=1e-12, atol=1e-12)
@@ -520,7 +522,8 @@ class TestRunDnl:
             q_paths[k] = 1e-12
         elif state == "recent_entry":
             n_up[0, :k] = 4.0
-        assert engine._drained(n_up, n_down, q_paths, k) == (state == "drained")
+        floor_at = engine._read_schedule()[0][k, :1]  # n_up[0, k - 1]
+        assert engine._drained(n_up, n_down, q_paths, k, floor_at) == (state == "drained")
 
     def test_invariants_on_loaded_network(self, nguyen):
         grid = TimeGrid(0.0, 2.0, 70)
@@ -691,6 +694,65 @@ class TestReferenceLoading:
             load(build_line_network(num_links=1), np.full(15, 1e-16 / DT))
         ((rates, res),) = loadings
         assert_matches_reference(res, rates)
+
+
+class TestEngineLayout:
+    """The engine's precomputed read schedule and CSR order against the oracles."""
+
+    @pytest.mark.parametrize("case", ["burst", "bottleneck", "spillback", "nguyen"])
+    def test_read_schedule_matches_rowwise_interpolation(self, case, nguyen):
+        # line links take three steps of L/w, so the first receiving reads
+        # fall before column 0 and must read +0.0, as the oracle's mask does
+        if case == "nguyen":
+            net, grid = scaled(nguyen, 1.5), TimeGrid(0.0, 2.0, 70)
+            res = run_dnl(uniform_profile(net, grid), net, grid, buffer=2.5)
+        else:
+            res = {"burst": lambda: burst(tail_rate=600.0), "bottleneck": lambda: bottleneck()[1],
+                   "spillback": lambda: spillback()[1]}[case]()
+        eng = res.engine
+        E = len(eng.link_ids)
+        floor_at, next_at, frac, now_at = eng._read_schedule()
+        stacked = np.vstack((res.n_up, res.n_down))
+        before_start = 0
+        for k in range(eng.steps):
+            base = stacked.take(floor_at[k])
+            reads = base + frac[k] * (stacked.take(next_at[k]) - base)
+            pos = np.r_[k + 1 - eng.lag_v, k + 1 - eng.lag_w]
+            expected = np.r_[interp_rowwise(res.n_up, pos[:E]), interp_rowwise(res.n_down, pos[E:])]
+            np.testing.assert_array_equal(reads.view(np.int64), expected.view(np.int64))
+            assert np.all(reads[pos < 0].view(np.int64) == 0)
+            np.testing.assert_array_equal(stacked.take(now_at[k]),
+                                          np.r_[res.n_down[:, k], res.n_up[:, k]])
+            before_start += np.count_nonzero(pos < 0)
+        assert before_start > 0
+
+    def test_entries_between_inverts_as_searchsorted(self):
+        # levels below the first entry, on flat stretches, between entries,
+        # at the last entry and above it (past the last column, as the
+        # searchsorted index capped at the last entry gives)
+        engine = _Engine(build_line_network(num_links=1), GRID, 0.5)
+        hist = np.array([[0.0, 1.0, 3.0, 4.0, 4.0, 6.0]])
+        curves = np.zeros((engine.steps + 1, 2))  # one incidence, one origin queue
+        curves[:, 0] = np.arange(engine.steps + 1) ** 1.5
+        entries = curves[:, 0]
+
+        def read(pos):
+            fl = int(pos)
+            return entries[fl] + (pos - fl) * (entries[fl + 1] - entries[fl])
+
+        for hi, lo in [(0.5, 0.0), (3.5, 1.0), (4.0, 3.0), (5.0, 4.0), (6.0, 0.0), (6.5, 2.0),
+                       (7.0, 6.25)]:
+            got = engine._entries_between(curves, hist, np.array([[hi], [lo]]))
+            want = max(read(invert_index(hist[0], hi)) - read(invert_index(hist[0], lo)), 0.0)
+            assert got.tolist() == [want], (hi, lo)
+
+    @pytest.mark.parametrize("instance", ["nguyen", "siouxfalls"])
+    def test_csr_order_matches_stable_sort(self, instance, nguyen_dir, siouxfalls_dir):
+        net = load_network_dir(nguyen_dir if instance == "nguyen" else siouxfalls_dir)
+        eng = _Engine(net, TimeGrid(0.0, 2.0, 100 if instance == "siouxfalls" else 70), None)
+        expected = csr_layout(eng)
+        for name, want in zip(("link_of", "pred", "last_inc", "seg_start", "seg_bin"), expected):
+            np.testing.assert_array_equal(getattr(eng, name), want, err_msg=name)
 
 
 class TestEffectiveDelay:

@@ -5,8 +5,9 @@ links, which make merges, diverges, parallel links and links shared by
 several paths.  Every link meets the wave-speed condition on the grid, and
 1 to 4 O-D pairs load up to three of their paths with demands from free flow
 to spillback.  The engine is compared with the junction-by-junction reference
-loader and checked for its invariants, and its early exit once the network
-has drained with stepping the full horizon.
+loader and checked for its invariants, its early exit once the network has
+drained with stepping the full horizon, and its CSR incidence order with a
+stable sort.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from due.errors import UnfinishedTripError
 from due.loading import _Engine
 from due.network import Link, Network, PathDef
 from due.space import TimeGrid, TripTable
-from oracles import path_delays_by_path, total_exited
+from oracles import csr_layout, path_delays_by_path, total_exited
 
 GRID = TimeGrid(0.0, 0.5, 15)
 DT = GRID.dt
@@ -163,3 +164,13 @@ def test_drain_exit_matches_full_horizon(case, buffer_factor):
         assert (info.value.path_id, info.value.interval) == (exc.path_id, exc.interval)
         return
     np.testing.assert_array_equal(bits(delays), bits(full.path_delays()))
+
+
+@RANDOM_NETWORKS
+@given(random_loadings())
+def test_csr_order_matches_stable_sort(case):
+    net, _rates, _free = case
+    engine = _Engine(net, GRID, None)
+    for name, want in zip(("link_of", "pred", "last_inc", "seg_start", "seg_bin"),
+                          csr_layout(engine)):
+        np.testing.assert_array_equal(getattr(engine, name), want, err_msg=name)
