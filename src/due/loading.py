@@ -220,15 +220,13 @@ class _Engine:
     # -- stepping ----------------------------------------------------------
 
     def run(self, rates: np.ndarray, validate: bool = False) -> "LoadingResult":
+        """Load (path, interval) departure rates that are finite and
+        nonnegative: a validated profile's rates, clamped or checked."""
         if rates.shape != (self.num_paths, self.grid.num_intervals):
             raise ValidationError(
                 f"rate matrix shape {rates.shape} does not match "
                 f"({self.num_paths}, {self.grid.num_intervals})"
             )
-        if not np.all(np.isfinite(rates)):
-            raise ValidationError("departure rates contain non-finite values")
-        if np.any(rates < 0):
-            raise ValidationError("departure rates must be nonnegative for loading")
 
         E = len(self.link_ids)
         T = self.steps
@@ -545,8 +543,10 @@ def run_dnl(
     grid = grid or h.grid
     if grid != h.grid:
         raise ValidationError("profile grid differs from the loading grid")
+    if np.any(h.rates < 0):
+        raise ValidationError("departure rates must be nonnegative for loading")
     engine = _Engine(net, grid, buffer)
-    return engine.run(np.asarray(h.rates, dtype=float), validate=validate)
+    return engine.run(h.rates, validate=validate)
 
 
 def effective_delay(

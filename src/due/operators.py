@@ -33,7 +33,6 @@ __all__ = [
     "dnl_operator",
     "affine_operator",
     "scaled_pseudo_monotone",
-    "power_iteration_norm",
 ]
 
 
@@ -131,29 +130,6 @@ class SyntheticVI:
         return r
 
 
-def power_iteration_norm(m: np.ndarray, iters: int = 5000, tol: float = 1e-14) -> float:
-    """Spectral norm of m via power iteration on m^T m."""
-    m = np.asarray(m, dtype=float)
-    gram = m.T @ m
-    n = gram.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    v[0] += 1e-3  # break symmetry against adversarial starts
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v_next = w / nw
-        lam_next = float(v_next @ gram @ v_next)
-        if abs(lam_next - lam) <= tol * max(1.0, lam_next):
-            lam = lam_next
-            break
-        v, lam = v_next, lam_next
-    return float(np.sqrt(max(lam, 0.0)))
-
-
 def _default_simplex_setup(n: int, total: float = 2.0):
     grid = TimeGrid(0.0, 1.0, 1)
     trips = TripTable({"w": total}, {"w": 1.0})
@@ -186,7 +162,7 @@ def affine_operator(
         x = h.rates.ravel()
         return (m @ x + q).reshape(-1, cols)
 
-    lip = power_iteration_norm(m)
+    lip = float(np.linalg.norm(m, 2))
     op = _CallableOperator(apply, lipschitz=lip)
     sol = None
     if solution is not None:

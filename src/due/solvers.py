@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -36,7 +37,6 @@ from .space import ODLayout, PathFlowProfile, TripTable, norm, project_feasible
 __all__ = [
     "ScheduleSpec",
     "parse_schedule",
-    "eval_schedule",
     "SolverConfig",
     "run_fb",
     "run_fbf",
@@ -47,7 +47,17 @@ __all__ = [
 
 _SCHEDULE_RE = re.compile(r"^\s*([a-z_]+)\s*\(([^)]*)\)\s*$")
 
-_FAMILIES = {"pow": 3, "affine_pow": 4, "rational": 3, "const": 1}
+# One row per family: its number of arguments, its value at index n, and its
+# tail (c0, c1, p), where the value tends to c0 + c1*n^p.
+_Family = namedtuple("_Family", "arity value tail")
+_FAMILIES = {
+    "pow": _Family(3, lambda n, a, b, c: c * (a + n) ** b, lambda a, b, c: (0.0, c, b)),
+    "affine_pow": _Family(4, lambda n, c0, c1, a, b: c0 + c1 * (a + n) ** b,
+                          lambda c0, c1, a, b: (c0, c1, b)),
+    "rational": _Family(3, lambda n, a, b, c: a / (b * n + c),
+                        lambda a, b, c: (0.0, a / b, -1.0) if b != 0 else (a / c, 0.0, 0.0)),
+    "const": _Family(1, lambda n, c: c, lambda c: (c, 0.0, 0.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -65,52 +75,24 @@ class ScheduleSpec:
     offset: int = 0
 
     def raw(self, n: int) -> float:
-        p = self.params
-        if self.family == "pow":
-            return p[2] * (p[0] + n) ** p[1]
-        if self.family == "affine_pow":
-            return p[0] + p[1] * (p[2] + n) ** p[3]
-        if self.family == "rational":
-            return p[0] / (p[1] * n + p[2])
-        return p[0]
+        return _FAMILIES[self.family].value(n, *self.params)
 
     def value(self, n: int) -> float:
         return self.raw(n + self.offset)
 
     def limit(self) -> float:
-        p = self.params
-        if self.family == "pow":
-            return 0.0 if p[1] < 0 else (p[2] if p[1] == 0 else math.inf * np.sign(p[2]))
-        if self.family == "affine_pow":
-            tail = 0.0 if p[3] < 0 else (p[1] if p[3] == 0 else math.inf * np.sign(p[1]))
-            return p[0] + tail
-        if self.family == "rational":
-            return 0.0 if p[1] != 0 else p[0] / p[2]
-        return p[0]
+        c0, c1, p = _FAMILIES[self.family].tail(*self.params)
+        return c0 + (0.0 if p < 0 else (c1 if p == 0 else math.inf * np.sign(c1)))
 
     def sum_diverges(self) -> bool:
         """Whether the series of values diverges (polynomial-rate reasoning)."""
-        p = self.params
-        if self.family == "pow":
-            return p[2] != 0 and p[1] >= -1
-        if self.family == "affine_pow":
-            if p[0] != 0:
-                return True
-            return p[1] != 0 and p[3] >= -1
-        if self.family == "rational":
-            return p[0] != 0
-        return p[0] != 0
+        c0, c1, p = _FAMILIES[self.family].tail(*self.params)
+        return c0 != 0 or (c1 != 0 and p >= -1)
 
     def decay_exponent(self) -> float:
         """r such that value ~ n^-r for large n (0 for non-vanishing)."""
-        p = self.params
-        if self.family == "pow":
-            return -p[1]
-        if self.family == "affine_pow":
-            return -p[3] if p[0] == 0 else 0.0
-        if self.family == "rational":
-            return 1.0 if p[1] != 0 else 0.0
-        return 0.0
+        c0, _, p = _FAMILIES[self.family].tail(*self.params)
+        return -p if c0 == 0 else 0.0
 
     def __str__(self) -> str:
         inside = ", ".join(repr(v) for v in self.params)
@@ -121,8 +103,12 @@ class ScheduleSpec:
 
 
 def parse_schedule(text) -> ScheduleSpec:
+    """A schedule from family(args) text, a number or a spec; malformed text
+    is a ConfigurationError and a boolean a TypeError."""
     if isinstance(text, ScheduleSpec):
         return text
+    if isinstance(text, bool):
+        raise TypeError(f"a schedule must be family(args) or a number, not {text!r}")
     if isinstance(text, (int, float)):
         return ScheduleSpec("const", (float(text),))
     m = _SCHEDULE_RE.match(text)
@@ -139,22 +125,16 @@ def parse_schedule(text) -> ScheduleSpec:
             f"unknown schedule family {family!r} at position {m.start(1)} in {text!r}"
         )
     parts = [a.strip() for a in arg_text.split(",")] if arg_text.strip() else []
-    if len(parts) != _FAMILIES[family]:
+    arity = _FAMILIES[family].arity
+    if len(parts) != arity:
         raise ConfigurationError(
-            f"schedule {family!r} takes {_FAMILIES[family]} arguments, got {len(parts)} in {text!r}"
+            f"schedule {family!r} takes {arity} arguments, got {len(parts)} in {text!r}"
         )
     try:
         params = tuple(float(a) for a in parts)
     except ValueError as exc:
         raise ConfigurationError(f"bad schedule argument in {text!r}: {exc}") from None
     return ScheduleSpec(family, params)
-
-
-def eval_schedule(spec, n: int) -> float:
-    """Exact value of the schedule family at index n (no offset applied)."""
-    if n < 0:
-        raise ConfigurationError(f"schedule index must be nonnegative, got {n}")
-    return parse_schedule(spec).raw(n)
 
 
 @dataclass
@@ -214,49 +194,34 @@ def _with_offset(spec: ScheduleSpec, check, horizon: int, what: str) -> Schedule
     )
 
 
-def _validate_fbf_schedules(config: SolverConfig) -> tuple[ScheduleSpec, ScheduleSpec, list[str]]:
-    if config.alpha_schedule is None or config.beta_schedule is None:
-        raise ConfigurationError("fbf needs alpha_schedule and beta_schedule")
-    alpha_s = parse_schedule(config.alpha_schedule)
-    beta_s = parse_schedule(config.beta_schedule)
+def _check_anchor_schedules(config: SolverConfig, anchor: str, second: str, what: str,
+                            admissible, outpaces_anchor: bool
+                            ) -> tuple[ScheduleSpec, ScheduleSpec, list[str]]:
+    """Anchor weights in (0, 1) and a second schedule whose values v keep
+    `admissible(v, anchor value)`, read from the config's `<name>_schedule`
+    fields and each started at its smallest valid index offset, plus the
+    header notes on what they leave unguaranteed; if `outpaces_anchor`, the
+    second schedule should vanish faster than the anchor weights."""
+    specs = getattr(config, f"{anchor}_schedule"), getattr(config, f"{second}_schedule")
+    if None in specs:
+        raise ConfigurationError(
+            f"{config.algorithm} needs {anchor}_schedule and {second}_schedule")
+    anchor_s, second_s = (parse_schedule(spec) for spec in specs)
     horizon = config.max_iterations
-    alpha_s = _with_offset(alpha_s, lambda v, n: 0 < v < 1, horizon, "anchor weight")
-    beta_s = _with_offset(beta_s, lambda v, n: 0 < v < 1 - alpha_s.value(n), horizon,
-                          "relaxation")
+    anchor_s = _with_offset(anchor_s, lambda v, n: 0 < v < 1, horizon, "anchor weight")
+    second_s = _with_offset(second_s, lambda v, n: admissible(v, anchor_s.value(n)), horizon,
+                            what)
     notes = []
-    if alpha_s.limit() != 0.0:
-        notes.append(f"anchor weights {alpha_s} do not vanish; strong convergence not guaranteed")
-    if not alpha_s.sum_diverges():
-        notes.append(f"anchor weights {alpha_s} are summable; strong convergence not guaranteed")
-    if alpha_s.offset or beta_s.offset:
-        notes.append(
-            f"schedules start at shifted indices (alpha {alpha_s.offset}, beta {beta_s.offset})"
-        )
-    return alpha_s, beta_s, notes
-
-
-def _validate_ifbf_schedules(config: SolverConfig) -> tuple[ScheduleSpec, ScheduleSpec, list[str]]:
-    if config.beta_schedule is None or config.eps_schedule is None:
-        raise ConfigurationError("ifbf needs beta_schedule and eps_schedule")
-    beta_s = parse_schedule(config.beta_schedule)
-    eps_s = parse_schedule(config.eps_schedule)
-    horizon = config.max_iterations
-    beta_s = _with_offset(beta_s, lambda v, n: 0 < v < 1, horizon, "anchor weight")
-    eps_s = _with_offset(eps_s, lambda v, n: v > 0, horizon, "inertia budget")
-    notes = []
-    if beta_s.limit() != 0.0:
-        notes.append(f"anchor weights {beta_s} do not vanish; strong convergence not guaranteed")
-    if not beta_s.sum_diverges():
-        notes.append(f"anchor weights {beta_s} are summable; strong convergence not guaranteed")
-    if eps_s.decay_exponent() <= beta_s.decay_exponent():
-        notes.append(
-            f"inertia budget {eps_s} does not vanish faster than anchor weights {beta_s}"
-        )
-    if beta_s.offset or eps_s.offset:
-        notes.append(
-            f"schedules start at shifted indices (beta {beta_s.offset}, eps {eps_s.offset})"
-        )
-    return beta_s, eps_s, notes
+    if anchor_s.limit() != 0.0:
+        notes.append(f"anchor weights {anchor_s} do not vanish; strong convergence not guaranteed")
+    if not anchor_s.sum_diverges():
+        notes.append(f"anchor weights {anchor_s} are summable; strong convergence not guaranteed")
+    if outpaces_anchor and second_s.decay_exponent() <= anchor_s.decay_exponent():
+        notes.append(f"{what} {second_s} does not vanish faster than anchor weights {anchor_s}")
+    if anchor_s.offset or second_s.offset:
+        notes.append(f"schedules start at shifted indices "
+                     f"({anchor} {anchor_s.offset}, {second} {second_s.offset})")
+    return anchor_s, second_s, notes
 
 
 def _base_header(config: SolverConfig, op: DelayOperator, notes: list[str]) -> dict:
@@ -336,7 +301,8 @@ def run_fbf(
     paths_by_od: Mapping[str, np.ndarray],
 ) -> tuple[PathFlowProfile, ConvergenceLog]:
     """Anchored forward-backward-forward; two operator calls per iteration."""
-    alpha_s, beta_s, notes = _validate_fbf_schedules(config)
+    alpha_s, beta_s, notes = _check_anchor_schedules(
+        config, "alpha", "beta", "relaxation", lambda v, a: 0 < v < 1 - a, outpaces_anchor=False)
     log = ConvergenceLog("fbf", header=_base_header(config, op, notes))
     grid, dt = h0.grid, h0.grid.dt
     layout = ODLayout.build(trips, paths_by_od, grid)
@@ -371,7 +337,8 @@ def run_ifbf(
     paths_by_od: Mapping[str, np.ndarray],
 ) -> tuple[PathFlowProfile, ConvergenceLog]:
     """Inertial forward-backward-forward; two operator calls per iteration."""
-    beta_s, eps_s, notes = _validate_ifbf_schedules(config)
+    beta_s, eps_s, notes = _check_anchor_schedules(
+        config, "beta", "eps", "inertia budget", lambda v, a: v > 0, outpaces_anchor=True)
     log = ConvergenceLog("ifbf", header=_base_header(config, op, notes))
     grid, dt = h0.grid, h0.grid.dt
     layout = ODLayout.build(trips, paths_by_od, grid)

@@ -66,7 +66,9 @@ class TimeGrid:
 
 
 def _frozen_matrix(values, grid: TimeGrid, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    """A read-only view of `values` as a float matrix, checked once.  A float
+    array is shared, not copied, and its own flags are left as they are."""
+    arr = np.asarray(values, dtype=float).view()
     if arr.ndim != 2:
         raise ValidationError(f"{what} must be a (paths, intervals) matrix, got ndim={arr.ndim}")
     if arr.shape[1] != grid.num_intervals:

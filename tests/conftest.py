@@ -5,6 +5,7 @@ import pytest
 
 from due.errors import UnfinishedTripError
 from due.network import Link, Network, PathDef, load_network_dir
+from due.solvers import uniform_start
 from due.space import TimeGrid, TripTable
 from oracles import reference_loading
 
@@ -49,15 +50,8 @@ def line_network() -> Network:
 
 
 def uniform_profile(net: Network, grid: TimeGrid):
-    """Feasible start: per O-D demand split evenly over paths and intervals."""
-    from due.space import PathFlowProfile
-
-    rates = np.zeros((net.num_paths, grid.num_intervals))
-    horizon = grid.t1 - grid.t0
-    by_od = net.path_rows_by_od()
-    for od, rows in by_od.items():
-        rates[rows, :] = net.trips.demands[od] / (len(rows) * horizon)
-    return PathFlowProfile(grid, rates)
+    """The uniform start that `due run` loads first."""
+    return uniform_start(grid, net.trips, net.path_rows_by_od())
 
 
 def assert_matches_reference(res, rates):

@@ -166,12 +166,14 @@ class TestRun:
         (lambda raw: raw["solver"].update(mu="0.5"), "solver:mu"),
         (lambda raw: raw["solver"].update(alpha=True), "solver:alpha"),
         (lambda raw: raw["solver"].update({"lambda": float("-inf")}), "solver:lambda"),
+        (lambda raw: raw["solver"].update(eps_n=True), "solver:eps_n"),
+        (lambda raw: raw["solver"].update(beta_n=False), "solver:beta_n"),
     ], ids=["int", "float", "section", "null", "top_level", "schedule", "flag",
             "fraction_intervals", "fraction_iterations", "bool_iterations",
             "dt_zero", "dt_negative", "dt_inf", "dt_nan",
             "t1_inf", "t0_bool", "tolerance_nan", "tolerance_negative",
             "buffer_negative", "gamma_bool", "gamma_negative", "tau0_string", "tau_inf",
-            "mu_string", "alpha_bool", "lambda_inf"])
+            "mu_string", "alpha_bool", "lambda_inf", "eps_bool", "beta_bool"])
     def test_wrongly_typed_value_is_config_error(self, tmp_path, instance_dir, capsys,
                                                  edit, named):
         cfg_path = line_config(tmp_path, instance_dir)

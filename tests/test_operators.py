@@ -3,27 +3,13 @@ import pytest
 
 from conftest import uniform_profile
 from due.errors import ValidationError
-from due.operators import (affine_operator, dnl_operator, power_iteration_norm,
-                           scaled_pseudo_monotone)
+from due.operators import affine_operator, dnl_operator, scaled_pseudo_monotone
 from due.space import PathFlowProfile, TimeGrid, norm, residual_norm
 from oracles import monotonicity_violation_witness, pseudo_monotone_audit
 
 
 def cocoercive_instance():
     return affine_operator(np.eye(2), np.array([-1.0, -1.0]), solution=np.array([1.0, 1.0]))
-
-
-class TestPowerIteration:
-    def test_identity(self):
-        assert power_iteration_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-10)
-
-    def test_matches_svd_on_random(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            m = rng.normal(size=(5, 5))
-            assert power_iteration_norm(m) == pytest.approx(
-                np.linalg.norm(m, 2), rel=1e-8
-            )
 
 
 class TestAffineOperator:

@@ -1,14 +1,17 @@
+import json
 import math
+import runpy
 
 import numpy as np
 import pytest
 
+from conftest import REPO_ROOT
+from due.cli import RunConfig
 from due.errors import ConfigurationError, UnfinishedTripError, ValidationError
 from due.operators import DelayOperator, affine_operator, scaled_pseudo_monotone
 from due.solvers import (
     ScheduleSpec,
     SolverConfig,
-    eval_schedule,
     parse_schedule,
     run_fb,
     run_fbf,
@@ -35,20 +38,53 @@ FBF_TEST = dict(alpha_schedule="pow(9, -1, 1)", beta_schedule="const(0.7)")
 IFBF_TEST = dict(beta_schedule="pow(9, -1, 1)", eps_schedule="pow(1, -2, 0.1)")
 
 
+# text, value at n (the family's own formula, so compared bitwise), limit,
+# whether the series diverges, decay exponent r (value ~ n^-r)
+FAMILY_ROWS = [
+    ("pow(1, -0.9, 1)", lambda n: 1.0 * (1.0 + n) ** -0.9, 0.0, True, 0.9),
+    ("pow(10, -2, 1)", lambda n: 1.0 * (10.0 + n) ** -2.0, 0.0, False, 2.0),
+    ("pow(1, -1, 0)", lambda n: 0.0 * (1.0 + n) ** -1.0, 0.0, False, 1.0),
+    ("pow(2, 0.5, -3)", lambda n: -3.0 * (2.0 + n) ** 0.5, -math.inf, True, -0.5),
+    ("pow(3, 0, 2.5)", lambda n: 2.5 * (3.0 + n) ** 0.0, 2.5, True, 0.0),
+    ("affine_pow(0.7, -0.7, 1, -0.7)", lambda n: 0.7 + -0.7 * (1.0 + n) ** -0.7,
+     0.7, True, 0.0),
+    ("affine_pow(1, 2, 0, 0)", lambda n: 1.0 + 2.0 * (0.0 + n) ** 0.0, 3.0, True, 0.0),
+    ("affine_pow(0.5, -1, 1, 2)", lambda n: 0.5 + -1.0 * (1.0 + n) ** 2.0,
+     -math.inf, True, 0.0),
+    ("affine_pow(0, 2, 1, -1.5)", lambda n: 0.0 + 2.0 * (1.0 + n) ** -1.5, 0.0, False, 1.5),
+    ("affine_pow(0, 2, 1, -1)", lambda n: 0.0 + 2.0 * (1.0 + n) ** -1.0, 0.0, True, 1.0),
+    ("rational(10, 10, 1)", lambda n: 10.0 / (10.0 * n + 1.0), 0.0, True, 1.0),
+    ("rational(0, 2, 1)", lambda n: 0.0 / (2.0 * n + 1.0), 0.0, False, 1.0),
+    ("rational(4, 0, 8)", lambda n: 4.0 / (0.0 * n + 8.0), 0.5, True, 0.0),
+    ("const(0.25)", lambda n: 0.25, 0.25, True, 0.0),
+    ("const(0)", lambda n: 0.0, 0.0, False, 0.0),
+]
+
+
 class TestSchedules:
     def test_table_families_at_zero(self):
-        assert eval_schedule("pow(1, -0.9, 1)", 0) == pytest.approx(1.0)
-        assert eval_schedule("pow(10, -2, 1)", 0) == pytest.approx(0.01)
-        assert eval_schedule("rational(10, 10, 1)", 1) == pytest.approx(10.0 / 11.0)
+        assert parse_schedule("pow(1, -0.9, 1)").raw(0) == pytest.approx(1.0)
+        assert parse_schedule("pow(10, -2, 1)").raw(0) == pytest.approx(0.01)
+        assert parse_schedule("rational(10, 10, 1)").raw(1) == pytest.approx(10.0 / 11.0)
         # 0.7 - 0.7 (1+n)^-0.7 at n = 0
-        assert eval_schedule("affine_pow(0.7, -0.7, 1, -0.7)", 0) == pytest.approx(0.0)
+        assert parse_schedule("affine_pow(0.7, -0.7, 1, -0.7)").raw(0) == pytest.approx(0.0)
         # (2/(1+n))^5 = 32 (1+n)^-5
-        assert eval_schedule("pow(1, -5, 32)", 0) == pytest.approx(32.0)
-        assert eval_schedule("pow(1, -5, 32)", 1) == pytest.approx(1.0)
+        assert parse_schedule("pow(1, -5, 32)").raw(0) == pytest.approx(32.0)
+        assert parse_schedule("pow(1, -5, 32)").raw(1) == pytest.approx(1.0)
 
     def test_bare_number_is_constant(self):
-        assert eval_schedule("0.25", 17) == 0.25
-        assert eval_schedule(0.25, 3) == 0.25
+        assert parse_schedule("0.25").raw(17) == 0.25
+        assert parse_schedule(0.25).raw(3) == 0.25
+
+    @pytest.mark.parametrize("text, value, limit, diverges, decay", FAMILY_ROWS,
+                             ids=[row[0].replace(" ", "") for row in FAMILY_ROWS])
+    def test_family_table(self, text, value, limit, diverges, decay):
+        s = parse_schedule(text)
+        for n in (0, 1, 2, 7, 100):
+            assert s.raw(n) == value(n), n
+        assert s.limit() == limit
+        assert s.sum_diverges() is diverges
+        assert s.decay_exponent() == decay
 
     def test_parse_error_with_position(self):
         with pytest.raises(ConfigurationError, match="unknown schedule family"):
@@ -57,6 +93,9 @@ class TestSchedules:
             parse_schedule("pow(1, 2)")
         with pytest.raises(ConfigurationError, match="cannot parse"):
             parse_schedule("not a schedule")
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="not " + repr(flag)):
+                parse_schedule(flag)
 
     def test_symbolic_family_properties(self):
         s = parse_schedule("pow(1, -0.9, 1)")
@@ -72,12 +111,13 @@ class TestSchedules:
 
     def test_out_of_range_families_auto_shift(self):
         # anchor families whose first term is >= 1 start one index later
-        from due.solvers import _validate_ifbf_schedules
+        from due.solvers import _check_anchor_schedules
 
         cfg = SolverConfig(algorithm="ifbf", max_iterations=50, tau0=1.0,
                            beta_schedule="rational(10, 10, 1)",
                            eps_schedule="pow(0.1, -1.1, 1)")
-        beta_s, eps_s, notes = _validate_ifbf_schedules(cfg)
+        beta_s, eps_s, notes = _check_anchor_schedules(
+            cfg, "beta", "eps", "inertia budget", lambda v, a: v > 0, outpaces_anchor=True)
         assert beta_s.offset == 1
         assert beta_s.value(0) == pytest.approx(10.0 / 11.0)
         assert eps_s.offset == 0
@@ -302,6 +342,62 @@ class TestSolveDispatch:
         h0 = uniform_start(vi.grid, vi.trips, vi.paths_by_od)
         proj = project_feasible(h0.rates, vi.layout)
         assert norm(h0.rates - proj, vi.grid.dt) <= 1e-12
+
+
+REGULARITY = ("operator regularity (Lipschitz continuity, pseudo-monotonicity) is assumed, "
+              "not verified at runtime")
+SUMMABLE = "anchor weights pow(10.0, -2.0, 1.0) are summable; strong convergence not guaranteed"
+
+
+def header_notes(cfg):
+    vi = cocoercive_instance()
+    _, log = solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+    return log.header["notes"]
+
+
+class TestHeaderNotes:
+    # each config keeps its max_iterations: the index-offset search runs to it
+    @pytest.mark.parametrize("source, notes", [
+        ("nguyen_fb.json", [REGULARITY]),
+        ("nguyen_fbf.json", ["schedules start at shifted indices (alpha 1, beta 1)", REGULARITY]),
+        ("nguyen_ifbf.json", [SUMMABLE, REGULARITY]),
+        ("nguyen_ifbf_dt120s.json", [SUMMABLE, REGULARITY]),
+        ("siouxfalls_ifbf.json", ["schedules start at shifted indices (beta 1, eps 0)",
+                                  REGULARITY]),
+        ("duebench/inputs.py", [SUMMABLE, REGULARITY]),
+    ], ids=["nguyen_fb", "nguyen_fbf", "nguyen_ifbf", "nguyen_ifbf_dt120s", "siouxfalls_ifbf",
+            "vi_solver"])
+    def test_shipped_solver_sections(self, source, notes):
+        if source.endswith(".json"):
+            section = json.loads((REPO_ROOT / "configs" / source).read_text())["solver"]
+        else:
+            section = runpy.run_path(str(REPO_ROOT / source))["VI_SOLVER"]
+        raw = {"network_dir": ".", "grid": {"t1": 1.0, "num_intervals": 1},
+               "solver": section, "output_dir": "."}
+        assert header_notes(RunConfig.from_dict(raw).solver) == notes
+
+    @pytest.mark.parametrize("schedules, notes", [
+        (dict(algorithm="fbf", alpha_schedule="const(0.2)", beta_schedule="rational(10, 10, 1)"),
+         ["anchor weights const(0.2) do not vanish; strong convergence not guaranteed",
+          "schedules start at shifted indices (alpha 0, beta 2)"]),
+        (dict(algorithm="fbf", alpha_schedule="pow(10, -2, 1)", beta_schedule="const(0.7)"),
+         [SUMMABLE]),
+        (dict(algorithm="ifbf", beta_schedule="affine_pow(0.5, 1, 1, -1)",
+              eps_schedule="const(0.1)"), [
+            "anchor weights affine_pow(0.5, 1.0, 1.0, -1.0) [index offset 2] do not vanish; "
+            "strong convergence not guaranteed",
+            "inertia budget const(0.1) does not vanish faster than anchor weights "
+            "affine_pow(0.5, 1.0, 1.0, -1.0) [index offset 2]",
+            "schedules start at shifted indices (beta 2, eps 0)"]),
+        (dict(algorithm="ifbf", beta_schedule="pow(10, -2, 1)", eps_schedule="pow(1, -1, 1)"), [
+            SUMMABLE,
+            "inertia budget pow(1.0, -1.0, 1.0) does not vanish faster than anchor weights "
+            "pow(10.0, -2.0, 1.0)"]),
+    ], ids=["fbf_no_vanish_shift", "fbf_summable", "ifbf_no_vanish_decay_shift",
+            "ifbf_summable_decay"])
+    def test_every_note_in_order(self, schedules, notes):
+        cfg = SolverConfig(max_iterations=20, tau0=1.0, **schedules)
+        assert header_notes(cfg) == notes + [REGULARITY]
 
 
 class TestBoundaryValidation:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from due import space
 from due.errors import ConfigurationError, ValidationError
 from due.space import (
+    DelayProfile,
     ODLayout,
     PathFlowProfile,
     TimeGrid,
@@ -311,3 +312,24 @@ class TestProfileArithmetic:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             make_profile([[np.nan]])
+
+    def test_wraps_without_copy_or_freezing_the_caller(self):
+        rates = np.array([[1.0, 2.0], [3.0, 4.0]])
+        f = PathFlowProfile(TimeGrid(0.0, 1.0, 2), rates)
+        d = DelayProfile(f.grid, rates)
+        assert rates.flags.writeable
+        for record in (f.rates, d.delays):
+            assert not record.flags.writeable
+            assert np.shares_memory(record, rates)
+        rates[0, 0] = 5.0
+        assert rates[0, 0] == 5.0
+
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros(3), "ndim=1"),
+        (np.zeros((2, 3)), "3 columns"),
+        (np.array([[0.0, np.inf]]), "non-finite"),
+    ], ids=["ndim", "shape", "finite"])
+    def test_checks_kept(self, values, message):
+        with pytest.raises(ValidationError, match=message):
+            PathFlowProfile(TimeGrid(0.0, 1.0, 2), values)
+        assert values.flags.writeable
