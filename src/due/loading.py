@@ -44,6 +44,14 @@ DEFAULT_BUFFER_FACTOR = 2.0
 # loading engine
 
 
+def _first_at(hist: np.ndarray, levels: np.ndarray, start: int) -> np.ndarray:
+    """Per row of the nondecreasing `hist` and level, the first column from
+    `start` on where the row reaches the level; the last column if none."""
+    above = hist[:, start:] >= levels[..., None]
+    above[..., -1] = True
+    return above.argmax(axis=-1) + start
+
+
 class _QueueSpec:
     __slots__ = ("node", "link_idx", "rows")
 
@@ -242,10 +250,11 @@ class _Engine:
 
         counts = np.zeros((2 * E, T + 1))  # the boundary curves, n_up on n_down
         n_up, n_down = counts[:E], counts[E:]
-        # time-major per-path curves: entries per incidence, then the origin
-        # queue content per path; each step writes one row
-        curves = np.zeros((T + 1, I + P))
-        p_up, q_paths = curves[:, :I], curves[:, I:]
+        # time-major per-path curves from step `start` on: entries per incidence,
+        # then the origin queue content per path; rows not yet written are zero
+        window = np.zeros((self._window_rows(), I + P))
+        p_up, q_paths = window[:, :I], window[:, I:]
+        start = 0
         # per-queue arrivals and releases by step, summed into curves at the end
         q_steps = np.zeros((2 * Q, T + 1))
         no_arrivals = np.zeros(P)
@@ -268,12 +277,15 @@ class _Engine:
 
         drained = None
         for k in range(T):
-            if k >= K and self._drained(n_up, n_down, q_paths, k, floor_at[k, :E]):
+            if k >= K and self._drained(n_up, n_down, q_paths[k - start], k, floor_at[k, :E]):
                 # every later step would copy column k: copy it and stop
                 counts[:, k + 1:] = counts[:, k:k + 1]
-                curves[k + 1:] = curves[k]
                 drained = k
                 break
+            if k + 1 - start == len(window):
+                start, window = self._compact(window, start, k, n_up, levels[1:].min(axis=0))
+                p_up, q_paths = window[:, :I], window[:, I:]
+            r = k - start  # the row of step k
             # sending and receiving flows, integrated over the step (vehicles):
             # the lagged reads, less column k of the opposite curve
             base = counts.take(floor_at[k])
@@ -290,8 +302,9 @@ class _Engine:
             # than 1e-15 reads an empty interval
             np.minimum(lo + sending, up, out=hi)
             np.copyto(hi, lo, where=sending <= 1e-15)
-            comp = self._entries_between(curves, n_up[:, : k + 1], levels[:2])
-            total = self._per_link(comp)
+            comp = self._entries_between(window, start, n_up[:, : k + 1], levels[:2])
+            total = np.zeros(E)  # per link
+            total[self.link_used] = np.add.reduceat(comp, self.link_start)
             fix = (total > 0) & (np.abs(total - sending) > 1e-9 * np.maximum(1.0, sending))
             if fix.any():
                 comp *= np.repeat(np.divide(sending, total, out=np.ones(E), where=fix),
@@ -301,11 +314,11 @@ class _Engine:
             # origin queues: a backed-up queue sends big M, an empty one its
             # inflow, either capped by its content
             arr_in = rates[:, k] * dt if k < K else no_arrivals
-            avail = q_paths[k] + arr_in
+            avail = q_paths[r] + arr_in
             total_avail = np.bincount(qop, avail, Q)
             arr_sum = q_steps[:Q, k + 1] = np.bincount(qop, arr_in, Q)
             live = total_avail > 1e-15
-            d_rate = np.where(np.bincount(qop, q_paths[k], Q) > 0, self.big_m, arr_sum / dt)
+            d_rate = np.where(np.bincount(qop, q_paths[r], Q) > 0, self.big_m, arr_sum / dt)
             want = np.where(live, np.minimum(d_rate * dt, total_avail), 0.0)
             amounts[self.queue_seg] = want
 
@@ -314,9 +327,9 @@ class _Engine:
             released = np.multiply(theta.take(self.queue_app), want, out=q_steps[Q:, k + 1])
             share = np.divide(released, total_avail, out=np.zeros(Q), where=live)
             np.multiply(avail, share.take(qop), out=rel_p)
-            np.subtract(avail, rel_p, out=q_paths[k + 1])
+            np.subtract(avail, rel_p, out=q_paths[r + 1])
             flows.take(self.pred, out=entered, mode="clip")
-            np.add(p_up[k], entered, out=p_up[k + 1])
+            np.add(p_up[r], entered, out=p_up[r + 1])
             column[self.sum_rows] = np.add.reduceat(flows[:2 * I], self.sum_starts)
             np.add(counts[:, k], column, out=counts[:, k + 1])
             exited += moved.take(self.last_inc)
@@ -328,6 +341,8 @@ class _Engine:
                 received = (np.bincount(self.tail[link_of], entered, J)
                             + np.bincount(self.head[link_of[self.last_inc]], ends, J))
                 p_down_now += moved
+                column[self.sum_rows] = np.add.reduceat(np.r_[p_up[r + 1], p_down_now],
+                                                        self.sum_starts)  # of the path curves
                 worst["junction_conservation"] = max(
                     worst["junction_conservation"],
                     float(np.max(np.abs(sent - received) / np.maximum(1.0, sent))))
@@ -338,10 +353,8 @@ class _Engine:
                     float(np.max(-sending, initial=0.0)),
                     float(np.max(-receiving, initial=0.0)),
                 )
-                worst["path_split"] = max(
-                    worst["path_split"],
-                    float(np.max(np.abs(self._per_link(p_down_now)
-                                        - n_down[:, k + 1]))))
+                worst["path_split"] = max(worst["path_split"],
+                                          float(np.max(np.abs(column - counts[:, k + 1]))))
 
         q_arr, q_rel = np.cumsum(q_steps, axis=1, out=q_steps).reshape(2, Q, T + 1)
         if validate:
@@ -350,9 +363,6 @@ class _Engine:
                                      float(np.max(-occ)))
             worst["monotone"] = max(float(np.max(-np.diff(n_up), initial=0.0)),
                                     float(np.max(-np.diff(n_down), initial=0.0)))
-            split = (np.add.reduceat(p_up, self.link_start, axis=1)
-                     - n_up[self.link_used].T)
-            worst["path_split"] = max(worst["path_split"], float(np.max(np.abs(split))))
 
         return LoadingResult(
             engine=self,
@@ -365,6 +375,7 @@ class _Engine:
             exited_by_path=exited,
             invariant_report=worst if validate else None,
             drained_step=drained,
+            first_step=start,
         )
 
     def _read_schedule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -382,7 +393,7 @@ class _Engine:
         opposite = np.concatenate((row[E:], row[:E])) + np.arange(T)[:, None]
         return fl + row, np.minimum(fl + 1, T) + row, pos - fl, opposite
 
-    def _drained(self, n_up, n_down, q_paths, k, floor_at) -> bool:
+    def _drained(self, n_up, n_down, queued, k, floor_at) -> bool:
         """Whether step k, after the departures, moves nothing: no origin queue
         is above the release threshold, every link is empty, and every entry
         curve is flat (it never decreases: two ends suffice) from the floor
@@ -391,34 +402,54 @@ class _Engine:
         up = n_up[:, k]
         if not (up <= n_down[:, k]).all():
             return False
-        if not (np.bincount(self.queue_of_path, q_paths[k], len(self.queues)) <= 1e-15).all():
+        if not (np.bincount(self.queue_of_path, queued, len(self.queues)) <= 1e-15).all():
             return False
         return bool((n_up.take(floor_at) == up).all())
 
-    def _per_link(self, values: np.ndarray) -> np.ndarray:
-        """Sums of per-incidence values over each link's incidences."""
-        out = np.zeros(len(self.link_ids))
-        out[self.link_used] = np.add.reduceat(values, self.link_start)
-        return out
+    def _window_rows(self) -> int:
+        """The first window height, 4 * (longest lag + 2) rows: compactions stay rare."""
+        return min(4 * (int(math.ceil(self.lag_v.max())) + 2), self.steps + 1)
 
-    def _entries_between(self, curves: np.ndarray, hist: np.ndarray,
+    def _compact(self, window, start, k, n_up, low) -> tuple[int, np.ndarray]:
+        """Before step k writes past the window: the start step and window with
+        the rows a later step can read, through row k, moved to the front and
+        zeros after them, in twice the height (up to the horizon) if they fill
+        more than half of it.  A later level is at least `low`, the lower of
+        n_down and n_up at step k - 1, as neither decreases, so its FIFO
+        inversion reads no column before `at - 1` of it; or only column `at`
+        if it is the count there (the fraction is 1, or `at` is 0), as it
+        would read any later column while the link's count and curves stay the same."""
+        I = self.link_of.size
+        at = _first_at(n_up[:, :k], low, start)
+        same = n_up[:, start + 1:k + 1] == n_up[:, start:k]
+        same[self.link_used] &= np.logical_and.reduceat(
+            window[1:k + 1 - start, :I] == window[:k - start, :I], self.link_start, axis=1).T
+        moved = np.c_[~same & (np.arange(start + 1, k + 1) > at[:, None]), np.ones(len(at), bool)]
+        need = np.where(low == n_up[self._links, at], moved.argmax(axis=1) + start, at - 1)
+        keep = max(int(need.min()), start)
+        live = window[keep - start:k + 1 - start]
+        if 2 * len(live) > len(window):
+            window = np.empty((min(2 * len(window), self.steps + 1 - keep), window.shape[1]))
+        window[:len(live)] = live
+        window[len(live):] = 0.0
+        return keep, window
+
+    def _entries_between(self, curves: np.ndarray, start: int, hist: np.ndarray,
                          levels: np.ndarray) -> np.ndarray:
         """Each incidence's entries between its link's two count `levels`
-        (higher first), from the time-major `curves` read at the steps where
-        the nondecreasing n_up rows `hist` reach them: between the columns
-        at - 1 and at, for at the left searchsorted index capped at the last
-        column.  At column 0 both ends are column 0: the step is -1 + 1.0.
-        """
-        above = hist >= levels[:, :, None]
-        above[:, :, -1] = True  # no entry at or above: the last column
-        at = above.argmax(axis=2)
+        (higher first), from the time-major `curves` of steps `start` on, read
+        at the steps where the nondecreasing n_up rows `hist` reach them:
+        between the columns at - 1 and at, for at the left searchsorted index
+        from `start` (the values read are those from column 0: see _compact)
+        capped at the last column.  At column 0 both ends are column 0: -1 + 1.0."""
+        at = _first_at(hist, levels, start)
         below = at - 1
         lo, hi = hist[self._links, np.maximum(below, 0)], hist[self._links, at]
         frac = np.divide(levels - lo, hi - lo, out=np.ones(levels.shape), where=hi > lo)
         pos = below + frac
         fl = pos.astype(int)
         fr = np.repeat(pos - fl, self.link_count, axis=1)
-        cell = np.repeat(fl * curves.shape[1], self.link_count, axis=1) + self._cols
+        cell = np.repeat((fl - start) * curves.shape[1], self.link_count, axis=1) + self._cols
         base = curves.take(cell)
         read = base + fr * (curves.take(cell + curves.shape[1]) - base)
         return np.maximum(read[0] - read[1], 0.0)
@@ -460,13 +491,14 @@ class LoadingResult:
     engine: _Engine
     n_up: np.ndarray
     n_down: np.ndarray
-    p_up: np.ndarray  # (step, incidence): entries per (link, path) incidence
+    p_up: np.ndarray  # (step - first_step, incidence): entries per (link, path) incidence
     q_arrivals: np.ndarray
     q_releases: np.ndarray
-    q_paths: np.ndarray  # (step, path): content of the path's origin queue
+    q_paths: np.ndarray  # (step - first_step, path): content of the path's origin queue
     exited_by_path: np.ndarray
     invariant_report: dict | None = None
     drained_step: int | None = None  # where stepping stopped; None: the full horizon
+    first_step: int = 0  # the step of the first kept row; rows past the last step are 0
 
     @property
     def grid_ext(self) -> TimeGrid:

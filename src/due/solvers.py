@@ -74,8 +74,15 @@ class ScheduleSpec:
     params: tuple[float, ...]
     offset: int = 0
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.params)):
+            raise ConfigurationError(f"schedule {self} has a non-finite argument")
+
     def raw(self, n: int) -> float:
-        return _FAMILIES[self.family].value(n, *self.params)
+        try:  # float() rejects a complex power
+            return float(_FAMILIES[self.family].value(n, *self.params))
+        except (ArithmeticError, TypeError):
+            raise ConfigurationError(f"schedule {self} has no real value at index {n}") from None
 
     def value(self, n: int) -> float:
         return self.raw(n + self.offset)
@@ -104,7 +111,7 @@ class ScheduleSpec:
 
 def parse_schedule(text) -> ScheduleSpec:
     """A schedule from family(args) text, a number or a spec; malformed text
-    is a ConfigurationError and a boolean a TypeError."""
+    or a non-finite argument is a ConfigurationError and a boolean a TypeError."""
     if isinstance(text, ScheduleSpec):
         return text
     if isinstance(text, bool):

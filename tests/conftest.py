@@ -1,12 +1,15 @@
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from due.errors import UnfinishedTripError
+from due.loading import _Engine
 from due.network import Link, Network, PathDef, load_network_dir
-from due.solvers import uniform_start
-from due.space import TimeGrid, TripTable
+from due.operators import affine_operator, scaled_pseudo_monotone
+from due.solvers import solve, uniform_start
+from due.space import PathFlowProfile, TimeGrid, TripTable
 from oracles import reference_loading
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -26,6 +29,40 @@ def siouxfalls_dir() -> Path:
 @pytest.fixture(scope="session")
 def nguyen(nguyen_dir) -> Network:
     return load_network_dir(nguyen_dir)
+
+
+def affine_unit_instance():
+    return affine_operator(np.eye(2), np.array([-1.0, -1.0]), solution=np.array([1.0, 1.0]))
+
+
+# the 2-path instances that solver tests and acceptance criteria share solves on
+SOLVE_INSTANCES = {
+    "zero": lambda: affine_operator(np.zeros((2, 2)), np.zeros(2)),
+    "affine_unit": affine_unit_instance,
+    "scaled_affine_unit": lambda: scaled_pseudo_monotone(affine_unit_instance()),
+}
+
+
+@pytest.fixture(scope="session")
+def solved():
+    """`solved(instance, config, start)` solves a fresh `SOLVE_INSTANCES`
+    entry from the `start` rates (by default the vertex [[2], [0]]) once per
+    session, and returns (h, log, elapsed): elapsed is the time of that
+    solve, on every call."""
+    memo = {}
+
+    def solved(instance: str, config, start=((2.0,), (0.0,))):
+        start = np.asarray(start, dtype=float)
+        key = (instance, repr(config), start.shape, start.tobytes())
+        if key not in memo:
+            vi = SOLVE_INSTANCES[instance]()
+            h0 = PathFlowProfile(vi.grid, start)
+            begin = time.perf_counter()
+            h, log = solve(vi.operator, config, h0, vi.trips, vi.paths_by_od)
+            memo[key] = h, log, time.perf_counter() - begin
+        return memo[key]
+
+    return solved
 
 
 def build_line_network(num_links=2, demand=10.0, target=1.0, length=2.0, vf=60.0,
@@ -52,6 +89,22 @@ def line_network() -> Network:
 def uniform_profile(net: Network, grid: TimeGrid):
     """The uniform start that `due run` loads first."""
     return uniform_start(grid, net.trips, net.path_rows_by_od())
+
+
+@pytest.fixture
+def full_window(monkeypatch):
+    """Loadings whose entry-curve window holds every step, never compacted."""
+    monkeypatch.setattr(_Engine, "_window_rows", lambda self: self.steps + 1)
+
+
+def full_history(curves, res):
+    """`res.p_up` or `res.q_paths` of a loading run with `full_window`, at
+    every step: the rows past a drained step copy it, as stepping on would."""
+    assert res.first_step == 0 and len(curves) == res.engine.steps + 1
+    curves = curves.copy()
+    if res.drained_step is not None:
+        curves[res.drained_step + 1:] = curves[res.drained_step]
+    return curves
 
 
 def assert_matches_reference(res, rates):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import uniform_profile
+from conftest import affine_unit_instance, uniform_profile
 from due.cli import main as cli_main
 from due.loading import effective_delay, run_dnl
 from due.metrics import od_gap
@@ -39,10 +39,6 @@ IFBF_SCHEDULES = dict(beta_schedule="pow(9, -1, 1)", eps_schedule="pow(1, -2, 0.
 def _report(num, name, elapsed, budget):
     print(f"ACCEPTANCE {num:02d} ({name}): PASS  [{elapsed:.1f}s / budget {budget:.0f}s]")
     assert elapsed < budget
-
-
-def affine_unit_instance():
-    return affine_operator(np.eye(2), np.array([-1.0, -1.0]), solution=np.array([1.0, 1.0]))
 
 
 def test_criterion_01_projection_oracle():
@@ -86,7 +82,7 @@ def test_criterion_02_step_size_lemma():
     _report(2, "adaptive step floor", time.perf_counter() - start, 5)
 
 
-def test_criterion_03_strong_convergence_monotone():
+def test_criterion_03_strong_convergence_monotone(solved):
     start = time.perf_counter()
     h_start = PathFlowProfile(TimeGrid(0.0, 1.0, 1), [[2.0], [0.0]])
 
@@ -101,15 +97,16 @@ def test_criterion_03_strong_convergence_monotone():
     h, _ = run_fbf(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
     assert norm(h.rates - vi.solution.rates, vi.grid.dt) <= 1e-4
 
+    own = time.perf_counter() - start
     vi = affine_unit_instance()
     cfg = SolverConfig(algorithm="ifbf", max_iterations=10_000, tau0=10.0, mu=0.5,
                        lam=0.5, alpha=0.7, **IFBF_SCHEDULES)
-    h, _ = run_ifbf(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
+    h, _, ifbf_s = solved("affine_unit", cfg, h_start.rates)
     assert norm(h.rates - vi.solution.rates, vi.grid.dt) <= 1e-4
-    _report(3, "strong convergence, monotone", time.perf_counter() - start, 30)
+    _report(3, "strong convergence, monotone", own + ifbf_s, 30)
 
 
-def test_criterion_04_pseudo_monotone_non_monotone():
+def test_criterion_04_pseudo_monotone_non_monotone(solved):
     start = time.perf_counter()
     h_start = PathFlowProfile(TimeGrid(0.0, 1.0, 1), [[2.0], [0.0]])
     scaled = scaled_pseudo_monotone(affine_unit_instance())
@@ -121,32 +118,34 @@ def test_criterion_04_pseudo_monotone_non_monotone():
     h, _ = run_fbf(scaled.operator, cfg, h_start, scaled.trips, scaled.paths_by_od)
     assert norm(h.rates - scaled.solution.rates, scaled.grid.dt) <= 1e-4
 
+    own = time.perf_counter() - start
     scaled = scaled_pseudo_monotone(affine_unit_instance())
     cfg = SolverConfig(algorithm="ifbf", max_iterations=10_000, tau0=10.0, mu=0.5,
                        lam=0.5, alpha=0.7, **IFBF_SCHEDULES)
-    h, _ = run_ifbf(scaled.operator, cfg, h_start, scaled.trips, scaled.paths_by_od)
+    h, _, ifbf_s = solved("scaled_affine_unit", cfg, h_start.rates)
     assert norm(h.rates - scaled.solution.rates, scaled.grid.dt) <= 1e-4
-    _report(4, "pseudo-monotone convergence", time.perf_counter() - start, 60)
+    _report(4, "pseudo-monotone convergence", own + ifbf_s, 60)
 
 
-def test_criterion_05_minimum_norm_selection():
+def test_criterion_05_minimum_norm_selection(solved):
     start = time.perf_counter()
     h_start = PathFlowProfile(TimeGrid(0.0, 1.0, 1), [[2.0], [0.0]])
     vi = affine_operator(np.zeros((2, 2)), np.zeros(2))
     target = project_feasible(np.zeros((2, 1)), vi.layout)
     np.testing.assert_allclose(target.ravel(), [1.0, 1.0])
+    own = time.perf_counter() - start
 
     cfg = SolverConfig(algorithm="fbf", max_iterations=50_000, tau0=1.0, mu=0.5,
                        **FBF_SCHEDULES)
-    h, _ = run_fbf(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
+    h, _, fbf_s = solved("zero", cfg, h_start.rates)
     assert norm(h.rates - target, vi.grid.dt) <= 1e-2
 
     vi = affine_operator(np.zeros((2, 2)), np.zeros(2))
     cfg = SolverConfig(algorithm="ifbf", max_iterations=50_000, tau0=1.0, mu=0.5,
                        lam=0.5, alpha=0.7, **IFBF_SCHEDULES)
-    h, _ = run_ifbf(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
+    h, _, ifbf_s = solved("zero", cfg, h_start.rates)
     assert norm(h.rates - target, vi.grid.dt) <= 1e-2
-    _report(5, "minimum-norm selection", time.perf_counter() - start, 30)
+    _report(5, "minimum-norm selection", own + fbf_s + ifbf_s, 30)
 
 
 def test_criterion_06_dnl_conservation_and_fifo(nguyen):

@@ -168,12 +168,22 @@ class TestRun:
         (lambda raw: raw["solver"].update({"lambda": float("-inf")}), "solver:lambda"),
         (lambda raw: raw["solver"].update(eps_n=True), "solver:eps_n"),
         (lambda raw: raw["solver"].update(beta_n=False), "solver:beta_n"),
+        (lambda raw: raw["solver"].update(algorithm="ifbf", beta_n="pow(0, -1, 1)",
+                                          eps_n="pow(1, -2, 0.1)"), "pow(0.0, -1.0, 1.0)"),
+        (lambda raw: raw["solver"].update(algorithm="ifbf", beta_n="rational(1, 0, 0)",
+                                          eps_n="pow(1, -2, 0.1)"), "rational(1.0, 0.0, 0.0)"),
+        (lambda raw: raw["solver"].update(algorithm="ifbf", beta_n="pow(-2, 0.5, 0.1)",
+                                          eps_n="pow(1, -2, 0.1)"), "pow(-2.0, 0.5, 0.1)"),
+        (lambda raw: raw["solver"].update(beta_n="pow(1, -1, inf)"), "pow(1.0, -1.0, inf)"),
+        (lambda raw: raw["solver"].update(eps_n="nan"), "const(nan)"),
     ], ids=["int", "float", "section", "null", "top_level", "schedule", "flag",
             "fraction_intervals", "fraction_iterations", "bool_iterations",
             "dt_zero", "dt_negative", "dt_inf", "dt_nan",
             "t1_inf", "t0_bool", "tolerance_nan", "tolerance_negative",
             "buffer_negative", "gamma_bool", "gamma_negative", "tau0_string", "tau_inf",
-            "mu_string", "alpha_bool", "lambda_inf", "eps_bool", "beta_bool"])
+            "mu_string", "alpha_bool", "lambda_inf", "eps_bool", "beta_bool",
+            "beta_zero_power", "beta_zero_denominator", "beta_complex", "beta_inf_argument",
+            "eps_nan"])
     def test_wrongly_typed_value_is_config_error(self, tmp_path, instance_dir, capsys,
                                                  edit, named):
         cfg_path = line_config(tmp_path, instance_dir)

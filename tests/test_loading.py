@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import assert_matches_reference, build_line_network, uniform_profile
+from conftest import assert_matches_reference, build_line_network, full_history, uniform_profile
 from due.errors import ConfigurationError, UnfinishedTripError, ValidationError
 from due.loading import LoadingResult, _Engine, effective_delay, run_dnl
 from due.network import Link, Network, PathDef, load_network_dir
@@ -347,22 +347,24 @@ class TestOriginQueue:
         queue = res.q_arrivals[0] - res.q_releases[0]
         np.testing.assert_allclose(queue[:4], [0.0, 120.0, 40.0, 0.0], atol=1e-12)
 
-    def test_release_capped_by_content(self):
+    def test_release_capped_by_content(self, full_window):
         # the draining step releases only what is left: no queue goes negative
         for res in (burst(), burst(vehicles=170.0, tail_rate=300.0), spillback()[1]):
             queue = res.q_arrivals - res.q_releases
+            q_paths = full_history(res.q_paths, res)
             assert queue.min() >= 0.0
-            assert res.q_paths.min() >= 0.0
+            assert q_paths.min() >= 0.0
             np.testing.assert_allclose(
-                queue[:, -1], [res.q_paths[-1, q.rows].sum() for q in res.engine.queues])
+                queue[:, -1], [q_paths[-1, q.rows].sum() for q in res.engine.queues])
 
-    def test_trickle_stays_queued(self):
+    def test_trickle_stays_queued(self, full_window):
         # 1e-16 vehicles a step are too few to release until they add up
         # past 1e-15; meanwhile they stay in the per-path queue content
         res = load(build_line_network(num_links=1), np.full(15, 1e-16 / DT))
         queue = res.q_arrivals[0] - res.q_releases[0]
         assert queue.max() > 0.0
-        np.testing.assert_allclose(queue, res.q_paths[:, 0], rtol=0, atol=1e-30)
+        np.testing.assert_allclose(queue, full_history(res.q_paths, res)[:, 0],
+                                   rtol=0, atol=1e-30)
 
 
 class TestExitTime:
@@ -523,7 +525,7 @@ class TestRunDnl:
         elif state == "recent_entry":
             n_up[0, :k] = 4.0
         floor_at = engine._read_schedule()[0][k, :1]  # n_up[0, k - 1]
-        assert engine._drained(n_up, n_down, q_paths, k, floor_at) == (state == "drained")
+        assert engine._drained(n_up, n_down, q_paths[k], k, floor_at) == (state == "drained")
 
     def test_invariants_on_loaded_network(self, nguyen):
         grid = TimeGrid(0.0, 2.0, 70)
@@ -642,6 +644,8 @@ class TestPathDelaysByPath:
         ((rates, res),) = loaded
         assert total_exited(res) == pytest.approx(sum(net.trips.demands.values()), rel=1e-6)
         assert res.drained_step is not None
+        # the entry-curve window keeps 24 rows of the 201 steps here
+        assert res.p_up.shape[0] <= 24
         delays = res.path_delays()
         np.testing.assert_array_equal(
             effective, effective_delay(delays, grid, net.trips, net.od_by_path()).delays)
@@ -729,7 +733,8 @@ class TestEngineLayout:
     def test_entries_between_inverts_as_searchsorted(self):
         # levels below the first entry, on flat stretches, between entries,
         # at the last entry and above it (past the last column, as the
-        # searchsorted index capped at the last entry gives)
+        # searchsorted index capped at the last entry gives); a window of the
+        # curves from column at - 1 of the lower level on reads the same
         engine = _Engine(build_line_network(num_links=1), GRID, 0.5)
         hist = np.array([[0.0, 1.0, 3.0, 4.0, 4.0, 6.0]])
         curves = np.zeros((engine.steps + 1, 2))  # one incidence, one origin queue
@@ -742,9 +747,31 @@ class TestEngineLayout:
 
         for hi, lo in [(0.5, 0.0), (3.5, 1.0), (4.0, 3.0), (5.0, 4.0), (6.0, 0.0), (6.5, 2.0),
                        (7.0, 6.25)]:
-            got = engine._entries_between(curves, hist, np.array([[hi], [lo]]))
+            got = engine._entries_between(curves, 0, hist, np.array([[hi], [lo]]))
             want = max(read(invert_index(hist[0], hi)) - read(invert_index(hist[0], lo)), 0.0)
             assert got.tolist() == [want], (hi, lo)
+            start = max(min(int(np.searchsorted(hist[0], lo)), hist.shape[1] - 1) - 1, 0)
+            windowed = engine._entries_between(curves[start:], start, hist,
+                                               np.array([[hi], [lo]]))
+            assert windowed.tolist() == [want], (hi, lo, start)
+
+    def test_window_keeps_entries_below_the_count_resolution(self, monkeypatch):
+        # 5e-15 vehicles of p2 enter the empty link between two batches of p1:
+        # too few to move its count of 240, but p2's entry curve rises there,
+        # and the second batch reads the curves at that count
+        net = build_line_network(num_links=1)
+        net = dataclasses.replace(net, paths=(*net.paths, PathDef("p2", "w", ("1",))))
+        rates = np.zeros((2, 15))
+        rates[0, [0, 1, 2, 9, 10, 11]] = 80.0 / DT
+        rates[1, 5] = 5e-15 / DT
+        h = PathFlowProfile(GRID, rates)
+        monkeypatch.setattr(_Engine, "_window_rows", lambda self: 2)
+        res = run_dnl(h, net, GRID, buffer=1.0)
+        monkeypatch.setattr(_Engine, "_window_rows", lambda self: self.steps + 1)
+        full = run_dnl(h, net, GRID, buffer=1.0)
+        assert res.first_step > 5
+        assert res.exited_by_path.tolist() == full.exited_by_path.tolist() == [480.0, 5e-15]
+        np.testing.assert_array_equal(res.path_delays(), full.path_delays())
 
     @pytest.mark.parametrize("instance", ["nguyen", "siouxfalls"])
     def test_csr_order_matches_stable_sort(self, instance, nguyen_dir, siouxfalls_dir):

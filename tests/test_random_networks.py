@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_matches_reference
+from conftest import assert_matches_reference, full_history
 from due.errors import UnfinishedTripError
 from due.loading import _Engine
 from due.network import Link, Network, PathDef
@@ -139,23 +139,8 @@ def test_loading_properties(case):
     assert np.all(np.diff(GRID.starts() + delays, axis=1) >= -1e-9)
 
 
-@RANDOM_NETWORKS
-@given(random_loadings(), st.sampled_from([3.0, 0.3]))
-def test_drain_exit_matches_full_horizon(case, buffer_factor):
-    # a short buffer leaves trips unfinished; spillback may never drain
-    net, rates, _free = case
-    res = load(net, rates, validate=True, buffer_factor=buffer_factor)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Engine, "_drained", lambda *args: False)
-        full = load(net, rates, validate=True, buffer_factor=buffer_factor)
-    assert full.drained_step is None
-    for name in ("n_up", "n_down", "p_up", "q_arrivals", "q_releases", "q_paths",
-                 "exited_by_path"):
-        np.testing.assert_array_equal(bits(getattr(res, name)), bits(getattr(full, name)),
-                                      err_msg=name)
-    assert res.invariant_report.keys() == full.invariant_report.keys()
-    np.testing.assert_array_equal(bits(list(res.invariant_report.values())),
-                                  bits(list(full.invariant_report.values())))
+def assert_same_delays(res, full):
+    """Both loadings give the same delays bit for bit, or the same unfinished trip."""
     try:
         delays = res.path_delays()
     except UnfinishedTripError as exc:
@@ -164,6 +149,56 @@ def test_drain_exit_matches_full_horizon(case, buffer_factor):
         assert (info.value.path_id, info.value.interval) == (exc.path_id, exc.interval)
         return
     np.testing.assert_array_equal(bits(delays), bits(full.path_delays()))
+
+
+@RANDOM_NETWORKS
+@given(random_loadings(), st.sampled_from([3.0, 0.3]))
+def test_drain_exit_matches_full_horizon(case, buffer_factor):
+    # a short buffer leaves trips unfinished; spillback may never drain
+    net, rates, _free = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "_window_rows", lambda self: self.steps + 1)
+        res = load(net, rates, validate=True, buffer_factor=buffer_factor)
+        mp.setattr(_Engine, "_drained", lambda *args: False)
+        full = load(net, rates, validate=True, buffer_factor=buffer_factor)
+    assert full.drained_step is None
+    for name in ("p_up", "q_paths"):
+        setattr(res, name, full_history(getattr(res, name), res))
+    for name in ("n_up", "n_down", "p_up", "q_arrivals", "q_releases", "q_paths",
+                 "exited_by_path"):
+        np.testing.assert_array_equal(bits(getattr(res, name)), bits(getattr(full, name)),
+                                      err_msg=name)
+    assert res.invariant_report.keys() == full.invariant_report.keys()
+    np.testing.assert_array_equal(bits(list(res.invariant_report.values())),
+                                  bits(list(full.invariant_report.values())))
+    assert_same_delays(res, full)
+
+
+@RANDOM_NETWORKS
+@given(random_loadings(), st.sampled_from([3.0, 0.3]))
+def test_window_matches_full_history(case, buffer_factor):
+    # a 2-row window is compacted and doubled many times; a full-height one never
+    net, rates, _free = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "_window_rows", lambda self: 2)
+        res = load(net, rates, validate=True, buffer_factor=buffer_factor)
+        mp.setattr(_Engine, "_window_rows", lambda self: self.steps + 1)
+        full = load(net, rates, validate=True, buffer_factor=buffer_factor)
+    assert res.drained_step == full.drained_step
+    for name in ("n_up", "n_down", "q_arrivals", "q_releases", "exited_by_path"):
+        np.testing.assert_array_equal(bits(getattr(res, name)), bits(getattr(full, name)),
+                                      err_msg=name)
+    # the kept rows are those of the full history at their steps, then zeros
+    last = (res.engine.steps if res.drained_step is None else res.drained_step) + 1
+    for name in ("p_up", "q_paths"):
+        kept = getattr(res, name)
+        np.testing.assert_array_equal(bits(kept[:last - res.first_step]),
+                                      bits(getattr(full, name)[res.first_step:last]),
+                                      err_msg=name)
+        assert not kept[last - res.first_step:].any()
+    np.testing.assert_array_equal(bits(list(res.invariant_report.values())),
+                                  bits(list(full.invariant_report.values())))
+    assert_same_delays(res, full)
 
 
 @RANDOM_NETWORKS

@@ -156,11 +156,12 @@ class TestRunFb:
 
 
 class TestRunFbf:
-    def test_zero_operator_reaches_minimum_norm_point(self):
+    def test_zero_operator_reaches_minimum_norm_point(self, solved):
+        # the fbf solve of acceptance criterion 05
         vi = zero_instance()
         target = project_feasible(np.zeros((2, 1)), vi.layout)
         cfg = SolverConfig(algorithm="fbf", max_iterations=50_000, tau0=1.0, **FBF_TEST)
-        h, _ = run_fbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        h, _log, _elapsed = solved("zero", cfg)
         np.testing.assert_allclose(h.rates, target, atol=1e-2)
 
     def test_step_rule_arithmetic(self):
@@ -197,23 +198,26 @@ class TestRunFbf:
 
 
 class TestRunIfbf:
-    def test_zero_operator_reaches_minimum_norm_point(self):
+    def test_zero_operator_reaches_minimum_norm_point(self, solved):
+        # the ifbf solve of acceptance criterion 05
         vi = zero_instance()
         target = project_feasible(np.zeros((2, 1)), vi.layout)
         cfg = SolverConfig(algorithm="ifbf", max_iterations=50_000, tau0=1.0, **IFBF_TEST)
-        h, _ = run_ifbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        h, _log, _elapsed = solved("zero", cfg)
         np.testing.assert_allclose(h.rates, target, atol=1e-2)
 
-    def test_affine_monotone_converges(self):
+    def test_affine_monotone_converges(self, solved):
+        # the ifbf solve of acceptance criterion 03
         vi = cocoercive_instance()
         cfg = SolverConfig(algorithm="ifbf", max_iterations=10_000, tau0=10.0, **IFBF_TEST)
-        h, _ = run_ifbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        h, _log, _elapsed = solved("affine_unit", cfg)
         assert norm(h.rates - vi.solution.rates, vi.grid.dt) <= 1e-4
 
-    def test_scaled_pseudo_monotone_same_limit(self):
+    def test_scaled_pseudo_monotone_same_limit(self, solved):
+        # the ifbf solve of acceptance criterion 04
         vi = scaled_pseudo_monotone(cocoercive_instance())
         cfg = SolverConfig(algorithm="ifbf", max_iterations=10_000, tau0=10.0, **IFBF_TEST)
-        h, _ = run_ifbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        h, _log, _elapsed = solved("scaled_affine_unit", cfg)
         assert norm(h.rates - vi.solution.rates, vi.grid.dt) <= 1e-4
 
     def test_step_sequence_monotone_with_floor(self):
