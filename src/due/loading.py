@@ -140,9 +140,8 @@ class _Engine:
 
         # the probe schedule runs on the prefix trie: a path's exit time after
         # its h-th link depends only on its origin queue and its first h links.
-        # The distinct (queue, link prefix) nodes are numbered after the queues,
-        # by (hop, link, parent), so each (hop, link) group of nodes is an id
-        # range; their parents are queues or nodes one hop shorter
+        # The distinct (queue, link prefix) nodes get ids after the queues, by
+        # (hop, link, parent); their parents are queues or nodes one hop shorter
         deepest = self.queue_of_path.copy()  # each path's deepest node so far
         n = Q = len(self.queues)
         span = Q + hop_link.size  # above every id
@@ -154,12 +153,25 @@ class _Engine:
             deepest[rows] = n + inv
             n += k.size
             keys.append(k)
-        group, parent = np.divmod(np.concatenate(keys), span)
-        lo = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
-        # (link, lo, hi, parents of the ids lo..hi-1)
-        self.probe_groups = [(int(group[a] % E), Q + a, Q + b, parent[a:b])
-                             for a, b in zip(lo, lo[1:] + [group.size])]
-        self.path_node, self.num_probe_rows = deepest, n
+        group, parent = np.divmod(np.concatenate(keys), span)  # of the ids Q..n-1
+        # probe rows: path r's deepest node is row r (a node that ends several
+        # paths is probed once for each), the other ids follow, queues first
+        ends, first = np.unique(deepest, return_index=True)
+        row = np.zeros(n, dtype=int)
+        row[ends] = first
+        other = np.flatnonzero(np.isin(np.arange(n), ends, invert=True))
+        row[other] = P + np.arange(other.size)
+        self.queue_row = row[:Q]
+        inner = other[other >= Q]
+        node = np.concatenate((deepest, inner)) - Q  # the node of each probed row
+        probed = np.concatenate((np.arange(P), row[inner]))
+        order = np.argsort(group[node], kind="stable")
+        node, probed = node[order], probed[order]
+        lo = np.flatnonzero(np.diff(group[node], prepend=-1)).tolist()
+        # (link, rows, parents' rows) per (hop, link) group, by hop
+        self.probe_groups = [(int(group[node[a]] % E), probed[a:b], row[parent[node[a:b]]])
+                             for a, b in zip(lo, lo[1:] + [node.size])]
+        self.num_probe_rows = P + other.size
 
         # padded (node, approach, out-slot) layout of the junctions
         J = len(node_of)
@@ -228,8 +240,8 @@ class _Engine:
     # -- stepping ----------------------------------------------------------
 
     def run(self, rates: np.ndarray, validate: bool = False) -> "LoadingResult":
-        """Load (path, interval) departure rates that are finite and
-        nonnegative: a validated profile's rates, clamped or checked."""
+        """Load (path, interval) departure rates that are finite: a validated
+        profile's rates, each column clamped at zero where a step reads it."""
         if rates.shape != (self.num_paths, self.grid.num_intervals):
             raise ValidationError(
                 f"rate matrix shape {rates.shape} does not match "
@@ -313,7 +325,7 @@ class _Engine:
 
             # origin queues: a backed-up queue sends big M, an empty one its
             # inflow, either capped by its content
-            arr_in = rates[:, k] * dt if k < K else no_arrivals
+            arr_in = np.maximum(rates[:, k], 0.0) * dt if k < K else no_arrivals
             avail = q_paths[r] + arr_in
             total_avail = np.bincount(qop, avail, Q)
             arr_sum = q_steps[:Q, k + 1] = np.bincount(qop, arr_in, Q)
@@ -525,36 +537,37 @@ class LoadingResult:
     def path_delays(self) -> np.ndarray:
         """Travel time per (path, departure interval) on the departure grid.
 
-        Probes the engine's prefix trie into one stacked array of exit times,
-        origin queues first, on the departure starts, then each (hop, link)
+        Probes the engine's prefix trie into one stacked array of exit times:
+        the origin queues on the departure starts, then each (hop, link)
         group of nodes once, from its parents' rows.  Each row is probed on
-        its own, so a path takes its last node's row bit for bit.  A failure
-        passes from parent to child: an unfinished trip is reported for the
-        lowest path row that has one, at its earliest failing hop and that
-        hop's first failing interval.
+        its own, so a path takes its last node's exit times bit for bit; as
+        path r's last node is row r, the delays are the first rows, in place.
+        A failure passes from parent to child: an unfinished trip is reported
+        for the lowest path row that has one, at its earliest failing hop and
+        that hop's first failing interval.
         """
         eng = self.engine
         starts = eng.grid.starts()
         exits = np.empty((eng.num_probe_rows, starts.size))
         first_bad = np.full(eng.num_probe_rows, -1)  # first failing interval per row
-        for qi in range(len(eng.queues)):
-            exits[qi], unfinished = self._probe_exit(self.q_arrivals[qi], self.q_releases[qi],
-                                                     starts, 0.0)
+        for qi, row in enumerate(eng.queue_row):
+            exits[row], unfinished = self._probe_exit(self.q_arrivals[qi], self.q_releases[qi],
+                                                      starts, 0.0)
             if unfinished.any():
-                first_bad[qi] = int(np.argmax(unfinished))
-        for e, lo, hi, parents in eng.probe_groups:
-            exits[lo:hi], unfinished = self._probe_exit(
+                first_bad[row] = int(np.argmax(unfinished))
+        for e, rows, parents in eng.probe_groups:
+            exits[rows], unfinished = self._probe_exit(
                 self.n_up[e], self.n_down[e], exits[parents], eng.ff_time[e])
-            bad = first_bad[lo:hi]
-            bad[:] = first_bad[parents]
+            bad = first_bad[parents]
             if unfinished.any():  # keep each node's earliest failing hop
                 hit = unfinished.any(axis=1) & (bad < 0)
                 bad[hit] = unfinished[hit].argmax(axis=1)
-        failed = np.flatnonzero(first_bad[eng.path_node] >= 0)
+            first_bad[rows] = bad
+        failed = np.flatnonzero(first_bad[:eng.num_paths] >= 0)
         if failed.size:
             r = int(failed[0])
-            raise UnfinishedTripError(eng.net.paths[r].id, int(first_bad[eng.path_node[r]]))
-        delays = exits[eng.path_node]
+            raise UnfinishedTripError(eng.net.paths[r].id, int(first_bad[r]))
+        delays = exits[:eng.num_paths]
         delays -= starts
         return delays
 
@@ -594,6 +607,9 @@ def effective_delay(
     """
     delays = np.asarray(delays, dtype=float)
     tau = np.array([trips.target_times[od] for od in od_by_path])
-    starts = grid.starts()
-    lateness = starts[None, :] + delays - tau[:, None]
-    return DelayProfile(grid, delays + gamma * np.maximum(lateness, 0.0))
+    out = delays + grid.starts()  # the lateness, then the effective delay, in place
+    out -= tau[:, None]
+    np.maximum(out, 0.0, out=out)
+    out *= gamma
+    out += delays
+    return DelayProfile(grid, out)

@@ -66,8 +66,8 @@ class DNLDelayOperator(DelayOperator):
     """Effective delays from dynamic network loading plus arrival penalty.
 
     Solver iterates may carry negative rates; loading is undefined for them,
-    so the operator clamps negative entries to zero before loading (the
-    minimal continuous extension) and leaves the profile otherwise untouched.
+    so the loading clamps negative entries to zero as it reads them (the
+    minimal continuous extension) and leaves the profile untouched.
     """
 
     def __init__(self, net: Network, grid: TimeGrid, gamma: float = 1.0,
@@ -80,7 +80,7 @@ class DNLDelayOperator(DelayOperator):
         self._od_by_path = net.od_by_path()
 
     def _compute(self, h: PathFlowProfile) -> DelayProfile:
-        delays = self._engine.run(np.maximum(h.rates, 0.0)).path_delays()
+        delays = self._engine.run(h.rates).path_delays()
         return effective_delay(delays, self.grid, self.net.trips,
                                self._od_by_path, self.gamma)
 

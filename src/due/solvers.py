@@ -333,6 +333,7 @@ def run_fbf(
             if config.tolerance > 0 and residual <= config.tolerance:
                 log.stop_reason = "residual_tolerance"
                 break
+    del ah, y, ay, z  # the loop's arrays: none is alive in the final projection
     return PathFlowProfile(grid, project_feasible(h, layout)), log
 
 
@@ -375,6 +376,7 @@ def run_ifbf(
             if config.tolerance > 0 and residual <= config.tolerance:
                 log.stop_reason = "residual_tolerance"
                 break
+    del w, aw, y, ay, h_prev  # the loop's arrays: none is alive in the final projection
     return PathFlowProfile(grid, project_feasible(h, layout)), log
 
 

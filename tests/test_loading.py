@@ -445,10 +445,10 @@ class TestExitTime:
             ride(0, ["a1", "a2", "a3"])
         with pytest.raises(UnfinishedTripError):
             ride(1, ["b1", "b2"])
-        shared = [g for g in eng.probe_groups if g[0] == eng.index_of["b2"]]
-        own = [g for g in eng.probe_groups if g[0] == eng.index_of["a3"]]
-        assert len(shared) == len(own) == 1 and shared[0][2] - shared[0][1] == 1
-        assert shared[0][1] < own[0][1]
+        shared = [i for i, g in enumerate(eng.probe_groups) if g[0] == eng.index_of["b2"]]
+        own = [i for i, g in enumerate(eng.probe_groups) if g[0] == eng.index_of["a3"]]
+        assert len(shared) == len(own) == 1 and eng.probe_groups[shared[0]][1].size == 1
+        assert shared[0] < own[0]
         with pytest.raises(UnfinishedTripError) as batched:
             res.path_delays()
         with pytest.raises(UnfinishedTripError) as by_path:
@@ -772,6 +772,27 @@ class TestEngineLayout:
         assert res.first_step > 5
         assert res.exited_by_path.tolist() == full.exited_by_path.tolist() == [480.0, 5e-15]
         np.testing.assert_array_equal(res.path_delays(), full.path_delays())
+
+    def test_probe_rows_put_each_path_first(self):
+        # p3 repeats p1's origin and links, and p2 is their one-link prefix:
+        # each path's exit times are probed into its own row, the queue after
+        net = build_line_network(num_links=2)
+        net = dataclasses.replace(
+            net, od_pairs={**net.od_pairs, "v": ("0", "1")},
+            trips=TripTable({"w": 10.0, "v": 5.0}, {"w": 1.0, "v": 1.0}),
+            paths=(*net.paths, PathDef("p2", "v", ("1",)), PathDef("p3", "w", ("1", "2"))))
+        h = PathFlowProfile(GRID, np.array([[900.0] * 15, [600.0] * 15, [1500.0] * 15]))
+        res = run_dnl(h, net, GRID, buffer=1.0)
+        eng = res.engine
+        assert eng.num_probe_rows == 4 and eng.queue_row.tolist() == [3]
+        assert [(eng.link_ids[e], rows.tolist(), parents.tolist())
+                for e, rows, parents in eng.probe_groups] == [("1", [1], [3]),
+                                                              ("2", [0, 2], [1, 1])]
+        delays = res.path_delays()
+        assert delays.shape == (3, 15)
+        np.testing.assert_array_equal(delays.view(np.int64),
+                                      path_delays_by_path(res).view(np.int64))
+        np.testing.assert_array_equal(delays[0], delays[2])
 
     @pytest.mark.parametrize("instance", ["nguyen", "siouxfalls"])
     def test_csr_order_matches_stable_sort(self, instance, nguyen_dir, siouxfalls_dir):
