@@ -5,8 +5,10 @@ boundaries.  Per step, each link offers a sending flow (demand) and a
 receiving flow (supply) derived from time-lagged reads of the opposite
 boundary curve; junctions resolve the competing flows with a first-in
 first-out diverge (one scalar reduction factor per incoming approach) and a
-demand-proportional merge.  Origins hold point queues, one per (origin node,
-first link) pair.  Path travel times come from composing exit-time functions
+demand-proportional merge.  The junction rule needs only each vehicle's next
+link, so a link's vehicles are tracked per remaining route (the nodes of the
+paths' suffix trie), not per path.  Origins hold point queues, one per
+(origin node, first link) pair.  Path travel times come from composing exit-time functions
 along the path, origin queue first.
 
 The loading grid extends past the departure horizon by a configurable buffer
@@ -64,12 +66,12 @@ class _QueueSpec:
 class _Engine:
     """Precomputed index structure for loading one network on one grid.
 
-    The (link, path) incidences are laid out in CSR order, link-major, so
-    that per-link and per-(link, out-slot) sums are segmented sums.  Every
-    node is a junction; its approaches (incoming links that carry paths,
-    then its origin queues) and its out-slots (outgoing links) index padded
-    (node, approach, out-slot) arrays, so that one step resolves all
-    junctions at once.
+    The (link, remaining route) nodes of the paths' suffix trie are laid
+    out in CSR order, link-major, so that per-link and per-(link, out-slot)
+    sums are segmented sums.  Every node of the network is a junction; its
+    approaches (incoming links that carry paths, then its origin queues)
+    and its out-slots (outgoing links) index padded (node, approach,
+    out-slot) arrays, so that one step resolves all junctions at once.
     """
 
     def __init__(self, net: Network, grid: TimeGrid, buffer: float | None):
@@ -156,9 +158,9 @@ class _Engine:
         group, parent = np.divmod(np.concatenate(keys), span)  # of the ids Q..n-1
         # probe rows: path r's deepest node is row r (a node that ends several
         # paths is probed once for each), the other ids follow, queues first
-        ends, first = np.unique(deepest, return_index=True)
+        ends, lowest = np.unique(deepest, return_index=True)
         row = np.zeros(n, dtype=int)
-        row[ends] = first
+        row[ends] = lowest
         other = np.flatnonzero(np.isin(np.arange(n), ends, invert=True))
         row[other] = P + np.arange(other.size)
         self.queue_row = row[:Q]
@@ -173,9 +175,27 @@ class _Engine:
                              for a, b in zip(lo, lo[1:] + [node.size])]
         self.num_probe_rows = P + other.size
 
+        # stepping runs on the suffix trie: downstream of a link, a vehicle's
+        # way depends only on its remaining route, so the state is held per
+        # (link, remaining route) node.  Ids come depth by depth from the
+        # paths' ends, each node keyed by its link and successor (-1 at the end)
+        H = hop_link.size
+        depth = np.repeat(lengths, lengths) - 1 - hop
+        node_of_hop = np.empty(H, dtype=int)
+        n, keys = 0, []
+        for d in range(int(lengths.max())):
+            at = np.flatnonzero(depth == d)
+            nxt = node_of_hop[at + 1] if d else -1
+            k, inv = np.unique(hop_link[at] * (H + 1) + nxt + 1, return_inverse=True)
+            node_of_hop[at] = n + inv
+            n += k.size
+            keys.append(k)
+        node_link, node_succ = np.divmod(np.concatenate(keys), H + 1)
+        node_succ -= 1
+
         # padded (node, approach, out-slot) layout of the junctions
         J = len(node_of)
-        self.link_count = np.bincount(hop_link, minlength=E)
+        self.link_count = np.bincount(node_link, minlength=E)  # suffix nodes per link
         slot = np.zeros(E, dtype=int)
         app_of_link = np.zeros(E, dtype=int)
         n_app = np.zeros(J, dtype=int)
@@ -205,28 +225,29 @@ class _Engine:
         self.queue_app = self.queue_node * A + app_of_queue
         self.queue_seg = self.queue_app * S + slot[[q.link_idx for q in self.queues]]
 
-        # (link, path) incidences in CSR order, segmented by (link, out-slot):
-        # link-major, then the out-slot of the path's next link (0: the path
-        # ends here), then path row
-        key = np.where(has_succ, slot[succ_link] + 1, 0)
-        I = hop_link.size
-        # the keys made unique by position: any sort is the stable one
-        order = np.argsort((hop_link * (S + 1) + key) * I + np.arange(I))
-        inc = np.empty_like(order)
-        inc[order] = np.arange(I)
-        self.link_of = hop_link[order]
-        self.last_inc = inc[last]
-        # where each incidence's entries come from in a step's flows: the exits
-        # of the path's previous incidence, or its origin queue's release
-        pred = 2 * I + hop_path
-        pred[hop > 0] = I + inc[:-1][hop[1:] > 0]
-        self.pred = pred[order]
+        # suffix nodes in CSR order, segmented by (link, out-slot): link-major,
+        # then the out-slot of the next link (0: the paths end here), then the
+        # lowest path row through the node
+        has_next = node_succ >= 0
+        key = np.where(has_next, slot[node_link[node_succ]] + 1, 0)
+        _, first_hop = np.unique(node_of_hop, return_index=True)
+        # the keys made unique by the first hop: any sort is the stable one
+        order = np.argsort((node_link * (S + 1) + key) * H + first_hop)
+        pos = np.empty_like(order)
+        pos[order] = np.arange(n)
+        self.link_of = node_link[order]
         key = key[order]
+        succ = np.where(has_next, pos[node_succ], -1)[order]
+        # the node that each of a step's exits per node and releases per path
+        # enters: its successor (the spare bin n where paths end), then each
+        # path's first node
+        self.into = np.concatenate((np.where(succ >= 0, succ, n), pos[node_of_hop[first]]))
+        self.end_node = np.flatnonzero(succ < 0)  # one per link that ends paths
         self.link_start = np.flatnonzero(np.r_[True, np.diff(self.link_of) != 0])
         self.link_used = self.link_of[self.link_start]
         # a step's per-link sums of entries, then of exits, in n_up and n_down
         self.sum_rows = np.concatenate((self.link_used, E + self.link_used))
-        self.sum_starts = np.concatenate((self.link_start, I + self.link_start))
+        self.sum_starts = np.concatenate((self.link_start, n + self.link_start))
         self.seg_start = np.flatnonzero(
             np.r_[True, (np.diff(self.link_of) != 0) | (np.diff(key) != 0)])
         # each segment's (approach, out-slot) bin; ending segments go to the
@@ -234,7 +255,7 @@ class _Engine:
         at = self.seg_start
         self.seg_bin = np.where(key[at] > 0, self.link_app[self.link_of[at]] * S + key[at] - 1,
                                 J * A * S)
-        self._cols = np.arange(I)
+        self._cols = np.arange(n)
         self._links = np.arange(E)
 
     # -- stepping ----------------------------------------------------------
@@ -254,7 +275,7 @@ class _Engine:
         K = self.grid.num_intervals
         P = self.num_paths
         Q = len(self.queues)
-        I = self.link_of.size
+        N = self.link_of.size
         J, A, S = self.shape
         link_of, qop = self.link_of, self.queue_of_path
         floor_at, next_at, frac, now_at = self._read_schedule()
@@ -262,10 +283,10 @@ class _Engine:
 
         counts = np.zeros((2 * E, T + 1))  # the boundary curves, n_up on n_down
         n_up, n_down = counts[:E], counts[E:]
-        # time-major per-path curves from step `start` on: entries per incidence,
-        # then the origin queue content per path; rows not yet written are zero
-        window = np.zeros((self._window_rows(), I + P))
-        p_up, q_paths = window[:, :I], window[:, I:]
+        # time-major curves from step `start` on: entries per suffix node, then
+        # the origin queue content per path; rows not yet written are zero
+        window = np.zeros((self._window_rows(), N + P))
+        p_up, q_paths = window[:, :N], window[:, N:]
         start = 0
         # per-queue arrivals and releases by step, summed into curves at the end
         q_steps = np.zeros((2 * Q, T + 1))
@@ -278,14 +299,14 @@ class _Engine:
         now = levels[1:].reshape(-1)  # column k of the curves opposite the reads
         amounts = np.zeros(J * A * S + 1)  # the last bin takes the ending paths
         slots = amounts[:-1].reshape(J, A, S)
-        flows = np.empty(2 * I + P)  # entries and exits per incidence, releases per path
-        entered, moved, rel_p = flows[:I], flows[I:2 * I], flows[2 * I:]
+        flows = np.empty(2 * N + P)  # entries and exits per node, releases per path
+        entered, moved, rel_p = flows[:N], flows[N:2 * N], flows[2 * N:]
         column = np.zeros(2 * E)  # one step's per-link entries and exits
-        exited = np.zeros(P)
+        exited = np.zeros(self.end_node.size)
 
         worst = {"junction_conservation": 0.0, "occupancy": 0.0, "monotone": 0.0,
                  "path_split": 0.0, "flow_bounds": 0.0}
-        p_down_now = np.zeros(I)  # per-incidence exit totals, for path_split
+        p_down_now = np.zeros(N)  # per-node exit totals, for path_split
 
         drained = None
         for k in range(T):
@@ -296,7 +317,7 @@ class _Engine:
                 break
             if k + 1 - start == len(window):
                 start, window = self._compact(window, start, k, n_up, levels[1:].min(axis=0))
-                p_up, q_paths = window[:, :I], window[:, I:]
+                p_up, q_paths = window[:, :N], window[:, N:]
             r = k - start  # the row of step k
             # sending and receiving flows, integrated over the step (vehicles):
             # the lagged reads, less column k of the opposite curve
@@ -308,7 +329,7 @@ class _Engine:
             np.maximum(both, 0.0, out=both)
             np.minimum(both, cap, out=both)
 
-            # per-path share of each link's next sending vehicles to exit: the
+            # per-node share of each link's next sending vehicles to exit: the
             # entry curves read at the count levels [n_down, n_down + sending]
             # (FIFO: exit order equals entry order); a link that sends no more
             # than 1e-15 reads an empty interval
@@ -340,21 +361,21 @@ class _Engine:
             share = np.divide(released, total_avail, out=np.zeros(Q), where=live)
             np.multiply(avail, share.take(qop), out=rel_p)
             np.subtract(avail, rel_p, out=q_paths[r + 1])
-            flows.take(self.pred, out=entered, mode="clip")
+            entered[:] = np.bincount(self.into, flows[N:], N + 1)[:N]
             np.add(p_up[r], entered, out=p_up[r + 1])
-            column[self.sum_rows] = np.add.reduceat(flows[:2 * I], self.sum_starts)
+            column[self.sum_rows] = np.add.reduceat(flows[:2 * N], self.sum_starts)
             np.add(counts[:, k], column, out=counts[:, k + 1])
-            exited += moved.take(self.last_inc)
+            exited += moved.take(self.end_node)
 
             if validate:
-                ends = moved[self.last_inc]
+                ends = moved[self.end_node]
                 sent = (np.bincount(self.head[link_of], moved, J)
                         + np.bincount(self.queue_node, released, J))
                 received = (np.bincount(self.tail[link_of], entered, J)
-                            + np.bincount(self.head[link_of[self.last_inc]], ends, J))
+                            + np.bincount(self.head[link_of[self.end_node]], ends, J))
                 p_down_now += moved
                 column[self.sum_rows] = np.add.reduceat(np.r_[p_up[r + 1], p_down_now],
-                                                        self.sum_starts)  # of the path curves
+                                                        self.sum_starts)  # of the node curves
                 worst["junction_conservation"] = max(
                     worst["junction_conservation"],
                     float(np.max(np.abs(sent - received) / np.maximum(1.0, sent))))
@@ -384,7 +405,7 @@ class _Engine:
             q_arrivals=q_arr,
             q_releases=q_rel,
             q_paths=q_paths,
-            exited_by_path=exited,
+            exited_by_link=np.bincount(link_of[self.end_node], exited, E),
             invariant_report=worst if validate else None,
             drained_step=drained,
             first_step=start,
@@ -431,11 +452,11 @@ class _Engine:
         inversion reads no column before `at - 1` of it; or only column `at`
         if it is the count there (the fraction is 1, or `at` is 0), as it
         would read any later column while the link's count and curves stay the same."""
-        I = self.link_of.size
+        N = self.link_of.size
         at = _first_at(n_up[:, :k], low, start)
         same = n_up[:, start + 1:k + 1] == n_up[:, start:k]
         same[self.link_used] &= np.logical_and.reduceat(
-            window[1:k + 1 - start, :I] == window[:k - start, :I], self.link_start, axis=1).T
+            window[1:k + 1 - start, :N] == window[:k - start, :N], self.link_start, axis=1).T
         moved = np.c_[~same & (np.arange(start + 1, k + 1) > at[:, None]), np.ones(len(at), bool)]
         need = np.where(low == n_up[self._links, at], moved.argmax(axis=1) + start, at - 1)
         keep = max(int(need.min()), start)
@@ -448,7 +469,7 @@ class _Engine:
 
     def _entries_between(self, curves: np.ndarray, start: int, hist: np.ndarray,
                          levels: np.ndarray) -> np.ndarray:
-        """Each incidence's entries between its link's two count `levels`
+        """Each suffix node's entries between its link's two count `levels`
         (higher first), from the time-major `curves` of steps `start` on, read
         at the steps where the nondecreasing n_up rows `hist` reach them:
         between the columns at - 1 and at, for at the left searchsorted index
@@ -498,16 +519,16 @@ class _Engine:
 
 @dataclass
 class LoadingResult:
-    """Boundary curves, per-path entry curves and origin queues of one loading."""
+    """Boundary curves, per-node entry curves and origin queues of one loading."""
 
     engine: _Engine
     n_up: np.ndarray
     n_down: np.ndarray
-    p_up: np.ndarray  # (step - first_step, incidence): entries per (link, path) incidence
+    p_up: np.ndarray  # (step - first_step, suffix node): entries per (link, remaining route)
     q_arrivals: np.ndarray
     q_releases: np.ndarray
     q_paths: np.ndarray  # (step - first_step, path): content of the path's origin queue
-    exited_by_path: np.ndarray
+    exited_by_link: np.ndarray  # vehicles that ended their trips at each link's exit
     invariant_report: dict | None = None
     drained_step: int | None = None  # where stepping stopped; None: the full horizon
     first_step: int = 0  # the step of the first kept row; rows past the last step are 0

@@ -184,8 +184,10 @@ def _adaptive_step(tau: float, mu: float, residual: float,
                    a_x: np.ndarray, a_y: np.ndarray, dt: float) -> float:
     """Next step min(tau, mu ||x - y|| / ||A(x) - A(y)||), given residual
     ||x - y||; tau is kept while the delays barely differ."""
-    diff = math.sqrt(float(((a_x - a_y) ** 2).sum()) * dt)
     thresh = 1e-14 * math.sqrt(float((a_x ** 2).sum()) * dt)
+    squares = a_x - a_y
+    squares **= 2  # in place: one full-size temporary at a time
+    diff = math.sqrt(float(squares.sum()) * dt)
     return tau if diff <= thresh else min(tau, mu * residual / diff)
 
 
@@ -356,15 +358,26 @@ def run_ifbf(
     with _keeps_log(log):
         for n in range(config.max_iterations):
             b_n = beta_s.value(n)
-            w = (1.0 - b_n) * (h + alpha_n * (h - h_prev))
+            # full-size arrays are built in place, with one temporary at most:
+            # w = (1 - b_n) (h + alpha_n (h - h_prev))
+            w = h - h_prev
+            w *= alpha_n
+            w += h
+            w *= 1.0 - b_n
             aw = op.evaluate(PathFlowProfile(grid, w)).delays
             y = project_feasible(w - tau * aw, layout)
             ay = op.evaluate(PathFlowProfile(grid, y)).delays
-            h_next = (1.0 - config.lam) * w + config.lam * (y + tau * (aw - ay))
             residual = norm(w - y, dt)
+            tau_next = _adaptive_step(tau, config.mu, residual, aw, ay, dt)
+            # h_next = (1 - lam) w + lam (y + tau (aw - ay)), aw and ay dropped
+            h_next = aw - ay
+            del aw, ay
+            h_next *= tau
+            h_next += y
+            h_next *= config.lam
+            h_next += (1.0 - config.lam) * w
             step = norm(h_next - h, dt)
             energy = relative_step(step, h, dt)
-            tau_next = _adaptive_step(tau, config.mu, residual, aw, ay, dt)
             if np.array_equal(h_next, h):
                 alpha_next = config.alpha
             else:
@@ -376,7 +389,7 @@ def run_ifbf(
             if config.tolerance > 0 and residual <= config.tolerance:
                 log.stop_reason = "residual_tolerance"
                 break
-    del w, aw, y, ay, h_prev  # the loop's arrays: none is alive in the final projection
+    del w, y, h_prev  # the loop's arrays: none is alive in the final projection
     return PathFlowProfile(grid, project_feasible(h, layout)), log
 
 

@@ -116,7 +116,7 @@ def assert_matches_reference(res, rates):
     """
     ref = reference_loading(res.engine, rates)
     atol = 1e-12 * rates.sum() * res.engine.grid.dt
-    for name in ("n_up", "n_down", "q_arrivals", "q_releases", "exited_by_path"):
+    for name in ("n_up", "n_down", "q_arrivals", "q_releases", "exited_by_link"):
         np.testing.assert_allclose(getattr(res, name), getattr(ref, name),
                                    rtol=0, atol=atol, err_msg=name)
     try:

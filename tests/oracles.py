@@ -11,8 +11,8 @@ all at once, and the
 reference projection loops over the O-D blocks one at a time instead of
 projecting the stacked blocks of a chunk together.  The lagged reads
 interpolate each step on its own instead of from the engine's precomputed
-read schedule, and the CSR incidence order comes from Python's stable sort
-instead of numpy's sort of keys made unique.  The monotonicity checks
+read schedule, and the suffix-trie layout comes from route tuples and
+Python's stable sort instead of numpy's sort of keys made unique.  The monotonicity checks
 sample random pairs of profiles.
 """
 
@@ -140,7 +140,7 @@ def junction_flows(
 
 def total_exited(res) -> float:
     """Vehicles that finished their trips in a `LoadingResult`."""
-    return float(res.exited_by_path.sum())
+    return float(res.exited_by_link.sum())
 
 
 def probe_link_exit(res, link_idx: int, times: np.ndarray, path_id=None,
@@ -205,29 +205,40 @@ def invert_index(values: np.ndarray, level: float) -> float:
 
 
 def csr_layout(engine):
-    """The engine's CSR incidence arrays, rebuilt with Python's stable sort.
+    """The engine's suffix-trie arrays, rebuilt from route tuples with
+    Python's stable sort.
 
-    The (path row, hop) incidences are sorted by link, then by the out-slot
-    of the path's next link plus one (0 where the path ends), ties in path
-    order.  Returns `link_of`, `pred` (into a step's flows: entries, then
-    exits per incidence, then releases per path), `last_inc`, `seg_start`
-    and `seg_bin` (per (link, out-slot) segment, its (approach, out-slot)
-    bin, or J*A*S for ending paths).
+    A suffix node is a path's link with the rest of its route: the tuple of
+    links from that hop to the path's end.  The nodes are sorted by link,
+    then by the out-slot of their next link plus one (0 where the paths
+    end), ties in the order in which the paths, row by row and hop by hop,
+    first reach them.  Returns `link_of`; `into`, the node that a step's
+    exits per node, then releases per path, enter (N, a spare bin, for the
+    exits where paths end); `end_node` (the nodes where paths end),
+    `seg_start` and `seg_bin` (per (link, out-slot) segment, its (approach,
+    out-slot) bin, or J*A*S for ending paths).
     """
     net, (J, A, S) = engine.net, engine.shape
     slot = {lid: s for jn in net.junctions.values() for s, lid in enumerate(jn.outgoing)}
-    hops = [(engine.index_of[lid], slot[p.links[h + 1]] + 1 if h + 1 < len(p.links) else 0, r, h)
-            for r, p in enumerate(net.paths) for h, lid in enumerate(p.links)]
-    order = sorted(range(len(hops)), key=lambda i: hops[i][:2])
-    I = len(order)
-    col = {hops[i][2:]: c for c, i in enumerate(order)}
-    link_of = [hops[i][0] for i in order]
-    pred = [I + col[(r, h - 1)] if h else 2 * I + r for _e, _s, r, h in (hops[i] for i in order)]
-    last_inc = [col[(r, len(p.links) - 1)] for r, p in enumerate(net.paths)]
-    seg_start = [c for c in range(I) if c == 0 or hops[order[c]][:2] != hops[order[c - 1]][:2]]
+    seen = {}  # in the order first reached
+    for p in net.paths:
+        for h in range(len(p.links)):
+            seen.setdefault(p.links[h:], None)
+
+    def sort_key(route):
+        return engine.index_of[route[0]], slot[route[1]] + 1 if len(route) > 1 else 0
+
+    nodes = sorted(seen, key=sort_key)
+    N = len(nodes)
+    col = {route: c for c, route in enumerate(nodes)}
+    into = [col[route[1:]] if len(route) > 1 else N for route in nodes]
+    into += [col[p.links] for p in net.paths]
+    link_of = [engine.index_of[route[0]] for route in nodes]
+    end_node = [c for c, route in enumerate(nodes) if len(route) == 1]
+    seg_start = [c for c in range(N) if c == 0 or sort_key(nodes[c]) != sort_key(nodes[c - 1])]
     seg_bin = [engine.link_app[e] * S + s - 1 if s else J * A * S
-               for e, s, _r, _h in (hops[order[c]] for c in seg_start)]
-    return tuple(np.array(x, dtype=int) for x in (link_of, pred, last_inc, seg_start, seg_bin))
+               for e, s in (sort_key(nodes[c]) for c in seg_start)]
+    return tuple(np.array(x, dtype=int) for x in (link_of, into, end_node, seg_start, seg_bin))
 
 
 def reference_loading(engine, rates: np.ndarray):
@@ -236,8 +247,9 @@ def reference_loading(engine, rates: np.ndarray):
     The engine's stepping resolves all junctions at once over flat arrays;
     this loop walks every junction, then every approach of it, and gathers
     each approach's per-path exit composition from its own searchsorted
-    inversion of the link's entry curve.  Returns a `LoadingResult` on
-    `engine`, whose per-path curves are per-link and per-queue lists.
+    inversion of the link's entry curve: its state is per (link, path), not
+    per suffix node.  Returns a `LoadingResult` on `engine`, whose per-path
+    curves are per-link and per-queue lists.
     """
     net = engine.net
     E, T, dt, K = len(engine.link_ids), engine.steps, engine.grid.dt, engine.grid.num_intervals
@@ -316,7 +328,7 @@ def reference_loading(engine, rates: np.ndarray):
     q_rel = np.zeros((Q, T + 1))
     q_path = [np.zeros((q.rows.size, T + 1)) for q in engine.queues]
     q_now = [np.zeros(q.rows.size) for q in engine.queues]
-    exited = np.zeros(engine.num_paths)
+    exited = np.zeros(E)
     cap = engine.capacity * dt
     for k in range(T):
         d_veh = np.clip(interp_rowwise(n_up, k + 1 - engine.lag_v) - n_down[:, k], 0.0, cap)
@@ -372,7 +384,7 @@ def reference_loading(engine, rates: np.ndarray):
                         if src.size:
                             pu_inc[jl][dst] += moved[src]
                             up_inc[jl] += moved[src].sum()
-                    exited[rows[e][sink_src]] += moved[sink_src]
+                    exited[e] += moved[sink_src].sum()
                 elif kind == "queue":
                     qi, avail, want = key, data, extra
                     q = engine.queues[qi]
@@ -389,7 +401,7 @@ def reference_loading(engine, rates: np.ndarray):
             p_up[e][:, k + 1] = p_up[e][:, k] + pu_inc[e]
     return LoadingResult(engine=engine, n_up=n_up, n_down=n_down, p_up=p_up,
                          q_arrivals=q_arr, q_releases=q_rel, q_paths=q_path,
-                         exited_by_path=exited)
+                         exited_by_link=exited)
 
 
 def monotonicity_violation_witness(

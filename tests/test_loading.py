@@ -656,13 +656,15 @@ class TestPathDelaysByPath:
         assert_matches_reference(res, rates)
 
     def test_siouxfalls_probes_each_node_once(self, siouxfalls_dir, monkeypatch):
-        # 6,180 paths make 33,083 (link, path) incidences over 76 origin
-        # queues but only 6,289 distinct (queue, link prefix) nodes
+        # 6,180 paths make 33,083 (link, path) incidences, stepped as 6,338
+        # (link, remaining route) nodes; over 76 origin queues they make only
+        # 6,289 distinct (queue, link prefix) nodes to probe
         net = scaled(load_network_dir(siouxfalls_dir), 0.25)
         grid = TimeGrid(0.0, 2.0, 100)
         res = run_dnl(uniform_start(grid, net.trips, net.path_rows_by_od()), net, grid,
                       buffer=2.0)
-        assert res.engine.link_count.sum() == 33083
+        assert sum(len(p.links) for p in net.paths) == 33083
+        assert res.engine.link_count.sum() == 6338
         shapes = []
         probe = LoadingResult._probe_exit
 
@@ -756,11 +758,15 @@ class TestEngineLayout:
             assert windowed.tolist() == [want], (hi, lo, start)
 
     def test_window_keeps_entries_below_the_count_resolution(self, monkeypatch):
-        # 5e-15 vehicles of p2 enter the empty link between two batches of p1:
-        # too few to move its count of 240, but p2's entry curve rises there,
-        # and the second batch reads the curves at that count
-        net = build_line_network(num_links=1)
-        net = dataclasses.replace(net, paths=(*net.paths, PathDef("p2", "w", ("1",))))
+        # 5e-15 vehicles of p2 enter the empty link 1 between two batches of
+        # p1, which ends there: too few to move its count of 240, but the
+        # entry curve of p2's node (link 1, then link 2) rises there, and the
+        # second batch reads the curves at that count
+        net = build_line_network(num_links=2)
+        net = dataclasses.replace(
+            net, od_pairs={**net.od_pairs, "v": ("0", "1")},
+            trips=TripTable({"w": 5e-15, "v": 480.0}, {"w": 1.0, "v": 1.0}),
+            paths=(PathDef("p1", "v", ("1",)), PathDef("p2", "w", ("1", "2"))))
         rates = np.zeros((2, 15))
         rates[0, [0, 1, 2, 9, 10, 11]] = 80.0 / DT
         rates[1, 5] = 5e-15 / DT
@@ -770,7 +776,7 @@ class TestEngineLayout:
         monkeypatch.setattr(_Engine, "_window_rows", lambda self: self.steps + 1)
         full = run_dnl(h, net, GRID, buffer=1.0)
         assert res.first_step > 5
-        assert res.exited_by_path.tolist() == full.exited_by_path.tolist() == [480.0, 5e-15]
+        assert res.exited_by_link.tolist() == full.exited_by_link.tolist() == [480.0, 5e-15]
         np.testing.assert_array_equal(res.path_delays(), full.path_delays())
 
     def test_probe_rows_put_each_path_first(self):
@@ -798,8 +804,8 @@ class TestEngineLayout:
     def test_csr_order_matches_stable_sort(self, instance, nguyen_dir, siouxfalls_dir):
         net = load_network_dir(nguyen_dir if instance == "nguyen" else siouxfalls_dir)
         eng = _Engine(net, TimeGrid(0.0, 2.0, 100 if instance == "siouxfalls" else 70), None)
-        expected = csr_layout(eng)
-        for name, want in zip(("link_of", "pred", "last_inc", "seg_start", "seg_bin"), expected):
+        names = ("link_of", "into", "end_node", "seg_start", "seg_bin")
+        for name, want in zip(names, csr_layout(eng)):
             np.testing.assert_array_equal(getattr(eng, name), want, err_msg=name)
 
 

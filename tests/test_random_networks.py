@@ -167,7 +167,7 @@ def test_drain_exit_matches_full_horizon(case, buffer_factor):
     for name in ("p_up", "q_paths"):
         setattr(res, name, full_history(getattr(res, name), res))
     for name in ("n_up", "n_down", "p_up", "q_arrivals", "q_releases", "q_paths",
-                 "exited_by_path"):
+                 "exited_by_link"):
         np.testing.assert_array_equal(bits(getattr(res, name)), bits(getattr(full, name)),
                                       err_msg=name)
     assert res.invariant_report.keys() == full.invariant_report.keys()
@@ -187,7 +187,7 @@ def test_window_matches_full_history(case, buffer_factor):
         mp.setattr(_Engine, "_window_rows", lambda self: self.steps + 1)
         full = load(net, rates, validate=True, buffer_factor=buffer_factor)
     assert res.drained_step == full.drained_step
-    for name in ("n_up", "n_down", "q_arrivals", "q_releases", "exited_by_path"):
+    for name in ("n_up", "n_down", "q_arrivals", "q_releases", "exited_by_link"):
         np.testing.assert_array_equal(bits(getattr(res, name)), bits(getattr(full, name)),
                                       err_msg=name)
     # the kept rows are those of the full history at their steps, then zeros
@@ -208,6 +208,6 @@ def test_window_matches_full_history(case, buffer_factor):
 def test_csr_order_matches_stable_sort(case):
     net, _rates, _free = case
     engine = _Engine(net, GRID, None)
-    for name, want in zip(("link_of", "pred", "last_inc", "seg_start", "seg_bin"),
-                          csr_layout(engine)):
+    names = ("link_of", "into", "end_node", "seg_start", "seg_bin")
+    for name, want in zip(names, csr_layout(engine)):
         np.testing.assert_array_equal(getattr(engine, name), want, err_msg=name)
