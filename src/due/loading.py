@@ -157,21 +157,22 @@ class _Engine:
             keys.append(k)
         group, parent = np.divmod(np.concatenate(keys), span)  # of the ids Q..n-1
         # probe rows: path r's deepest node is row r (a node that ends several
-        # paths is probed once for each), the other ids follow, queues first
-        ends, lowest = np.unique(deepest, return_index=True)
-        row = np.zeros(n, dtype=int)
-        row[ends] = lowest
-        other = np.flatnonzero(np.isin(np.arange(n), ends, invert=True))
+        # paths is probed once for each, and its children read any of those
+        # equal rows), the other ids follow, queues first
+        row = np.full(n, -1)
+        row[deepest] = np.arange(P)
+        other = np.flatnonzero(row < 0)
         row[other] = P + np.arange(other.size)
         self.queue_row = row[:Q]
         inner = other[other >= Q]
         node = np.concatenate((deepest, inner)) - Q  # the node of each probed row
-        probed = np.concatenate((np.arange(P), row[inner]))
         order = np.argsort(group[node], kind="stable")
-        node, probed = node[order], probed[order]
+        node = node[order]
+        probed = np.concatenate((np.arange(P), row[inner]))[order]
+        parents = row[parent[node]]
         lo = np.flatnonzero(np.diff(group[node], prepend=-1)).tolist()
         # (link, rows, parents' rows) per (hop, link) group, by hop
-        self.probe_groups = [(int(group[node[a]] % E), probed[a:b], row[parent[node[a:b]]])
+        self.probe_groups = [(int(group[node[a]] % E), probed[a:b], parents[a:b])
                              for a, b in zip(lo, lo[1:] + [node.size])]
         self.num_probe_rows = P + other.size
 
@@ -226,13 +227,11 @@ class _Engine:
         self.queue_seg = self.queue_app * S + slot[[q.link_idx for q in self.queues]]
 
         # suffix nodes in CSR order, segmented by (link, out-slot): link-major,
-        # then the out-slot of the next link (0: the paths end here), then the
-        # lowest path row through the node
+        # then the out-slot of the next link (0: the paths end here), then id
         has_next = node_succ >= 0
         key = np.where(has_next, slot[node_link[node_succ]] + 1, 0)
-        _, first_hop = np.unique(node_of_hop, return_index=True)
-        # the keys made unique by the first hop: any sort is the stable one
-        order = np.argsort((node_link * (S + 1) + key) * H + first_hop)
+        # the keys made unique by the id: any sort is the stable one
+        order = np.argsort((node_link * (S + 1) + key) * n + np.arange(n))
         pos = np.empty_like(order)
         pos[order] = np.arange(n)
         self.link_of = node_link[order]

@@ -209,26 +209,29 @@ def csr_layout(engine):
     Python's stable sort.
 
     A suffix node is a path's link with the rest of its route: the tuple of
-    links from that hop to the path's end.  The nodes are sorted by link,
-    then by the out-slot of their next link plus one (0 where the paths
-    end), ties in the order in which the paths, row by row and hop by hop,
-    first reach them.  Returns `link_of`; `into`, the node that a step's
-    exits per node, then releases per path, enter (N, a spare bin, for the
-    exits where paths end); `end_node` (the nodes where paths end),
-    `seg_start` and `seg_bin` (per (link, out-slot) segment, its (approach,
-    out-slot) bin, or J*A*S for ending paths).
+    links from that hop to the path's end.  Ids go to the nodes by the length
+    of that tuple, then by link, then by the id of the node after (none
+    first).  The nodes are sorted by link, then by the out-slot of their
+    next link plus one (0 where the paths end), ties by id.  Returns
+    `link_of`; `into`, the node that a step's exits per node, then releases
+    per path, enter (N, a spare bin, for the exits where paths end);
+    `end_node` (the nodes where paths end), `seg_start` and `seg_bin` (per
+    (link, out-slot) segment, its (approach, out-slot) bin, or J*A*S for
+    ending paths).
     """
     net, (J, A, S) = engine.net, engine.shape
     slot = {lid: s for jn in net.junctions.values() for s, lid in enumerate(jn.outgoing)}
-    seen = {}  # in the order first reached
-    for p in net.paths:
-        for h in range(len(p.links)):
-            seen.setdefault(p.links[h:], None)
+    routes = {p.links[h:] for p in net.paths for h in range(len(p.links))}
+    ids = {(): -1}
+    for length in range(1, max(map(len, routes)) + 1):
+        level = [rt for rt in routes if len(rt) == length]
+        for rt in sorted(level, key=lambda rt: (engine.index_of[rt[0]], ids[rt[1:]])):
+            ids[rt] = len(ids) - 1
 
     def sort_key(route):
         return engine.index_of[route[0]], slot[route[1]] + 1 if len(route) > 1 else 0
 
-    nodes = sorted(seen, key=sort_key)
+    nodes = sorted(routes, key=lambda rt: (*sort_key(rt), ids[rt]))
     N = len(nodes)
     col = {route: c for c, route in enumerate(nodes)}
     into = [col[route[1:]] if len(route) > 1 else N for route in nodes]
