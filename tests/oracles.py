@@ -12,8 +12,8 @@ reference projection loops over the O-D blocks one at a time instead of
 projecting the stacked blocks of a chunk together.  The lagged reads
 interpolate each step on its own instead of from the engine's precomputed
 read schedule, and the suffix-trie layout comes from route tuples and
-Python's stable sort instead of numpy's sort of keys made unique.  The monotonicity checks
-sample random pairs of profiles.
+Python's stable sort instead of numpy's sort of keys made unique.  The
+monotonicity checks sample random pairs of profiles.
 """
 
 from __future__ import annotations

@@ -739,7 +739,7 @@ class TestEngineLayout:
         # curves from column at - 1 of the lower level on reads the same
         engine = _Engine(build_line_network(num_links=1), GRID, 0.5)
         hist = np.array([[0.0, 1.0, 3.0, 4.0, 4.0, 6.0]])
-        curves = np.zeros((engine.steps + 1, 2))  # one incidence, one origin queue
+        curves = np.zeros((engine.steps + 1, 2))  # one suffix node, one origin queue
         curves[:, 0] = np.arange(engine.steps + 1) ** 1.5
         entries = curves[:, 0]
 

@@ -6,8 +6,8 @@ several paths.  Every link meets the wave-speed condition on the grid, and
 1 to 4 O-D pairs load up to three of their paths with demands from free flow
 to spillback.  The engine is compared with the junction-by-junction reference
 loader and checked for its invariants, its early exit once the network has
-drained with stepping the full horizon, and its CSR incidence order with a
-stable sort.
+drained with stepping the full horizon, and its suffix-trie layout with one
+rebuilt from route tuples by a stable sort.
 """
 
 import numpy as np
