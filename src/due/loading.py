@@ -228,20 +228,18 @@ class _Engine:
 
         # suffix nodes in CSR order, segmented by (link, out-slot): link-major,
         # then the out-slot of the next link (0: the paths end here), then id
-        has_next = node_succ >= 0
-        key = np.where(has_next, slot[node_link[node_succ]] + 1, 0)
+        key = np.where(node_succ >= 0, slot[node_link[node_succ]] + 1, 0)
         # the keys made unique by the id: any sort is the stable one
         order = np.argsort((node_link * (S + 1) + key) * n + np.arange(n))
-        pos = np.empty_like(order)
+        pos = np.full(n + 1, n)  # each id's position; n for the successor -1
         pos[order] = np.arange(n)
         self.link_of = node_link[order]
         key = key[order]
-        succ = np.where(has_next, pos[node_succ], -1)[order]
         # the node that each of a step's exits per node and releases per path
         # enters: its successor (the spare bin n where paths end), then each
         # path's first node
-        self.into = np.concatenate((np.where(succ >= 0, succ, n), pos[node_of_hop[first]]))
-        self.end_node = np.flatnonzero(succ < 0)  # one per link that ends paths
+        self.into = np.concatenate((pos[node_succ[order]], pos[node_of_hop[first]]))
+        self.end_node = np.flatnonzero(key == 0)  # one per link that ends paths
         self.link_start = np.flatnonzero(np.r_[True, np.diff(self.link_of) != 0])
         self.link_used = self.link_of[self.link_start]
         # a step's per-link sums of entries, then of exits, in n_up and n_down
