@@ -78,11 +78,11 @@ class _Engine:
         self.net = net
         self.grid = grid
         dt = grid.dt
-        min_dt, worst = net.min_cfl_dt()
+        min_dt, binding = net.min_cfl_dt()
         if dt > min_dt * (1 + 1e-12):
             raise ConfigurationError(
                 f"loading step dt={dt:.6g} violates the wave-speed condition on link "
-                f"{worst!r}; need dt <= {min_dt:.6g}"
+                f"{binding!r}; need dt <= {min_dt:.6g}"
             )
         if buffer is None:
             buffer = DEFAULT_BUFFER_FACTOR * net.longest_free_flow_time()
@@ -257,7 +257,7 @@ class _Engine:
 
     # -- stepping ----------------------------------------------------------
 
-    def run(self, rates: np.ndarray, validate: bool = False) -> "LoadingResult":
+    def run(self, rates: np.ndarray) -> "LoadingResult":
         """Load (path, interval) departure rates that are finite: a validated
         profile's rates, each column clamped at zero where a step reads it."""
         if rates.shape != (self.num_paths, self.grid.num_intervals):
@@ -300,10 +300,6 @@ class _Engine:
         entered, moved, rel_p = flows[:N], flows[N:2 * N], flows[2 * N:]
         column = np.zeros(2 * E)  # one step's per-link entries and exits
         exited = np.zeros(self.end_node.size)
-
-        worst = {"junction_conservation": 0.0, "occupancy": 0.0, "monotone": 0.0,
-                 "path_split": 0.0, "flow_bounds": 0.0}
-        p_down_now = np.zeros(N)  # per-node exit totals, for path_split
 
         drained = None
         for k in range(T):
@@ -364,35 +360,7 @@ class _Engine:
             np.add(counts[:, k], column, out=counts[:, k + 1])
             exited += moved.take(self.end_node)
 
-            if validate:
-                ends = moved[self.end_node]
-                sent = (np.bincount(self.head[link_of], moved, J)
-                        + np.bincount(self.queue_node, released, J))
-                received = (np.bincount(self.tail[link_of], entered, J)
-                            + np.bincount(self.head[link_of[self.end_node]], ends, J))
-                p_down_now += moved
-                column[self.sum_rows] = np.add.reduceat(np.r_[p_up[r + 1], p_down_now],
-                                                        self.sum_starts)  # of the node curves
-                worst["junction_conservation"] = max(
-                    worst["junction_conservation"],
-                    float(np.max(np.abs(sent - received) / np.maximum(1.0, sent))))
-                worst["flow_bounds"] = max(
-                    worst["flow_bounds"],
-                    float(np.max(sending - cap[:E], initial=0.0)),
-                    float(np.max(receiving - cap[E:], initial=0.0)),
-                    float(np.max(-sending, initial=0.0)),
-                    float(np.max(-receiving, initial=0.0)),
-                )
-                worst["path_split"] = max(worst["path_split"],
-                                          float(np.max(np.abs(column - counts[:, k + 1]))))
-
         q_arr, q_rel = np.cumsum(q_steps, axis=1, out=q_steps).reshape(2, Q, T + 1)
-        if validate:
-            occ = n_up - n_down
-            worst["occupancy"] = max(float(np.max(occ - self.storage[:, None])),
-                                     float(np.max(-occ)))
-            worst["monotone"] = max(float(np.max(-np.diff(n_up), initial=0.0)),
-                                    float(np.max(-np.diff(n_down), initial=0.0)))
 
         return LoadingResult(
             engine=self,
@@ -403,7 +371,6 @@ class _Engine:
             q_releases=q_rel,
             q_paths=q_paths,
             exited_by_link=np.bincount(link_of[self.end_node], exited, E),
-            invariant_report=worst if validate else None,
             drained_step=drained,
             first_step=start,
         )
@@ -516,7 +483,8 @@ class _Engine:
 
 @dataclass
 class LoadingResult:
-    """Boundary curves, per-node entry curves and origin queues of one loading."""
+    """Boundary curves, per-node entry curves and origin queues of one loading:
+    its whole state, on which the tests audit its invariants (`audit_loading`)."""
 
     engine: _Engine
     n_up: np.ndarray
@@ -526,7 +494,6 @@ class LoadingResult:
     q_releases: np.ndarray
     q_paths: np.ndarray  # (step - first_step, path): content of the path's origin queue
     exited_by_link: np.ndarray  # vehicles that ended their trips at each link's exit
-    invariant_report: dict | None = None
     drained_step: int | None = None  # where stepping stopped; None: the full horizon
     first_step: int = 0  # the step of the first kept row; rows past the last step are 0
 
@@ -600,7 +567,6 @@ def run_dnl(
     grid: TimeGrid | None = None,
     *,
     buffer: float | None = None,
-    validate: bool = False,
 ) -> LoadingResult:
     """Load the departure profile through the network."""
     grid = grid or h.grid
@@ -609,7 +575,7 @@ def run_dnl(
     if np.any(h.rates < 0):
         raise ValidationError("departure rates must be nonnegative for loading")
     engine = _Engine(net, grid, buffer)
-    return engine.run(h.rates, validate=validate)
+    return engine.run(h.rates)
 
 
 def effective_delay(

@@ -128,8 +128,8 @@ class Network:
 
     def min_cfl_dt(self) -> tuple[float, str]:
         """Largest admissible loading step and the link that binds it."""
-        worst = min(self.links.values(), key=lambda l: l.length / max(l.vf, l.w))
-        return worst.length / max(worst.vf, worst.w), worst.id
+        binding = min(self.links.values(), key=lambda l: l.length / max(l.vf, l.w))
+        return binding.length / max(binding.vf, binding.w), binding.id
 
     def longest_free_flow_time(self) -> float:
         return max(sum(self.links[e].free_flow_time for e in p.links) for p in self.paths)

@@ -13,7 +13,8 @@ projecting the stacked blocks of a chunk together.  The lagged reads
 interpolate each step on its own instead of from the engine's precomputed
 read schedule, and the suffix-trie layout comes from route tuples and
 Python's stable sort instead of numpy's sort of keys made unique.  The
-monotonicity checks sample random pairs of profiles.
+loading audit reads only a result's stored curves, none of the step's own
+arrays.  The monotonicity checks sample random pairs of profiles.
 """
 
 from __future__ import annotations
@@ -141,6 +142,62 @@ def junction_flows(
 def total_exited(res) -> float:
     """Vehicles that finished their trips in a `LoadingResult`."""
     return float(res.exited_by_link.sum())
+
+
+def audit_loading(res: LoadingResult) -> dict[str, float]:
+    """The worst violation of each loading invariant, read off the stored
+    curves of an engine's `LoadingResult` after the fact; a value at or
+    below zero, up to rounding, means the invariant holds.
+
+    - `monotone`: the largest decrease of `n_up`, `n_down`, `q_arrivals`,
+      `q_releases` and the kept rows of `p_up`.
+    - `occupancy`: the largest excess of n_up - n_down over storage or below 0.
+    - `flow_bounds`: the largest excess of a step's realized entries or
+      exits (the steps of n_up and n_down) over capacity * dt.
+    - `path_split`: the largest |sum of p_up over a link's suffix nodes -
+      n_up|, on the kept rows from `first_step` through the last step.
+    - `junction_conservation`: per node and step, the vehicles that end
+      their trips there (what enters from links and origin queues, less what
+      enters the outgoing links), relative to max(1, what enters): the
+      largest of its negative part, its size where no path ends, and the miss
+      of its sum over the steps against `exited_by_link` summed over the
+      links into the node, relative to max(1, the total entering).
+    """
+    eng, net = res.engine, res.engine.net
+    node_of = {n: j for j, n in enumerate(net.nodes)}
+    head = [node_of[net.links[lid].head] for lid in eng.link_ids]
+    tail = [node_of[net.links[lid].tail] for lid in eng.link_ids]
+    d_up, d_down = np.diff(res.n_up), np.diff(res.n_down)
+    cap = eng.capacity[:, None] * eng.grid.dt
+    occ = res.n_up - res.n_down
+    last = eng.steps if res.drained_step is None else res.drained_step
+    kept = res.p_up[:last + 1 - res.first_step]
+    by_link = np.zeros((kept.shape[1], len(eng.link_ids)))
+    by_link[np.arange(kept.shape[1]), eng.link_of] = 1.0
+
+    inflow = np.zeros((len(node_of), eng.steps))
+    np.add.at(inflow, head, d_down)
+    np.add.at(inflow, [node_of[q.node] for q in eng.queues], np.diff(res.q_releases))
+    ending = inflow.copy()
+    np.subtract.at(ending, tail, d_up)
+    rel = ending / np.maximum(1.0, inflow)
+    ends_here = np.zeros(len(node_of), dtype=bool)
+    ends_here[[node_of[net.links[p.links[-1]].head] for p in net.paths]] = True
+    exited = np.zeros(len(node_of))
+    np.add.at(exited, head, res.exited_by_link)
+    miss = np.abs(ending.sum(axis=1) - exited) / np.maximum(1.0, inflow.sum(axis=1))
+
+    def worst(*parts):
+        return max(float(np.max(x, initial=-np.inf)) for x in parts)
+
+    return {
+        "monotone": worst(-d_up, -d_down, -np.diff(res.q_arrivals), -np.diff(res.q_releases),
+                          -np.diff(kept, axis=0)),
+        "occupancy": worst(occ - eng.storage[:, None], -occ),
+        "flow_bounds": worst(d_up - cap, d_down - cap),
+        "path_split": worst(np.abs(kept @ by_link - res.n_up[:, res.first_step:last + 1].T)),
+        "junction_conservation": worst(-rel, np.abs(rel[~ends_here]), miss),
+    }
 
 
 def probe_link_exit(res, link_idx: int, times: np.ndarray, path_id=None,

@@ -10,7 +10,7 @@ from due.network import Link, Network, PathDef, load_network_dir
 from due.operators import DNLDelayOperator
 from due.solvers import uniform_start
 from due.space import PathFlowProfile, TimeGrid, TripTable
-from oracles import (csr_layout, interp_rowwise, invert_index, junction_flows,
+from oracles import (audit_loading, csr_layout, interp_rowwise, invert_index, junction_flows,
                      path_delays_by_path, probe_link_exit, total_exited)
 
 # Line links default to 2 km at 60 km/h (w 20 km/h, kjam 160 veh/km): on this
@@ -18,6 +18,10 @@ from oracles import (csr_layout, interp_rowwise, invert_index, junction_flows,
 # 80 vehicles a step.
 GRID = TimeGrid(0.0, 0.5, 15)
 DT = GRID.dt
+
+# the largest `audit_loading` value that a loading may show, per invariant
+AUDIT_BOUNDS = {"junction_conservation": 1e-12, "occupancy": 1e-9, "monotone": 1e-12,
+                "path_split": 1e-9, "flow_bounds": 0.0}
 
 
 def with_kjam(net, lid, kjam):
@@ -32,7 +36,7 @@ def with_kjam(net, lid, kjam):
 
 def load(net, rates):
     h = PathFlowProfile(GRID, np.asarray(rates, dtype=float).reshape(1, -1))
-    return run_dnl(h, net, GRID, buffer=1.0, validate=True)
+    return run_dnl(h, net, GRID, buffer=1.0)
 
 
 def curves(res, lid):
@@ -162,8 +166,8 @@ def loadings(monkeypatch):
     seen = []
     run = _Engine.run
 
-    def recording(engine, rates, validate=False):
-        seen.append((rates, run(engine, rates, validate)))
+    def recording(engine, rates):
+        seen.append((rates, run(engine, rates)))
         return seen[-1][1]
 
     monkeypatch.setattr(_Engine, "run", recording)
@@ -461,7 +465,7 @@ class TestRunDnl:
     def test_zero_flow_zero_curves(self, line_network):
         grid = TimeGrid(0.0, 0.5, 15)
         h = PathFlowProfile(grid, np.zeros((1, grid.num_intervals)))
-        res = run_dnl(h, line_network, grid, validate=True)
+        res = run_dnl(h, line_network, grid)
         for lid in line_network.links:
             up, down = curves(res, lid)
             assert np.all(up == 0.0)
@@ -474,7 +478,7 @@ class TestRunDnl:
         rates = np.zeros((1, 15))
         rates[0, 0] = 10.0 / grid.dt  # all vehicles depart in the first interval
         h = PathFlowProfile(grid, rates)
-        res = run_dnl(h, net, grid, buffer=1.0, validate=True)
+        res = run_dnl(h, net, grid, buffer=1.0)
         assert total_exited(res) == pytest.approx(10.0, rel=1e-9)
         _up, down = curves(res, net.paths[0].links[-1])
         assert down[-1] == pytest.approx(10.0, rel=1e-9)
@@ -485,7 +489,7 @@ class TestRunDnl:
         grid = TimeGrid(0.0, 1.0, 30)
         rates = np.full((1, 30), 30.0)  # far below capacity
         h = PathFlowProfile(grid, rates)
-        res = run_dnl(h, net, grid, buffer=0.5, validate=True)
+        res = run_dnl(h, net, grid, buffer=0.5)
         up, down = curves(res, "1")
         bt = res.grid_ext.boundaries()
         lag = link.free_flow_time
@@ -530,8 +534,8 @@ class TestRunDnl:
     def test_invariants_on_loaded_network(self, nguyen):
         grid = TimeGrid(0.0, 2.0, 70)
         h = uniform_profile(nguyen, grid)
-        res = run_dnl(h, nguyen, grid, buffer=2.5, validate=True)
-        rep = res.invariant_report
+        res = run_dnl(h, nguyen, grid, buffer=2.5)
+        rep = audit_loading(res)
         assert rep["junction_conservation"] <= 1e-12
         assert rep["occupancy"] <= 1e-9
         assert rep["monotone"] <= 1e-12
@@ -539,6 +543,37 @@ class TestRunDnl:
         assert total_exited(res) == pytest.approx(
             sum(nguyen.trips.demands.values()), rel=1e-6
         )
+
+    @pytest.mark.parametrize("fault", ["decrease", "overfull", "over_capacity", "split",
+                                       "lost_at_junction"])
+    def test_audit_finds_corrupted_curves(self, nguyen, fault):
+        # each fault corrupts a copy of one array of a clean loading
+        grid = TimeGrid(0.0, 2.0, 70)
+        res = run_dnl(uniform_profile(nguyen, grid), nguyen, grid, buffer=2.5)
+        assert all(v <= AUDIT_BOUNDS[key] for key, v in audit_loading(res).items())
+        eng, k = res.engine, 20
+        e = int(np.argmax(res.n_up[:, k]))  # a loaded link
+        bad = dataclasses.replace(res, n_up=res.n_up.copy(), n_down=res.n_down.copy(),
+                                  p_up=res.p_up.copy())
+        if fault == "decrease":
+            key = "monotone"
+            bad.n_up[e, k] = bad.n_up[e, k - 1] - 1e-9
+        elif fault == "overfull":
+            key = "occupancy"
+            bad.n_up[e, k:] += eng.storage[e]
+        elif fault == "over_capacity":
+            key = "flow_bounds"
+            bad.n_up[e, k:] += 1.5 * eng.capacity[e] * grid.dt
+        elif fault == "split":
+            key = "path_split"
+            bad.p_up[0, np.flatnonzero(eng.link_of == e)[0]] += 1e-6  # the first kept row
+        else:
+            key = "junction_conservation"
+            ends = {nguyen.links[p.links[-1]].head for p in nguyen.paths}
+            e = next(i for i, lid in enumerate(eng.link_ids)
+                     if nguyen.links[lid].head not in ends and res.n_down[i, -1] > 0)
+            bad.n_down[e, k:] += 1e-6  # leave link e, enter no link and no trip end
+        assert audit_loading(bad)[key] > AUDIT_BOUNDS[key]
 
     def test_fifo_exit_times_monotone(self, nguyen):
         grid = TimeGrid(0.0, 2.0, 70)
@@ -573,7 +608,7 @@ class TestPathDelay:
         rates = np.zeros((1, 30))
         rates[0, 0] = 100.0 / grid.dt  # burst: 100 vehicles in one interval
         h = PathFlowProfile(grid, rates)
-        res = run_dnl(h, net, grid, buffer=0.5, validate=True)
+        res = run_dnl(h, net, grid, buffer=0.5)
         d = res.path_delays()
         # the last vehicle of the burst waits (100/C - dt) in the queue
         wait = 100.0 / link.capacity
@@ -654,6 +689,7 @@ class TestPathDelaysByPath:
         assert np.all(delays >= free_flow[:, None] - 1e-12)
         np.testing.assert_array_equal(delays, path_delays_by_path(res))
         assert_matches_reference(res, rates)
+        assert all(v <= AUDIT_BOUNDS[key] for key, v in audit_loading(res).items())
 
     def test_siouxfalls_probes_each_node_once(self, siouxfalls_dir, monkeypatch):
         # 6,180 paths make 33,083 (link, path) incidences, stepped as 6,338
