@@ -105,39 +105,20 @@ class _Engine:
         self.tail = np.array([node_of[l.tail] for l in links])
         self.head = np.array([node_of[l.head] for l in links])
 
-        # flat hop positions, path by path
-        paths = net.paths
-        P = self.num_paths = len(paths)
-        seqs = [[self.index_of[e] for e in p.links] for p in paths]
-        lengths = np.array([len(q) for q in seqs])
-        hop_link = np.array([e for q in seqs for e in q], dtype=int)
-        hop_path = np.repeat(np.arange(P), lengths)
-        first = np.cumsum(lengths) - lengths
-        last = first + lengths - 1
-        hop = np.arange(hop_link.size) - np.repeat(first, lengths)
-        succ_link = np.roll(hop_link, -1)
-        has_succ = np.ones(hop_link.size, dtype=bool)
-        has_succ[last] = False
-        broken = has_succ & (self.tail[succ_link] != self.head[hop_link])
-        if broken.any():
-            f = int(np.argmax(broken))
-            raise ValidationError(
-                f"path {paths[hop_path[f]].id!r} is not connected between links "
-                f"{self.link_ids[hop_link[f]]!r} and {self.link_ids[succ_link[f]]!r}")
-        # origin point queues, one per (origin node, first link)
-        specs: dict[tuple[str, int], list[int]] = {}
-        for r, p in enumerate(paths):
-            specs.setdefault((net.od_pairs[p.od][0], seqs[r][0]), []).append(r)
-        self.queues = [_QueueSpec(node, e, np.array(rws, dtype=int))
-                       for (node, e), rws in sorted(specs.items())]
-        self.queue_of_path = np.empty(P, dtype=int)
-        for qi, q in enumerate(self.queues):
-            if net.links[self.link_ids[q.link_idx]].tail != q.node:
-                raise ValidationError(
-                    f"first link {self.link_ids[q.link_idx]!r} does not leave "
-                    f"origin node {q.node!r}"
-                )
-            self.queue_of_path[q.rows] = qi
+        # flat hop positions, path by path, from the table checked with the network
+        table = net.table
+        P = self.num_paths = len(net.paths)
+        hop_link, first, end = table.links, table.start[:-1], table.start[1:]
+        lengths = end - first
+        # origin point queues, one per (origin node, first link), in the order
+        # of node id, then link
+        names = sorted(net.nodes)
+        origin = np.searchsorted(names, [o for o, _ in net.od_pairs.values()])
+        keys, self.queue_of_path = np.unique(origin[table.od] * E + hop_link[first],
+                                             return_inverse=True)
+        members = np.split(np.argsort(self.queue_of_path, kind="stable"),
+                           np.cumsum(np.bincount(self.queue_of_path))[:-1])
+        self.queues = [_QueueSpec(names[k // E], k % E, r) for k, r in zip(keys.tolist(), members)]
         self.queue_node = np.array([node_of[q.node] for q in self.queues], dtype=int)
 
         # the probe schedule runs on the prefix trie: a path's exit time after
@@ -147,11 +128,11 @@ class _Engine:
         deepest = self.queue_of_path.copy()  # each path's deepest node so far
         n = Q = len(self.queues)
         span = Q + hop_link.size  # above every id
-        keys = []
+        keys, rows = [], np.arange(P)
         for h in range(int(lengths.max())):
-            at = hop == h
-            rows = hop_path[at]
-            k, inv = np.unique((h * E + hop_link[at]) * span + deepest[rows], return_inverse=True)
+            rows = rows[lengths[rows] > h]  # the paths with an h-th hop
+            k, inv = np.unique((h * E + hop_link[first[rows] + h]) * span + deepest[rows],
+                               return_inverse=True)
             deepest[rows] = n + inv
             n += k.size
             keys.append(k)
@@ -181,11 +162,11 @@ class _Engine:
         # (link, remaining route) node.  Ids come depth by depth from the
         # paths' ends, each node keyed by its link and successor (-1 at the end)
         H = hop_link.size
-        depth = np.repeat(lengths, lengths) - 1 - hop
         node_of_hop = np.empty(H, dtype=int)
-        n, keys = 0, []
+        n, keys, rows = 0, [], np.arange(P)
         for d in range(int(lengths.max())):
-            at = np.flatnonzero(depth == d)
+            rows = rows[lengths[rows] > d]  # the paths with a hop d hops before their end
+            at = end[rows] - 1 - d
             nxt = node_of_hop[at + 1] if d else -1
             k, inv = np.unique(hop_link[at] * (H + 1) + nxt + 1, return_inverse=True)
             node_of_hop[at] = n + inv

@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import count, islice, pairwise, repeat
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -95,16 +96,27 @@ class PathDef:
     links: tuple[str, ...]
 
 
+class PathTable(NamedTuple):
+    """Path r runs over the links ``links[start[r]:start[r + 1]]``, indices in
+    ``net.links`` order, for the O-D pair ``od[r]``, an index in ``net.od_pairs``."""
+    links: np.ndarray
+    start: np.ndarray
+    od: np.ndarray
+
+
 @dataclass(frozen=True)
 class Network:
+    """An instance; building one checks its paths and indexes them in `table`."""
     nodes: Mapping[str, tuple[float, float]]
     links: Mapping[str, Link]
     od_pairs: Mapping[str, tuple[str, str]]
     trips: TripTable
     paths: tuple[PathDef, ...]
     junctions: Mapping[str, Junction] = field(default=None)
+    table: PathTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "table", _path_table(self))
         if self.junctions is None:
             object.__setattr__(self, "junctions", _classify(self))
 
@@ -114,13 +126,12 @@ class Network:
 
     def path_rows_by_od(self) -> dict[str, np.ndarray]:
         """Row indices into the path-flow matrix, grouped by O-D pair."""
-        rows: dict[str, list[int]] = {od: [] for od in self.od_pairs}
-        for i, p in enumerate(self.paths):
-            rows[p.od].append(i)
-        return {od: np.array(r, dtype=int) for od, r in rows.items()}
+        od = self.table.od
+        starts = np.cumsum(np.bincount(od, minlength=len(self.od_pairs)))[:-1]
+        return dict(zip(self.od_pairs, np.split(np.argsort(od, kind="stable"), starts)))
 
     def od_by_path(self) -> list[str]:
-        return [p.od for p in self.paths]
+        return list(map(list(self.od_pairs).__getitem__, self.table.od.tolist()))
 
     @property
     def max_capacity(self) -> float:
@@ -132,7 +143,9 @@ class Network:
         return binding.length / max(binding.vf, binding.w), binding.id
 
     def longest_free_flow_time(self) -> float:
-        return max(sum(self.links[e].free_flow_time for e in p.links) for p in self.paths)
+        """The longest path's free-flow time, each path's summed link by link."""
+        ff = np.array([l.free_flow_time for l in self.links.values()])[self.table.links].tolist()
+        return max(sum(ff[a:b]) for a, b in pairwise(self.table.start.tolist()))
 
 
 def _classify(net: Network) -> dict[str, Junction]:
@@ -151,28 +164,92 @@ def _classify(net: Network) -> dict[str, Junction]:
     }
 
 
-def _read_rows(path: Path) -> tuple[list[tuple[int, list[str]]], dict[str, str]]:
-    """Non-comment CSV rows with their line numbers, plus declared units."""
+# a path's checks (error, message), in the order they run and `_path_table` stacks them
+_PATH_CHECKS = (
+    (ParseError, lambda net, p: f"duplicate path id {p.id!r}"),
+    (ParseError, lambda net, p: f"path {p.id!r} references unknown O-D {p.od!r}"),
+    (ParseError, lambda net, p: f"path {p.id!r} lists no links"),
+    (ValidationError, lambda net, p: f"path {p.id!r} repeats a link"),
+    (ParseError, lambda net, p: f"path {p.id!r} references unknown link "
+                                f"{next(e for e in p.links if e not in net.links)!r}"),
+    (ValidationError, lambda net, p: f"path {p.id!r} starts at {net.links[p.links[0]].tail!r}, "
+                                     f"not at origin {net.od_pairs[p.od][0]!r}"),
+    (ValidationError, lambda net, p: f"path {p.id!r} ends at {net.links[p.links[-1]].head!r}, "
+                                     f"not at destination {net.od_pairs[p.od][1]!r}"),
+    (ValidationError, lambda net, p: "path {!r} is not connected between links {!r} and {!r}".format(
+        p.id, *next((a, b) for a, b in zip(p.links, p.links[1:])
+                    if net.links[a].head != net.links[b].tail))),
+)
+
+
+def _path_table(net: Network) -> PathTable:
+    """Index the paths and run every check of `_PATH_CHECKS` on all of them at once;
+    the first failing path raises its first failing check's error."""
+    paths, links, P, E = net.paths, net.links, len(net.paths), len(net.links)
+    start = np.cumsum([0] + [len(p.links) for p in paths])
+    path = np.repeat(np.arange(P), np.diff(start))  # of each hop
+    cells = [e for p in paths for e in p.links]
+    index_of = {lid: i for i, lid in enumerate(links)}
+    hops = np.fromiter(map(index_of.get, cells, repeat(E)), int, len(cells))
+    if (hops == E).any():  # unknown links, numbered from E by name for the repeat check
+        index_of.update(zip(set(cells).difference(index_of), count(E)))
+        hops = np.fromiter(map(index_of.__getitem__, cells), int, len(cells))
+    od_index = {od: i for i, od in enumerate(net.od_pairs)}
+    od = np.fromiter(map(od_index.get, [p.od for p in paths], repeat(-1)), int, P)
+    ids, duplicate = [p.id for p in paths], np.zeros(P, dtype=bool)
+    if len(set(ids)) < P:
+        first_row = dict(zip(reversed(ids), range(P - 1, -1, -1)))  # of each id
+        duplicate = np.fromiter(map(first_row.__getitem__, ids), int, P) != np.arange(P)
+    key = np.sort(path * len(index_of) + hops)  # (path, link); a repeated link ties
+    node_of = {n: i for i, n in enumerate(net.nodes)}
+    # a spare last row (-1) for unknown links, unknown O-D pairs and empty paths
+    tail, head = np.array([[node_of[l.tail], node_of[l.head]] for l in links.values()] + [[-1, -1]]).T
+    ends = np.array([[node_of[o], node_of[d]] for o, d in net.od_pairs.values()] + [[-1, -1]])
+    safe = np.append(np.minimum(hops, E), E)
+    cut = (head[safe[:-2]] != tail[safe[1:-1]]) & (path[:-1] == path[1:])
+    faults = np.stack((
+        duplicate,
+        od < 0,
+        start[1:] == start[:-1],
+        np.bincount(key[1:][key[1:] == key[:-1]] // len(index_of), minlength=P) > 0,
+        np.bincount(path[hops >= E], minlength=P) > 0,
+        tail[safe[start[:-1]]] != ends[od, 0],
+        head[safe[start[1:] - 1]] != ends[od, 1],
+        np.bincount(path[:-1][cut], minlength=P) > 0,
+    ))
+    if faults.any():
+        r = int(faults.any(axis=0).argmax())
+        cls, message = _PATH_CHECKS[int(faults[:, r].argmax())]
+        error = cls(message(net, paths[r]))
+        error.path_row = r  # for the loader to name the row's line
+        raise error
+    return PathTable(hops, start, od)
+
+
+def _read_rows(path: Path, units: dict[str, str] | None = None) -> Iterator[tuple[int, list[str]]]:
+    """The non-comment CSV rows after the header, with their line numbers, one
+    at a time; the declarations of a ``# units:`` comment go into `units`."""
     if not path.exists():
         raise ParseError(f"{path}: file not found")
-    units: dict[str, str] = {}
-    rows = []
+    header = True
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, raw in enumerate(csv.reader(fh), start=1):
-            if not raw or not "".join(raw).strip():
+            cells = list(map(str.strip, raw))
+            if not any(cells):
                 continue
-            if raw[0].lstrip().startswith("#"):
+            if cells[0].startswith("#"):
                 text = ",".join(raw).lstrip("# ").strip()
-                if text.lower().startswith("units:"):
+                if units is not None and text.lower().startswith("units:"):
                     for part in text[6:].replace(",", " ").split():
                         if "=" in part:
                             key, val = part.split("=", 1)
                             units[key.strip()] = val.strip()
-                continue
-            rows.append((lineno, [c.strip() for c in raw]))
-    if not rows:
+            elif header:
+                header = False
+            else:
+                yield lineno, cells
+    if header:
         raise ParseError(f"{path}: no data rows")
-    return rows[1:], units  # drop header row
 
 
 def _to_float(value: str, path: Path, lineno: int, what: str) -> float:
@@ -190,9 +267,8 @@ def load_network(node_file, link_file, od_file, path_file) -> Network:
     node_file, link_file = Path(node_file), Path(link_file)
     od_file, path_file = Path(od_file), Path(path_file)
 
-    node_rows, _ = _read_rows(node_file)
     nodes: dict[str, tuple[float, float]] = {}
-    for lineno, row in node_rows:
+    for lineno, row in _read_rows(node_file):
         if len(row) < 3:
             raise ParseError(f"{node_file}:{lineno}: expected id,x,y")
         nid = row[0]
@@ -203,7 +279,8 @@ def load_network(node_file, link_file, od_file, path_file) -> Network:
             _to_float(row[2], node_file, lineno, "y"),
         )
 
-    link_rows, link_units = _read_rows(link_file)
+    link_units: dict[str, str] = {}
+    link_rows = list(_read_rows(link_file, link_units))  # the units may come last
     tf = _TIME_FACTORS.get(link_units.get("time", "h"))
     df = _DIST_FACTORS.get(link_units.get("distance", "km"))
     if tf is None or df is None:
@@ -231,7 +308,8 @@ def load_network(node_file, link_file, od_file, path_file) -> Network:
         except ValidationError as exc:
             raise ParseError(f"{link_file}:{lineno}: {exc}") from None
 
-    od_rows, od_units = _read_rows(od_file)
+    od_units: dict[str, str] = {}
+    od_rows = list(_read_rows(od_file, od_units))
     tf_od = _TIME_FACTORS.get(od_units.get("time", "h"))
     if tf_od is None:
         raise ParseError(f"{od_file}: unsupported units declaration {od_units}")
@@ -256,63 +334,36 @@ def load_network(node_file, link_file, od_file, path_file) -> Network:
     if not od_pairs:
         raise ValidationError(f"{od_file}: no demand")
 
-    path_rows, _ = _read_rows(path_file)
-    paths: list[PathDef] = []
-    seen_paths: set[str] = set()
-    for lineno, row in path_rows:
-        if len(row) < 3:
-            raise ParseError(f"{path_file}:{lineno}: expected path_id,od_id,link_1,...")
-        pid, od = row[0], row[1]
-        if pid in seen_paths:
-            raise ParseError(f"{path_file}:{lineno}: duplicate path id {pid!r}")
-        seen_paths.add(pid)
-        if od not in od_pairs:
-            raise ParseError(f"{path_file}:{lineno}: path {pid!r} references unknown O-D {od!r}")
-        seq = tuple(c for c in row[2:] if c)
-        if not seq:
-            raise ParseError(f"{path_file}:{lineno}: path {pid!r} lists no links")
-        if len(set(seq)) != len(seq):
-            raise ValidationError(f"{path_file}:{lineno}: path {pid!r} repeats a link")
-        for e in seq:
-            if e not in links:
-                raise ParseError(f"{path_file}:{lineno}: path {pid!r} references unknown link {e!r}")
-        origin, dest = od_pairs[od]
-        if links[seq[0]].tail != origin:
-            raise ValidationError(
-                f"{path_file}:{lineno}: path {pid!r} starts at {links[seq[0]].tail!r}, "
-                f"not at origin {origin!r}"
-            )
-        if links[seq[-1]].head != dest:
-            raise ValidationError(
-                f"{path_file}:{lineno}: path {pid!r} ends at {links[seq[-1]].head!r}, "
-                f"not at destination {dest!r}"
-            )
-        for a, b in zip(seq, seq[1:]):
-            if links[a].head != links[b].tail:
-                raise ValidationError(
-                    f"{path_file}:{lineno}: path {pid!r} is not connected between "
-                    f"links {a!r} and {b!r}"
-                )
-        paths.append(PathDef(pid, od, seq))
-
-    routed = {p.od for p in paths}
-    missing = [od for od in od_pairs if od not in routed]
-    if missing:
-        raise ValidationError(f"O-D pairs without any path: {missing}")
-
     try:
         trips = TripTable(demands, targets)
     except ValidationError as exc:
         raise ValidationError(f"{od_file}: {exc}") from None
 
-    return Network(
-        nodes=nodes,
-        links=links,
-        od_pairs=od_pairs,
-        trips=trips,
-        paths=tuple(paths),
-        junctions=None,
-    )
+    # one row at a time, up to the first short one, so that each row's cells
+    # are freed once its path is made; a path shares its links' and its O-D
+    # pair's id strings
+    link_id, od_id = dict(zip(links, links)).get, dict(zip(od_pairs, od_pairs)).get
+    paths, short = [], None
+    for lineno, row in _read_rows(path_file):
+        if len(row) < 3:
+            short = lineno
+            break
+        cells = row[2:] if "" not in row else [c for c in row[2:] if c]
+        paths.append(PathDef(row[0], od_id(row[1], row[1]), tuple(map(link_id, cells, cells))))
+    try:
+        net = Network(nodes=nodes, links=links, od_pairs=od_pairs, trips=trips,
+                      paths=tuple(paths), junctions=None)
+    except (ParseError, ValidationError) as exc:  # a path check names the path's row
+        lineno = next(islice(_read_rows(path_file), exc.path_row, None))[0]
+        raise type(exc)(f"{path_file}:{lineno}: {exc}") from None
+    if short is not None:
+        raise ParseError(f"{path_file}:{short}: expected path_id,od_id,link_1,...")
+
+    routed = np.bincount(net.table.od, minlength=len(od_pairs))
+    missing = [od for od, n in zip(od_pairs, routed) if not n]
+    if missing:
+        raise ValidationError(f"O-D pairs without any path: {missing}")
+    return net
 
 
 def load_network_dir(directory) -> Network:
@@ -347,9 +398,9 @@ def save_network(net: Network, directory) -> None:
 
 def validate_network(net: Network) -> list[tuple[str, bool, str]]:
     """Checks that `load_network` leaves to the report; returns (check name,
-    passed, detail) rows.  The invariants it enforces while loading (link
-    endpoints, diagram consistency, path connectivity, the O-D partition) are
-    not repeated here."""
+    passed, detail) rows.  What `load_network` enforces (link endpoints and
+    diagrams, the O-D pairs) and every path check, which runs whenever a
+    `Network` is built, are not repeated here."""
     report: list[tuple[str, bool, str]] = []
 
     def add(name, ok, detail=""):

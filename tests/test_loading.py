@@ -503,9 +503,12 @@ class TestRunDnl:
             run_dnl(h, line_network, grid)
 
     def test_disconnected_path_rejected(self, line_network):
-        net = dataclasses.replace(line_network, paths=(PathDef("p1", "w", ("2", "1")),))
+        # c and d double links 1 and 2, so p1 leaves the origin and reaches the
+        # destination, but link 2 ends where link 1 does not start
+        links = {**line_network.links, "c": line_link("c", "0", "1"), "d": line_link("d", "1", "2")}
         with pytest.raises(ValidationError, match="not connected between links '2' and '1'"):
-            _Engine(net, GRID, None)
+            dataclasses.replace(line_network, links=links,
+                                paths=(PathDef("p1", "w", ("c", "2", "1", "d")),))
 
     def test_rejects_negative_rates(self, line_network):
         grid = TimeGrid(0.0, 0.5, 15)

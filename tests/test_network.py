@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from conftest import build_line_network
 from due.errors import ParseError, ValidationError
 from due.loading import _Engine
-from due.network import load_network_dir, save_network, validate_network
+from due.network import PathDef, load_network_dir, save_network, validate_network
 from due.space import TimeGrid
 
 
@@ -187,6 +188,46 @@ class TestValidationErrors:
         with pytest.raises(ParseError, match=r"paths.csv:2: path 'p1' lists no links"):
             load_network_dir(d)
 
+    # links a (0 -> 1) and b (1 -> 2) unless a case gives its own; O-D w is 0 -> 2
+    @pytest.mark.parametrize("rows, cls, line, message", [
+        ("p1,w,a,b\np1,w,a,b\n", ParseError, 3, "duplicate path id 'p1'"),
+        ("p1,x,a,b\n", ParseError, 2, "path 'p1' references unknown O-D 'x'"),
+        ("p1,w,a,a,b\n", ValidationError, 2, "path 'p1' repeats a link"),
+        ("p1,w,a,c\n", ParseError, 2, "path 'p1' references unknown link 'c'"),
+        ("p1,w,b\n", ValidationError, 2, "path 'p1' starts at '1', not at origin '0'"),
+        ("p1,w,a\n", ValidationError, 2, "path 'p1' ends at '1', not at destination '2'"),
+        ("p1,w,a,b\n", ValidationError, 2, "path 'p1' is not connected between links 'a' and 'b'"),
+        # the first failing row is named, whichever check fails it
+        ("p1,w,a\np2,x,a,b\n", ValidationError, 2,
+         "path 'p1' ends at '1', not at destination '2'"),
+        ("p1,w,a,b\np2,w,a,a,b\np2,x\n", ValidationError, 3, "path 'p2' repeats a link"),
+        ("p1,w,b\np2,w\n", ValidationError, 2, "path 'p1' starts at '1', not at origin '0'"),
+        ("p1,w,a,b\np2,w\np3,x,c\n", ParseError, 3, "expected path_id,od_id,link_1,..."),
+        ("p1,w\n", ParseError, 2, "expected path_id,od_id,link_1,..."),
+    ], ids=["duplicate_id", "unknown_od", "repeated_link", "unknown_link", "wrong_start",
+            "wrong_end", "disconnected", "earlier_row_later_check", "earliest_of_three",
+            "fault_before_short_row", "short_row_first", "short_row_without_paths"])
+    def test_path_fault_names_first_failing_row(self, tmp_path, rows, cls, line, message):
+        links = None
+        if message.endswith("links 'a' and 'b'"):
+            links = ("id,from,to,length,vf,w,kjam,capacity\n"
+                     "a,0,1,2.0,60.0,20.0,160.0,2400.0\n"
+                     "b,0,2,3.0,60.0,20.0,160.0,2400.0\n")
+        d = write_minimal_instance(tmp_path / "x", **{"paths.csv": "path_id,od_id,links\n" + rows},
+                                   **({"links.csv": links} if links else {}))
+        with pytest.raises(cls) as info:
+            load_network_dir(d)
+        assert type(info.value) is cls
+        assert str(info.value) == f"{d / 'paths.csv'}:{line}: {message}"
+
+    def test_demand_fault_before_path_fault(self, tmp_path):
+        # od.csv is checked in full before paths.csv is read
+        d = write_minimal_instance(tmp_path / "x", **{
+            "od.csv": "od_id,origin,dest,demand,target_time\nw,0,2,0.0,1.0\n",
+            "paths.csv": "path_id,od_id,links\np1,w,a\n"})
+        with pytest.raises(ValidationError, match=r"od.csv: O-D pair 'w' has non-positive demand"):
+            load_network_dir(d)
+
     def test_od_looping_on_one_node(self, tmp_path):
         d = write_minimal_instance(
             tmp_path / "x",
@@ -194,6 +235,37 @@ class TestValidationErrors:
         )
         with pytest.raises(ValidationError, match="identical origin"):
             load_network_dir(d)
+
+
+def python_longest_free_flow_time(net):
+    return max(sum(net.links[e].free_flow_time for e in p.links) for p in net.paths)
+
+
+class TestPathTable:
+    def test_network_checks_its_paths_when_built(self, line_network):
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(line_network, paths=(PathDef("p1", "w", ("2", "1")),))
+        assert str(info.value) == "path 'p1' starts at '1', not at origin '0'"
+
+    def test_table_reads_as_the_path_defs(self, nguyen, siouxfalls_dir):
+        for net in (nguyen, load_network_dir(siouxfalls_dir)):
+            # the loading horizon's default buffer, bit for bit
+            assert net.longest_free_flow_time().hex() == python_longest_free_flow_time(net).hex()
+            rows = net.path_rows_by_od()
+            assert list(rows) == list(net.od_pairs)
+            for od, r in rows.items():
+                assert r.dtype == int
+                assert r.tolist() == [i for i, p in enumerate(net.paths) if p.od == od]
+            assert net.od_by_path() == [p.od for p in net.paths]
+            ids = list(net.links)
+            assert [tuple(ids[e] for e in net.table.links[a:b])
+                    for a, b in zip(net.table.start, net.table.start[1:])] == [p.links for p in net.paths]
+
+    def test_path_cells_share_their_link_ids(self, siouxfalls_dir):
+        net = load_network_dir(siouxfalls_dir)
+        ods = {od: od for od in net.od_pairs}
+        assert all(e is net.links[e].id for p in net.paths for e in p.links)
+        assert all(p.od is ods[p.od] for p in net.paths)
 
 
 class TestClassifyJunctions:

@@ -103,6 +103,14 @@ def bits(values):
 
 @RANDOM_NETWORKS
 @given(random_loadings())
+def test_longest_free_flow_time_is_the_python_sum(case):
+    net = case[0]  # it sets the loading horizon when no buffer is given
+    expected = max(sum(net.links[e].free_flow_time for e in p.links) for p in net.paths)
+    assert net.longest_free_flow_time().hex() == expected.hex()
+
+
+@RANDOM_NETWORKS
+@given(random_loadings())
 def test_matches_reference_loader(case):
     net, rates, _free = case
     assert_matches_reference(load(net, rates), rates)
