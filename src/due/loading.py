@@ -175,23 +175,21 @@ class _Engine:
         node_link, node_succ = np.divmod(np.concatenate(keys), H + 1)
         node_succ -= 1
 
-        # padded (node, approach, out-slot) layout of the junctions
+        # padded (node, approach, out-slot) layout of the junctions: in link
+        # id order, each link is the next out-slot of its tail and, if it
+        # carries paths, the next approach of its head; origin queues follow
         J = len(node_of)
         self.link_count = np.bincount(node_link, minlength=E)  # suffix nodes per link
         slot = np.zeros(E, dtype=int)
         app_of_link = np.zeros(E, dtype=int)
         n_app = np.zeros(J, dtype=int)
         n_out = np.zeros(J, dtype=int)
-        for node, jn in net.junctions.items():
-            j = node_of[node]
-            n_out[j] = len(jn.outgoing)
-            for s, lid in enumerate(jn.outgoing):
-                slot[self.index_of[lid]] = s
-            for lid in jn.incoming:
-                e = self.index_of[lid]
-                if self.link_count[e]:
-                    app_of_link[e] = n_app[j]
-                    n_app[j] += 1
+        for e in sorted(range(E), key=self.link_ids.__getitem__):
+            slot[e] = n_out[self.tail[e]]
+            n_out[self.tail[e]] += 1
+            if self.link_count[e]:
+                app_of_link[e] = n_app[self.head[e]]
+                n_app[self.head[e]] += 1
         app_of_queue = np.zeros(len(self.queues), dtype=int)
         for qi, j in enumerate(self.queue_node):
             app_of_queue[qi] = n_app[j]

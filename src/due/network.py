@@ -11,7 +11,8 @@ lines are comments):
 A comment line of the form ``# units: time=h distance=km`` may appear in
 links.csv and od.csv; quantities are converted to the canonical units
 (hours, kilometers) at load time.  Path sets are instance inputs; no path
-enumeration happens here.
+enumeration happens here.  A `Network` holds the five inputs and `table`, the
+paths checked and indexed when it is built, and no per-node view of the links.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .space import TripTable
 
 __all__ = [
     "Link",
-    "Junction",
     "PathDef",
     "Network",
     "load_network",
@@ -83,13 +83,6 @@ class Link:
 
 
 @dataclass(frozen=True)
-class Junction:
-    node: str
-    incoming: tuple[str, ...]
-    outgoing: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class PathDef:
     id: str
     od: str
@@ -106,19 +99,17 @@ class PathTable(NamedTuple):
 
 @dataclass(frozen=True)
 class Network:
-    """An instance; building one checks its paths and indexes them in `table`."""
+    """An instance's nodes, links, O-D pairs, trips and paths, and `table`: the
+    paths checked and indexed when it is built, so `dataclasses.replace` redoes it."""
     nodes: Mapping[str, tuple[float, float]]
     links: Mapping[str, Link]
     od_pairs: Mapping[str, tuple[str, str]]
     trips: TripTable
     paths: tuple[PathDef, ...]
-    junctions: Mapping[str, Junction] = field(default=None)
     table: PathTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "table", _path_table(self))
-        if self.junctions is None:
-            object.__setattr__(self, "junctions", _classify(self))
 
     @property
     def num_paths(self) -> int:
@@ -146,22 +137,6 @@ class Network:
         """The longest path's free-flow time, each path's summed link by link."""
         ff = np.array([l.free_flow_time for l in self.links.values()])[self.table.links].tolist()
         return max(sum(ff[a:b]) for a, b in pairwise(self.table.start.tolist()))
-
-
-def _classify(net: Network) -> dict[str, Junction]:
-    incoming: dict[str, list[str]] = {n: [] for n in net.nodes}
-    outgoing: dict[str, list[str]] = {n: [] for n in net.nodes}
-    for link in net.links.values():
-        outgoing[link.tail].append(link.id)
-        incoming[link.head].append(link.id)
-    return {
-        n: Junction(
-            node=n,
-            incoming=tuple(sorted(incoming[n])),
-            outgoing=tuple(sorted(outgoing[n])),
-        )
-        for n in net.nodes
-    }
 
 
 # a path's checks (error, message), in the order they run and `_path_table` stacks them
@@ -351,8 +326,7 @@ def load_network(node_file, link_file, od_file, path_file) -> Network:
         cells = row[2:] if "" not in row else [c for c in row[2:] if c]
         paths.append(PathDef(row[0], od_id(row[1], row[1]), tuple(map(link_id, cells, cells))))
     try:
-        net = Network(nodes=nodes, links=links, od_pairs=od_pairs, trips=trips,
-                      paths=tuple(paths), junctions=None)
+        net = Network(nodes=nodes, links=links, od_pairs=od_pairs, trips=trips, paths=tuple(paths))
     except (ParseError, ValidationError) as exc:  # a path check names the path's row
         lineno = next(islice(_read_rows(path_file), exc.path_row, None))[0]
         raise type(exc)(f"{path_file}:{lineno}: {exc}") from None

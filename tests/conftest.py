@@ -78,7 +78,7 @@ def build_line_network(num_links=2, demand=10.0, target=1.0, length=2.0, vf=60.0
     trips = TripTable({"w": demand}, {"w": target})
     paths = (PathDef("p1", "w", tuple(str(i) for i in range(1, num_links + 1))),)
     return Network(nodes=nodes, links=links, od_pairs=od_pairs, trips=trips,
-                   paths=paths, junctions=None)
+                   paths=paths)
 
 
 @pytest.fixture
@@ -105,6 +105,26 @@ def full_history(curves, res):
     if res.drained_step is not None:
         curves[res.drained_step + 1:] = curves[res.drained_step]
     return curves
+
+
+def assert_same_engine(engine, want):
+    """Two `_Engine`s with equal attributes, arrays bit for bit, but for `net`."""
+    assert vars(engine).keys() == vars(want).keys()
+    for name, value in vars(engine).items():
+        if name == "net":
+            continue
+        other = getattr(want, name)
+        if name == "queues":
+            value, other = ([(q.node, q.link_idx, q.rows.tobytes()) for q in qs]
+                            for qs in (value, other))
+        elif name == "probe_groups":
+            value, other = ([(e, rows.tobytes(), parents.tobytes()) for e, rows, parents in gs]
+                            for gs in (value, other))
+        if isinstance(value, np.ndarray):
+            assert (value.dtype, value.shape, value.tobytes()) == \
+                (other.dtype, other.shape, other.tobytes()), name
+        else:
+            assert value == other, name
 
 
 def assert_matches_reference(res, rates):

@@ -12,7 +12,9 @@ reference projection loops over the O-D blocks one at a time instead of
 projecting the stacked blocks of a chunk together.  The lagged reads
 interpolate each step on its own instead of from the engine's precomputed
 read schedule, and the suffix-trie layout comes from route tuples and
-Python's stable sort instead of numpy's sort of keys made unique.  The
+Python's stable sort instead of numpy's sort of keys made unique; there
+and in the reference loader, each node's approaches and out-slots come from
+the link records, not from the engine's arrays.  The
 loading audit reads only a result's stored curves, none of the step's own
 arrays.  The monotonicity checks sample random pairs of profiles.
 """
@@ -261,6 +263,18 @@ def invert_index(values: np.ndarray, level: float) -> float:
     return float(idx) if hi <= lo else idx - 1 + (level - lo) / (hi - lo)
 
 
+def links_at_nodes(net) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Per node, the ids of its incoming and of its outgoing links, each in id
+    order, read off the link records: the node's approaches (those that carry
+    paths) and out-slots are numbered in that order."""
+    incoming: dict[str, list[str]] = {n: [] for n in net.nodes}
+    outgoing: dict[str, list[str]] = {n: [] for n in net.nodes}
+    for lid in sorted(net.links):
+        incoming[net.links[lid].head].append(lid)
+        outgoing[net.links[lid].tail].append(lid)
+    return incoming, outgoing
+
+
 def csr_layout(engine):
     """The engine's suffix-trie arrays, rebuilt from route tuples with
     Python's stable sort.
@@ -277,8 +291,12 @@ def csr_layout(engine):
     ending paths).
     """
     net, (J, A, S) = engine.net, engine.shape
-    slot = {lid: s for jn in net.junctions.values() for s, lid in enumerate(jn.outgoing)}
+    incoming, outgoing = links_at_nodes(net)
+    slot = {lid: s for out in outgoing.values() for s, lid in enumerate(out)}
     routes = {p.links[h:] for p in net.paths for h in range(len(p.links))}
+    used = {rt[0] for rt in routes}
+    app = {engine.index_of[lid]: j * A + a for j, ins in enumerate(incoming.values())
+           for a, lid in enumerate(e for e in ins if e in used)}
     ids = {(): -1}
     for length in range(1, max(map(len, routes)) + 1):
         level = [rt for rt in routes if len(rt) == length]
@@ -296,7 +314,7 @@ def csr_layout(engine):
     link_of = [engine.index_of[route[0]] for route in nodes]
     end_node = [c for c, route in enumerate(nodes) if len(route) == 1]
     seg_start = [c for c in range(N) if c == 0 or sort_key(nodes[c]) != sort_key(nodes[c - 1])]
-    seg_bin = [engine.link_app[e] * S + s - 1 if s else J * A * S
+    seg_bin = [app[e] * S + s - 1 if s else J * A * S
                for e, s in (sort_key(nodes[c]) for c in seg_start)]
     return tuple(np.array(x, dtype=int) for x in (link_of, into, end_node, seg_start, seg_bin))
 
@@ -327,11 +345,12 @@ def reference_loading(engine, rates: np.ndarray):
     # per junction: out-links, and per incoming approach the (src, dst)
     # positions of its paths per out-slot plus those that end here
     junctions = {}
-    for node, j in net.junctions.items():
-        out_idx = [index_of[e] for e in j.outgoing]
+    incoming, outgoing = links_at_nodes(net)
+    for node in net.nodes:
+        out_idx = [index_of[e] for e in outgoing[node]]
         slot_of = {e: s for s, e in enumerate(out_idx)}
         approaches = []
-        for e in (index_of[e] for e in j.incoming):
+        for e in (index_of[e] for e in incoming[node]):
             if rows[e].size == 0:
                 continue
             nxt = np.array([slot_of.get(next_link[(e, r)], -1) for r in rows[e]])

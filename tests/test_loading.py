@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import assert_matches_reference, build_line_network, full_history, uniform_profile
+from conftest import (assert_matches_reference, assert_same_engine, build_line_network, full_history,
+                      uniform_profile)
 from due.errors import ConfigurationError, UnfinishedTripError, ValidationError
 from due.loading import LoadingResult, _Engine, effective_delay, run_dnl
 from due.network import Link, Network, PathDef, load_network_dir
@@ -31,7 +32,7 @@ def with_kjam(net, lid, kjam):
     links[lid] = Link(lid, l.tail, l.head, l.length, l.vf, l.w, kjam,
                       l.vf * l.w * kjam / (l.vf + l.w))
     return Network(nodes=net.nodes, links=links, od_pairs=net.od_pairs,
-                   trips=net.trips, paths=net.paths, junctions=None)
+                   trips=net.trips, paths=net.paths)
 
 
 def load(net, rates):
@@ -96,8 +97,7 @@ def two_lines():
                   od_pairs={"wa": ("a0", "a3"), "wb": ("b0", "b2")},
                   trips=TripTable({"wa": 150.0, "wb": 1200.0}, {"wa": 1.0, "wb": 1.0}),
                   paths=(PathDef("pa", "wa", ("a1", "a2", "a3")),
-                         PathDef("pb", "wb", ("b1", "b2"))),
-                  junctions=None)
+                         PathDef("pb", "wb", ("b1", "b2"))))
     rates = np.array([[300.0] * 15, [2400.0] * 15])
     return net, run_dnl(PathFlowProfile(GRID, rates), net, GRID, buffer=1.0)
 
@@ -124,8 +124,7 @@ def shared_prefix():
                                   {"wa": 1.0, "wb": 1.0, "wc": 1.0}),
                   paths=(PathDef("pa", "wa", ("a1", "a2", "a3")),
                          PathDef("pb", "wb", ("b1", "b2", "b3")),
-                         PathDef("pc", "wc", ("b1", "b2", "c3"))),
-                  junctions=None)
+                         PathDef("pc", "wc", ("b1", "b2", "c3"))))
     rates = np.array([[100.0] * 15, [40.0] * 15, [40.0] * 15])
     return net, run_dnl(PathFlowProfile(GRID, rates), net, GRID, buffer=1.0)
 
@@ -596,7 +595,7 @@ class TestPathDelay:
         links = dict(net.links)
         links["2"] = Link("2", "1", "2", 3.0, 60.0, 20.0, 160.0, 2400.0)
         net = Network(nodes=net.nodes, links=links, od_pairs=net.od_pairs,
-                      trips=net.trips, paths=net.paths, junctions=None)
+                      trips=net.trips, paths=net.paths)
         grid = TimeGrid(0.0, 1.0, 30)
         h = PathFlowProfile(grid, np.full((1, 30), 6.0))
         d = run_dnl(h, net, grid, buffer=0.5).path_delays()
@@ -838,6 +837,25 @@ class TestEngineLayout:
         np.testing.assert_array_equal(delays.view(np.int64),
                                       path_delays_by_path(res).view(np.int64))
         np.testing.assert_array_equal(delays[0], delays[2])
+
+    def test_replaced_network_lays_out_as_built(self, nguyen):
+        # a link parallel to link 1 and a path over it, put in by
+        # `dataclasses.replace`: node 1 gets a third out-slot and node 5 a
+        # third approach, as in the same network built from scratch
+        links = dict(nguyen.links)
+        links["1b"] = dataclasses.replace(nguyen.links["1"], id="1b")
+        paths = (*nguyen.paths, PathDef("p25", "w1", ("1b", "5", "7", "9", "11")))
+        net = scaled(dataclasses.replace(nguyen, links=links, paths=paths), 2.0)
+        built = Network(nodes=net.nodes, links=links, od_pairs=net.od_pairs,
+                        trips=net.trips, paths=paths)
+        grid = TimeGrid(0.0, 2.0, 70)
+        got, want = (run_dnl(uniform_profile(n, grid), n, grid, buffer=2.5) for n in (net, built))
+        assert want.engine.shape == (13, 3, 3)
+        assert_same_engine(got.engine, want.engine)
+        for name in ("n_up", "n_down", "p_up", "q_arrivals", "q_releases", "q_paths",
+                     "exited_by_link"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.path_delays().tobytes() == want.path_delays().tobytes()
 
     @pytest.mark.parametrize("instance", ["nguyen", "siouxfalls"])
     def test_csr_order_matches_stable_sort(self, instance, nguyen_dir, siouxfalls_dir):

@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_line_network
+from conftest import assert_same_engine, build_line_network
 from due.errors import ParseError, ValidationError
 from due.loading import _Engine
-from due.network import PathDef, load_network_dir, save_network, validate_network
-from due.space import TimeGrid
+from due.network import Link, Network, PathDef, load_network_dir, save_network, validate_network
+from due.space import TimeGrid, TripTable
 
 
 def write_minimal_instance(d: Path, **overrides):
@@ -48,8 +48,11 @@ class TestLoadBenchmarks:
         net = load_network_dir(write_minimal_instance(tmp_path / "line"))
         assert len(net.links) == 2
         assert net.num_paths == 1
-        mid = net.junctions["1"]
-        assert (len(mid.incoming), len(mid.outgoing)) == (1, 1)
+        # the middle node has one approach, link a, and one out-slot, link b
+        eng = _Engine(net, TimeGrid(0.0, 1.0, 30), None)
+        assert eng.shape == (3, 1, 1)
+        assert eng.supply_at.ravel().tolist() == [2, 3, 4]  # a's, b's, none
+        assert eng.link_app.tolist() == [1, 2]
 
     def test_unit_conversion(self, tmp_path):
         d = write_minimal_instance(
@@ -269,34 +272,46 @@ class TestPathTable:
 
 
 class TestClassifyJunctions:
+    """Each node's links classified into approaches and out-slots, numbered in
+    link id order, in the engine's padded (node, approach, out-slot) arrays."""
+
     def test_line_middle_node(self, line_network):
-        junctions = line_network.junctions
-        assert (junctions["0"].incoming, junctions["0"].outgoing) == ((), ("1",))
-        assert (junctions["1"].incoming, junctions["1"].outgoing) == (("1",), ("2",))
-        assert (junctions["2"].incoming, junctions["2"].outgoing) == (("2",), ())
+        # nodes 0, 1, 2; links 1 (0 -> 1) and 2 (1 -> 2); one origin queue at 0.
+        # A node's out-slot reads its link's receiving flow (E + link) or zero (2E)
+        eng = _Engine(line_network, TimeGrid(0.0, 0.5, 15), 1.0)
+        assert eng.shape == (3, 1, 1)
+        assert eng.supply_at.ravel().tolist() == [2, 3, 4]
+        assert eng.link_app.tolist() == [1, 2]  # node * A + approach
+        assert eng.queue_app.tolist() == [0]
 
     def test_merge_shape(self):
         net = build_line_network()
-        # add a second incoming link into node 1
-        from due.network import Link, Network
-
+        # a second incoming link into node 1, first in link order but after
+        # link 1 in id order, with a path over it
         nodes = dict(net.nodes)
         nodes["9"] = (0.0, 1.0)
-        links = dict(net.links)
-        links["c"] = Link("c", "9", "1", 2.0, 60.0, 20.0, 160.0, 2400.0)
+        links = {"c": Link("c", "9", "1", 2.0, 60.0, 20.0, 160.0, 2400.0), **net.links}
         merged = Network(
-            nodes=nodes, links=links, od_pairs=net.od_pairs, trips=net.trips,
-            paths=net.paths, junctions=None,
+            nodes=nodes, links=links, od_pairs={**net.od_pairs, "v": ("9", "2")},
+            trips=TripTable({"w": 10.0, "v": 10.0}, {"w": 1.0, "v": 1.0}),
+            paths=(*net.paths, PathDef("q", "v", ("c", "2"))),
         )
-        assert merged.junctions["1"].incoming == ("1", "c")
-        assert merged.junctions["1"].outgoing == ("2",)
+        eng = _Engine(merged, TimeGrid(0.0, 0.5, 15), 1.0)
+        assert eng.link_ids == ["c", "1", "2"]
+        assert eng.shape == (4, 2, 1)
+        # node 1: approaches link 1, then c; out-slot link 2
+        assert eng.link_app.tolist() == [1 * 2 + 1, 1 * 2 + 0, 2 * 2 + 0]
+        assert eng.supply_at[1].tolist() == [3 + 2]
 
     def test_nguyen_origin_roles(self, nguyen):
-        # the loading engine keeps origin point queues at the origin nodes only
+        # the loading engine keeps origin point queues at the origin nodes
+        # only, each sending into its first link's out-slot
         engine = _Engine(nguyen, TimeGrid(0.0, 2.0, 70), None)
+        E, (_J, _A, S) = len(engine.link_ids), engine.shape
         assert {q.node for q in engine.queues} == {"1", "4"}
-        for q in engine.queues:
-            assert engine.link_ids[q.link_idx] in nguyen.junctions[q.node].outgoing
+        for q, j, seg in zip(engine.queues, engine.queue_node, engine.queue_seg):
+            assert list(nguyen.nodes)[j] == q.node == nguyen.links[engine.link_ids[q.link_idx]].tail
+            assert engine.supply_at[j, seg % S] == E + q.link_idx
 
 
 class TestRoundTrip:
@@ -310,7 +325,8 @@ class TestRoundTrip:
         assert again.paths == nguyen.paths
         assert dict(again.trips.demands) == dict(nguyen.trips.demands)
         assert dict(again.trips.target_times) == dict(nguyen.trips.target_times)
-        assert again.junctions == nguyen.junctions
+        grid = TimeGrid(0.0, 2.0, 70)
+        assert_same_engine(_Engine(again, grid, None), _Engine(nguyen, grid, None))
 
     def test_validation_report_all_pass(self, nguyen):
         report = validate_network(nguyen)

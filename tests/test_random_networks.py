@@ -82,7 +82,7 @@ def random_loadings(draw):
                   od_pairs={f"w{k}": (str(o), str(d)) for k, (o, d) in enumerate(ods)},
                   trips=TripTable({od: max(q, 1e-9) for od, q in demand.items()},
                                   {od: 1.0 for od in demand}),
-                  paths=tuple(paths), junctions=None)
+                  paths=tuple(paths))
     peak = {e: 0.0 for e in links}
     for p, row in zip(paths, rates):
         for e in p.links:
