@@ -299,7 +299,7 @@ def _execute_run(cfg: RunConfig) -> tuple[dict, ConvergenceLog]:
     _write_log(out / "iterations.csv", log)
     index = _csv(_cells(range(cfg.grid.num_intervals)),
                  _cells(cfg.grid.starts().tolist())).splitlines()
-    leads = [f"{p.id},{p.od}" for p in net.paths]
+    leads = [f"{r},{od}" for r, od in zip(net.path_ids, net.od_by_path())]
     _write_csv(out / "final_flows.csv", ["path_id", "od_id", "interval", "t_start", "rate"],
                _row_blocks(leads, index, h_final.rates))
     _write_csv(out / "final_delays.csv",
@@ -336,16 +336,11 @@ def cmd_run(config_path, dump_dnl: bool = False) -> int:
 def cmd_validate(network_dir) -> int:
     report = validate_network(load_network_dir(network_dir))
     width = max(len(name) for name, _ok, _d in report)
-    failures = 0
     for name, ok, detail in report:
-        mark = "pass" if ok else "FAIL"
-        line = f"{name:<{width}}  {mark}"
-        if detail:
-            line += f"  {detail}"
-        print(line)
-        failures += 0 if ok else 1
-    print(f"{len(report) - failures}/{len(report)} checks passed")
-    return 0 if failures == 0 else EXIT_CODES["validation"]
+        print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}".rstrip())
+    passed = sum(ok for _name, ok, _d in report)
+    print(f"{passed}/{len(report)} checks passed")
+    return 0 if passed == len(report) else EXIT_CODES["validation"]
 
 
 def cmd_compare(config_paths, out_dir) -> int:

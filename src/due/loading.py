@@ -100,14 +100,14 @@ class _Engine:
         self.lag_v = np.array([l.free_flow_time / dt for l in links])
         self.lag_w = np.array([l.length / l.w / dt for l in links])
         self.ff_time = np.array([l.free_flow_time for l in links])
-        self.big_m = 10.0 * net.max_capacity
+        self.big_m = 10.0 * max(l.capacity for l in links)
         node_of = {n: i for i, n in enumerate(net.nodes)}
         self.tail = np.array([node_of[l.tail] for l in links])
         self.head = np.array([node_of[l.head] for l in links])
 
         # flat hop positions, path by path, from the table checked with the network
         table = net.table
-        P = self.num_paths = len(net.paths)
+        P = self.num_paths = net.num_paths
         hop_link, first, end = table.links, table.start[:-1], table.start[1:]
         lengths = end - first
         # origin point queues, one per (origin node, first link), in the order
@@ -530,7 +530,7 @@ class LoadingResult:
         failed = np.flatnonzero(first_bad[:eng.num_paths] >= 0)
         if failed.size:
             r = int(failed[0])
-            raise UnfinishedTripError(eng.net.paths[r].id, int(first_bad[r]))
+            raise UnfinishedTripError(eng.net.path_ids[r], int(first_bad[r]))
         delays = exits[:eng.num_paths]
         delays -= starts
         return delays

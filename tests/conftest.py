@@ -127,6 +127,16 @@ def assert_same_engine(engine, want):
             assert value == other, name
 
 
+def assert_same_paths(net, want, grid):
+    """Two networks with the same path ids, the same path table arrays bit for
+    bit, and equal engines on `grid`."""
+    assert net.path_ids == want.path_ids
+    for name, value, other in zip(want.table._fields, net.table, want.table):
+        assert (value.dtype, value.shape, value.tobytes()) == \
+            (other.dtype, other.shape, other.tobytes()), name
+    assert_same_engine(_Engine(net, grid, None), _Engine(want, grid, None))
+
+
 def assert_matches_reference(res, rates):
     """A `LoadingResult` against the junction-by-junction reference loader.
 

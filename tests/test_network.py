@@ -1,13 +1,19 @@
+import csv
 import dataclasses
+import gc
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from conftest import assert_same_engine, build_line_network
+from conftest import DATA_DIR, assert_same_engine, assert_same_paths, build_line_network
 from due.errors import ParseError, ValidationError
 from due.loading import _Engine
 from due.network import Link, Network, PathDef, load_network_dir, save_network, validate_network
 from due.space import TimeGrid, TripTable
+
+
+UNWRITABLE = "is empty or holds a comma, quote or line break"
 
 
 def write_minimal_instance(d: Path, **overrides):
@@ -207,9 +213,18 @@ class TestValidationErrors:
         ("p1,w,b\np2,w\n", ValidationError, 2, "path 'p1' starts at '1', not at origin '0'"),
         ("p1,w,a,b\np2,w\np3,x,c\n", ParseError, 3, "expected path_id,od_id,link_1,..."),
         ("p1,w\n", ParseError, 2, "expected path_id,od_id,link_1,..."),
+        # an id that a CSV writer would quote, or an empty one, in any row
+        ('"p,1",w,a,b\n', ParseError, 2, f"path id 'p,1' {UNWRITABLE}"),
+        (",w,a,b\n", ParseError, 2, f"path id '' {UNWRITABLE}"),
+        ('p1,w,a,b\n"p""2",w,a,b\n', ParseError, 3, f"path id 'p\"2' {UNWRITABLE}"),
+        ('"p\n1",w,a,b\n', ParseError, 2, f"path id 'p\\n1' {UNWRITABLE}"),
+        ('"p,1",w,a,b\n"p,1",w,a,a,b\n', ParseError, 2, f"path id 'p,1' {UNWRITABLE}"),
+        ('p1,w,a\n"p,2",w,a,b\n', ValidationError, 2, "path 'p1' ends at '1', not at destination '2'"),
     ], ids=["duplicate_id", "unknown_od", "repeated_link", "unknown_link", "wrong_start",
             "wrong_end", "disconnected", "earlier_row_later_check", "earliest_of_three",
-            "fault_before_short_row", "short_row_first", "short_row_without_paths"])
+            "fault_before_short_row", "short_row_first", "short_row_without_paths",
+            "comma_in_id", "empty_id", "quote_in_id", "line_break_in_id", "unwritable_before_duplicate",
+            "fault_before_unwritable_id"])
     def test_path_fault_names_first_failing_row(self, tmp_path, rows, cls, line, message):
         links = None
         if message.endswith("links 'a' and 'b'"):
@@ -222,6 +237,23 @@ class TestValidationErrors:
             load_network_dir(d)
         assert type(info.value) is cls
         assert str(info.value) == f"{d / 'paths.csv'}:{line}: {message}"
+
+    @pytest.mark.parametrize("name, row, line, kind, rid", [
+        ("nodes.csv", '"n,3",3,0', 5, "node", "n,3"),
+        ("nodes.csv", ",3,0", 5, "node", ""),
+        ("links.csv", '"c""",0,1,2.0,60.0,20.0,160.0,2400.0', 5, "link", 'c"'),
+        ("links.csv", ",0,1,2.0,60.0,20.0,160.0,2400.0", 5, "link", ""),
+        ("od.csv", '"v\rw",0,1,5.0,1.0', 4, "O-D", "v\rw"),
+        ("od.csv", ",0,1,5.0,1.0", 4, "O-D", ""),
+    ], ids=["node_comma", "node_empty", "link_quote", "link_empty", "od_line_break", "od_empty"])
+    def test_unwritable_id_named(self, tmp_path, name, row, line, kind, rid):
+        # the row comes after the minimal instance's own rows of that file
+        base = write_minimal_instance(tmp_path / "base")
+        d = write_minimal_instance(tmp_path / "x", **{name: (base / name).read_text() + row + "\n"})
+        with pytest.raises(ParseError) as info:
+            load_network_dir(d)
+        assert type(info.value) is ParseError
+        assert str(info.value) == f"{d / name}:{line}: {kind} id {rid!r} {UNWRITABLE}"
 
     def test_demand_fault_before_path_fault(self, tmp_path):
         # od.csv is checked in full before paths.csv is read
@@ -263,6 +295,39 @@ class TestPathTable:
             ids = list(net.links)
             assert [tuple(ids[e] for e in net.table.links[a:b])
                     for a, b in zip(net.table.start, net.table.start[1:])] == [p.links for p in net.paths]
+
+    @pytest.mark.parametrize("instance, intervals", [("nguyen", 70), ("siouxfalls", 100)])
+    def test_network_built_in_code_matches_the_loaded_one(self, instance, intervals):
+        # the path rows as `PathDef`s go through the same columns and checks
+        # as the loader's stream
+        loaded = load_network_dir(DATA_DIR / instance)
+        with open(DATA_DIR / instance / "paths.csv", newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")][1:]
+        paths = tuple(PathDef(r[0], r[1], tuple(r[2:])) for r in rows)
+        built = Network(loaded.nodes, loaded.links, loaded.od_pairs, loaded.trips, paths)
+        assert built.paths == loaded.paths == paths
+        assert_same_paths(built, loaded, TimeGrid(0.0, 2.0, intervals))
+
+    def test_replace_indexes_the_paths_on_the_new_links(self, nguyen):
+        # the links in reverse order: every path keeps its links by id
+        links = dict(reversed(nguyen.links.items()))
+        net = dataclasses.replace(nguyen, links=links)
+        assert net.paths == nguyen.paths
+        assert net.table.links.tolist() == [len(links) - 1 - e for e in nguyen.table.links.tolist()]
+        assert net.table.start.tolist() == nguyen.table.start.tolist()
+
+    def test_loaded_network_keeps_ids_and_table_only(self, siouxfalls_dir):
+        load_network_dir(siouxfalls_dir)  # module and cache set-up outside the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            net = load_network_dir(siouxfalls_dir)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert not any(isinstance(v, tuple) and v and isinstance(v[0], PathDef)
+                       for v in vars(net).values())
+        assert kept < 1.3e6  # 1.98 MB when the network held a `PathDef` per path
 
     def test_path_cells_share_their_link_ids(self, siouxfalls_dir):
         net = load_network_dir(siouxfalls_dir)
@@ -327,6 +392,17 @@ class TestRoundTrip:
         assert dict(again.trips.target_times) == dict(nguyen.trips.target_times)
         grid = TimeGrid(0.0, 2.0, 70)
         assert_same_engine(_Engine(again, grid, None), _Engine(nguyen, grid, None))
+
+    @pytest.mark.parametrize("instance, intervals", [("nguyen", 70), ("siouxfalls", 100)])
+    def test_save_load_save_is_byte_identical(self, instance, intervals, tmp_path):
+        net = load_network_dir(DATA_DIR / instance)
+        save_network(net, tmp_path / "first")
+        again = load_network_dir(tmp_path / "first")
+        save_network(again, tmp_path / "second")
+        for name in ("nodes.csv", "links.csv", "od.csv", "paths.csv"):
+            assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+        assert again.paths == net.paths
+        assert_same_paths(again, net, TimeGrid(0.0, 2.0, intervals))
 
     def test_validation_report_all_pass(self, nguyen):
         report = validate_network(nguyen)

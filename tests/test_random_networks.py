@@ -10,15 +10,17 @@ drained with stepping the full horizon, and its suffix-trie layout with one
 rebuilt from route tuples by a stable sort.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_matches_reference, full_history
+from conftest import assert_matches_reference, assert_same_paths, full_history
 from due.errors import UnfinishedTripError
 from due.loading import _Engine
-from due.network import Link, Network, PathDef
+from due.network import Link, Network, PathDef, load_network_dir, save_network
 from due.space import TimeGrid, TripTable
 from oracles import audit_loading, csr_layout, path_delays_by_path, total_exited
 
@@ -107,6 +109,19 @@ def test_longest_free_flow_time_is_the_python_sum(case):
     net = case[0]  # it sets the loading horizon when no buffer is given
     expected = max(sum(net.links[e].free_flow_time for e in p.links) for p in net.paths)
     assert net.longest_free_flow_time().hex() == expected.hex()
+
+
+@RANDOM_NETWORKS
+@given(random_loadings())
+def test_loaded_copy_matches_the_network_built_in_code(case):
+    # built from `PathDef`s or streamed from paths.csv, the paths go through
+    # the same columns and checks
+    net = case[0]
+    with tempfile.TemporaryDirectory() as d:
+        save_network(net, d)
+        loaded = load_network_dir(d)
+    assert loaded.paths == net.paths
+    assert_same_paths(loaded, net, GRID)
 
 
 @RANDOM_NETWORKS
