@@ -334,7 +334,10 @@ def cmd_run(config_path, dump_dnl: bool = False) -> int:
 
 
 def cmd_validate(network_dir) -> int:
-    report = validate_network(load_network_dir(network_dir))
+    net = load_network_dir(network_dir)
+    print(f"{len(net.nodes)} nodes, {len(net.links)} links, {len(net.od_pairs)} O-D pairs, "
+          f"{net.num_paths} paths")
+    report = validate_network(net)
     width = max(len(name) for name, _ok, _d in report)
     for name, ok, detail in report:
         print(f"{name:<{width}}  {'pass' if ok else 'FAIL'}  {detail}".rstrip())

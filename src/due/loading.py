@@ -259,11 +259,11 @@ class _Engine:
 
         counts = np.zeros((2 * E, T + 1))  # the boundary curves, n_up on n_down
         n_up, n_down = counts[:E], counts[E:]
-        # time-major curves from step `start` on: entries per suffix node, then
-        # the origin queue content per path; rows not yet written are zero
-        window = np.zeros((self._window_rows(), N + P))
-        p_up, q_paths = window[:, :N], window[:, N:]
+        # time-major entries per suffix node from step `start` on; rows not
+        # yet written are zero
+        p_up = np.zeros((self._window_rows(), N))
         start = 0
+        queued = np.zeros(P)  # the content of each path's origin queue
         # per-queue arrivals and releases by step, summed into curves at the end
         q_steps = np.zeros((2 * Q, T + 1))
         no_arrivals = np.zeros(P)
@@ -282,14 +282,13 @@ class _Engine:
 
         drained = None
         for k in range(T):
-            if k >= K and self._drained(n_up, n_down, q_paths[k - start], k, floor_at[k, :E]):
+            if k >= K and self._drained(n_up, n_down, queued, k, floor_at[k, :E]):
                 # every later step would copy column k: copy it and stop
                 counts[:, k + 1:] = counts[:, k:k + 1]
                 drained = k
                 break
-            if k + 1 - start == len(window):
-                start, window = self._compact(window, start, k, n_up, levels[1:].min(axis=0))
-                p_up, q_paths = window[:, :N], window[:, N:]
+            if k + 1 - start == len(p_up):
+                start, p_up = self._compact(p_up, start, k, n_up, levels[1:].min(axis=0))
             r = k - start  # the row of step k
             # sending and receiving flows, integrated over the step (vehicles):
             # the lagged reads, less column k of the opposite curve
@@ -307,7 +306,7 @@ class _Engine:
             # than 1e-15 reads an empty interval
             np.minimum(lo + sending, up, out=hi)
             np.copyto(hi, lo, where=sending <= 1e-15)
-            comp = self._entries_between(window, start, n_up[:, : k + 1], levels[:2])
+            comp = self._entries_between(p_up, start, n_up[:, : k + 1], levels[:2])
             total = np.zeros(E)  # per link
             total[self.link_used] = np.add.reduceat(comp, self.link_start)
             fix = (total > 0) & (np.abs(total - sending) > 1e-9 * np.maximum(1.0, sending))
@@ -319,11 +318,11 @@ class _Engine:
             # origin queues: a backed-up queue sends big M, an empty one its
             # inflow, either capped by its content
             arr_in = np.maximum(rates[:, k], 0.0) * dt if k < K else no_arrivals
-            avail = q_paths[r] + arr_in
+            avail = queued + arr_in
             total_avail = np.bincount(qop, avail, Q)
             arr_sum = q_steps[:Q, k + 1] = np.bincount(qop, arr_in, Q)
             live = total_avail > 1e-15
-            d_rate = np.where(np.bincount(qop, q_paths[r], Q) > 0, self.big_m, arr_sum / dt)
+            d_rate = np.where(np.bincount(qop, queued, Q) > 0, self.big_m, arr_sum / dt)
             want = np.where(live, np.minimum(d_rate * dt, total_avail), 0.0)
             amounts[self.queue_seg] = want
 
@@ -332,7 +331,7 @@ class _Engine:
             released = np.multiply(theta.take(self.queue_app), want, out=q_steps[Q:, k + 1])
             share = np.divide(released, total_avail, out=np.zeros(Q), where=live)
             np.multiply(avail, share.take(qop), out=rel_p)
-            np.subtract(avail, rel_p, out=q_paths[r + 1])
+            np.subtract(avail, rel_p, out=queued)
             entered[:] = np.bincount(self.into, flows[N:], N + 1)[:N]
             np.add(p_up[r], entered, out=p_up[r + 1])
             column[self.sum_rows] = np.add.reduceat(flows[:2 * N], self.sum_starts)
@@ -348,7 +347,7 @@ class _Engine:
             p_up=p_up,
             q_arrivals=q_arr,
             q_releases=q_rel,
-            q_paths=q_paths,
+            queued=queued,
             exited_by_link=np.bincount(link_of[self.end_node], exited, E),
             drained_step=drained,
             first_step=start,
@@ -395,11 +394,10 @@ class _Engine:
         inversion reads no column before `at - 1` of it; or only column `at`
         if it is the count there (the fraction is 1, or `at` is 0), as it
         would read any later column while the link's count and curves stay the same."""
-        N = self.link_of.size
         at = _first_at(n_up[:, :k], low, start)
         same = n_up[:, start + 1:k + 1] == n_up[:, start:k]
         same[self.link_used] &= np.logical_and.reduceat(
-            window[1:k + 1 - start, :N] == window[:k - start, :N], self.link_start, axis=1).T
+            window[1:k + 1 - start] == window[:k - start], self.link_start, axis=1).T
         moved = np.c_[~same & (np.arange(start + 1, k + 1) > at[:, None]), np.ones(len(at), bool)]
         need = np.where(low == n_up[self._links, at], moved.argmax(axis=1) + start, at - 1)
         keep = max(int(need.min()), start)
@@ -462,8 +460,8 @@ class _Engine:
 
 @dataclass
 class LoadingResult:
-    """Boundary curves, per-node entry curves and origin queues of one loading:
-    its whole state, on which the tests audit its invariants (`audit_loading`)."""
+    """Boundary curves, per-node entry curves and origin-queue content of one
+    loading: the state on which the tests audit its invariants (`audit_loading`)."""
 
     engine: _Engine
     n_up: np.ndarray
@@ -471,7 +469,7 @@ class LoadingResult:
     p_up: np.ndarray  # (step - first_step, suffix node): entries per (link, remaining route)
     q_arrivals: np.ndarray
     q_releases: np.ndarray
-    q_paths: np.ndarray  # (step - first_step, path): content of the path's origin queue
+    queued: np.ndarray  # (path,): content of the path's origin queue where stepping stopped
     exited_by_link: np.ndarray  # vehicles that ended their trips at each link's exit
     drained_step: int | None = None  # where stepping stopped; None: the full horizon
     first_step: int = 0  # the step of the first kept row; rows past the last step are 0

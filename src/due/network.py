@@ -12,8 +12,8 @@ A comment line of the form ``# units: time=h distance=km`` may appear in
 links.csv and od.csv; quantities are converted to the canonical units
 (hours, kilometers) at load time.  Path sets are instance inputs; no path
 enumeration happens here.  A `Network` keeps its paths as their ids and `table`,
-checked and indexed when it is built, and no per-node view of the links.  Loaded
-ids, and path ids always, are not empty and hold no comma, quote or line break.
+checked and indexed when it is built, and no per-node view of the links.  Its
+ids are not empty and hold no comma, quote or line break.
 """
 
 from __future__ import annotations
@@ -129,7 +129,15 @@ class Network:
     table: PathTable = field(init=False, repr=False)
 
     def __post_init__(self, paths):
-        if not isinstance(paths, PathColumns):
+        if not isinstance(paths, PathColumns):  # built in code: the loader checks its own rows
+            ends = {"node": dict.fromkeys(self.nodes, ()),
+                    "link": {e: (l.tail, l.head) for e, l in self.links.items()}, "O-D": self.od_pairs}
+            for kind, pairs in ends.items():
+                for rid, pair in pairs.items():
+                    if not _writable(rid):
+                        raise ValidationError(f"{kind} id {rid!r} {_UNWRITABLE}")
+                    if unknown := [n for n in pair if n not in self.nodes]:
+                        raise ValidationError(f"{kind} {rid!r} references unknown node {unknown[0]!r}")
             od_index, link_index = _index(self.od_pairs), _index(self.links)
             hops = [link_index[e] for p in paths for e in p.links]
             paths = PathColumns([p.id for p in paths], [od_index[p.od] for p in paths], hops,
@@ -230,13 +238,14 @@ def _path_table(net: Network, paths: PathColumns) -> PathTable:
 
 
 def _read_rows(path: Path, units: dict[str, str] | None = None) -> Iterator[tuple[int, list[str]]]:
-    """The non-comment CSV rows after the header, with their line numbers, one
+    """The non-comment CSV rows after the header, with the lines they start on, one
     at a time; the declarations of a ``# units:`` comment go into `units`."""
     if not path.exists():
         raise ParseError(f"{path}: file not found")
-    header = True
+    header, ended = True, 0
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(csv.reader(fh), start=1):
+        for raw in (reader := csv.reader(fh)):
+            lineno, ended = ended + 1, reader.line_num  # a quoted cell may span lines
             cells = list(map(str.strip, raw))
             if not any(cells):
                 continue
@@ -387,10 +396,4 @@ def save_network(net: Network, directory) -> None:
 
 def validate_network(net: Network) -> list[tuple[str, bool, str]]:
     """The checks that `load_network` and `Network` leave, as (name, passed, detail) rows."""
-    return [
-        ("nodes present", len(net.nodes) > 0, f"{len(net.nodes)} nodes"),
-        ("links present", len(net.links) > 0, f"{len(net.links)} links"),
-        ("demand present", len(net.trips.demands) > 0, f"{len(net.od_pairs)} O-D pairs"),
-        ("paths present", net.num_paths > 0, f"{net.num_paths} paths"),
-        ("target times nonnegative", all(t >= 0 for t in net.trips.target_times.values()), ""),
-    ]
+    return [("target times nonnegative", all(t >= 0 for t in net.trips.target_times.values()), "")]

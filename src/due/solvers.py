@@ -24,7 +24,7 @@ import math
 import re
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -66,26 +66,17 @@ class ScheduleSpec:
 
     Families: pow(a, b, c) = c*(a+n)^b; affine_pow(c0, c1, a, b) =
     c0 + c1*(a+n)^b; rational(a, b, c) = a/(b*n + c); const(c) = c.
-    An index offset shifts the whole sequence, used when the first terms of
-    a published family fall outside the admissible range.
     """
 
     family: str
     params: tuple[float, ...]
-    offset: int = 0
 
     def __post_init__(self):
         if not all(map(math.isfinite, self.params)):
             raise ConfigurationError(f"schedule {self} has a non-finite argument")
 
     def raw(self, n: int) -> float:
-        try:  # float() rejects a complex power
-            return float(_FAMILIES[self.family].value(n, *self.params))
-        except (ArithmeticError, TypeError):
-            raise ConfigurationError(f"schedule {self} has no real value at index {n}") from None
-
-    def value(self, n: int) -> float:
-        return self.raw(n + self.offset)
+        return float(_FAMILIES[self.family].value(n, *self.params))
 
     def limit(self) -> float:
         c0, c1, p = _FAMILIES[self.family].tail(*self.params)
@@ -102,11 +93,7 @@ class ScheduleSpec:
         return -p if c0 == 0 else 0.0
 
     def __str__(self) -> str:
-        inside = ", ".join(repr(v) for v in self.params)
-        text = f"{self.family}({inside})"
-        if self.offset:
-            text += f" [index offset {self.offset}]"
-        return text
+        return f"{self.family}({', '.join(repr(v) for v in self.params)})"
 
 
 def parse_schedule(text) -> ScheduleSpec:
@@ -191,13 +178,23 @@ def _adaptive_step(tau: float, mu: float, residual: float,
     return tau if diff <= thresh else min(tau, mu * residual / diff)
 
 
-def _with_offset(spec: ScheduleSpec, check, horizon: int, what: str) -> ScheduleSpec:
-    """Smallest index offset making `check(value_n, n)` hold across the run
-    horizon."""
+def _tabulate(spec: ScheduleSpec, check, horizon: int, what: str) -> tuple[list[float], int, str]:
+    """The values `spec.raw(n + k)` for n = 0 … `horizon`, k and the schedule's
+    name at k, for the smallest index offset k that makes each keep `check(value,
+    n)`: the first terms of a published family may fall outside the admissible
+    range.  Each offset is read up to its first failing n."""
     for offset in range(4):
-        shifted = replace(spec, offset=offset)
-        if all(check(shifted.value(n), n) for n in range(horizon + 1)):
-            return shifted
+        values, name = [], f"{spec} [index offset {offset}]" if offset else str(spec)
+        for n in range(offset, horizon + offset + 1):
+            try:  # float() rejects a complex power
+                values.append(spec.raw(n))
+            except (ArithmeticError, TypeError):
+                raise ConfigurationError(
+                    f"schedule {name} has no real value at index {n}") from None
+            if not check(values[-1], n - offset):
+                break
+        else:
+            return values, offset, name
     raise ConfigurationError(
         f"{what} schedule {spec} violates its admissible range even after index shifts"
     )
@@ -205,32 +202,31 @@ def _with_offset(spec: ScheduleSpec, check, horizon: int, what: str) -> Schedule
 
 def _check_anchor_schedules(config: SolverConfig, anchor: str, second: str, what: str,
                             admissible, outpaces_anchor: bool
-                            ) -> tuple[ScheduleSpec, ScheduleSpec, list[str]]:
-    """Anchor weights in (0, 1) and a second schedule whose values v keep
-    `admissible(v, anchor value)`, read from the config's `<name>_schedule`
-    fields and each started at its smallest valid index offset, plus the
-    header notes on what they leave unguaranteed; if `outpaces_anchor`, the
-    second schedule should vanish faster than the anchor weights."""
+                            ) -> tuple[list[float], list[float], list[str]]:
+    """Per iteration and one more, the values of anchor weights in (0, 1) and of
+    a second schedule whose values v keep `admissible(v, anchor value)`, read
+    from the config's `<name>_schedule` fields, each from its smallest valid
+    index offset; and the header notes on what they leave unguaranteed: if
+    `outpaces_anchor`, the second schedule should vanish faster than the anchor weights."""
     specs = getattr(config, f"{anchor}_schedule"), getattr(config, f"{second}_schedule")
     if None in specs:
         raise ConfigurationError(
             f"{config.algorithm} needs {anchor}_schedule and {second}_schedule")
     anchor_s, second_s = (parse_schedule(spec) for spec in specs)
-    horizon = config.max_iterations
-    anchor_s = _with_offset(anchor_s, lambda v, n: 0 < v < 1, horizon, "anchor weight")
-    second_s = _with_offset(second_s, lambda v, n: admissible(v, anchor_s.value(n)), horizon,
-                            what)
+    anchor_v, anchor_k, label = _tabulate(anchor_s, lambda v, n: 0 < v < 1,
+                                          config.max_iterations, "anchor weight")
+    second_v, second_k, second_label = _tabulate(
+        second_s, lambda v, n: admissible(v, anchor_v[n]), config.max_iterations, what)
     notes = []
     if anchor_s.limit() != 0.0:
-        notes.append(f"anchor weights {anchor_s} do not vanish; strong convergence not guaranteed")
+        notes.append(f"anchor weights {label} do not vanish; strong convergence not guaranteed")
     if not anchor_s.sum_diverges():
-        notes.append(f"anchor weights {anchor_s} are summable; strong convergence not guaranteed")
+        notes.append(f"anchor weights {label} are summable; strong convergence not guaranteed")
     if outpaces_anchor and second_s.decay_exponent() <= anchor_s.decay_exponent():
-        notes.append(f"{what} {second_s} does not vanish faster than anchor weights {anchor_s}")
-    if anchor_s.offset or second_s.offset:
-        notes.append(f"schedules start at shifted indices "
-                     f"({anchor} {anchor_s.offset}, {second} {second_s.offset})")
-    return anchor_s, second_s, notes
+        notes.append(f"{what} {second_label} does not vanish faster than anchor weights {label}")
+    if anchor_k or second_k:
+        notes.append(f"schedules start at shifted indices ({anchor} {anchor_k}, {second} {second_k})")
+    return anchor_v, second_v, notes
 
 
 def _base_header(config: SolverConfig, op: DelayOperator, notes: list[str]) -> dict:
@@ -310,7 +306,7 @@ def run_fbf(
     paths_by_od: Mapping[str, np.ndarray],
 ) -> tuple[PathFlowProfile, ConvergenceLog]:
     """Anchored forward-backward-forward; two operator calls per iteration."""
-    alpha_s, beta_s, notes = _check_anchor_schedules(
+    alphas, betas, notes = _check_anchor_schedules(
         config, "alpha", "beta", "relaxation", lambda v, a: 0 < v < 1 - a, outpaces_anchor=False)
     log = ConvergenceLog("fbf", header=_base_header(config, op, notes))
     grid, dt = h0.grid, h0.grid.dt
@@ -319,8 +315,7 @@ def run_fbf(
     tau = config.tau0
     with _keeps_log(log):
         for n in range(config.max_iterations):
-            a_n = alpha_s.value(n)
-            b_n = beta_s.value(n)
+            a_n, b_n = alphas[n], betas[n]
             ah = op.evaluate(PathFlowProfile(grid, h)).delays
             y = project_feasible(h - tau * ah, layout)
             ay = op.evaluate(PathFlowProfile(grid, y)).delays
@@ -347,7 +342,7 @@ def run_ifbf(
     paths_by_od: Mapping[str, np.ndarray],
 ) -> tuple[PathFlowProfile, ConvergenceLog]:
     """Inertial forward-backward-forward; two operator calls per iteration."""
-    beta_s, eps_s, notes = _check_anchor_schedules(
+    betas, eps, notes = _check_anchor_schedules(
         config, "beta", "eps", "inertia budget", lambda v, a: v > 0, outpaces_anchor=True)
     log = ConvergenceLog("ifbf", header=_base_header(config, op, notes))
     grid, dt = h0.grid, h0.grid.dt
@@ -357,7 +352,7 @@ def run_ifbf(
     alpha_n = config.alpha
     with _keeps_log(log):
         for n in range(config.max_iterations):
-            b_n = beta_s.value(n)
+            b_n = betas[n]
             # full-size arrays are built in place, with one temporary at most:
             # w = (1 - b_n) (h + alpha_n (h - h_prev))
             w = h - h_prev
@@ -381,7 +376,7 @@ def run_ifbf(
             if np.array_equal(h_next, h):
                 alpha_next = config.alpha
             else:
-                alpha_next = min(config.alpha, eps_s.value(n + 1) / step)
+                alpha_next = min(config.alpha, eps[n + 1] / step)
             log.append(IterationRecord(n, tau, alpha_n, b_n, residual, energy,
                                        op.eval_count))
             h_prev, h = h, h_next

@@ -91,17 +91,11 @@ def uniform_profile(net: Network, grid: TimeGrid):
     return uniform_start(grid, net.trips, net.path_rows_by_od())
 
 
-@pytest.fixture
-def full_window(monkeypatch):
-    """Loadings whose entry-curve window holds every step, never compacted."""
-    monkeypatch.setattr(_Engine, "_window_rows", lambda self: self.steps + 1)
-
-
-def full_history(curves, res):
-    """`res.p_up` or `res.q_paths` of a loading run with `full_window`, at
-    every step: the rows past a drained step copy it, as stepping on would."""
-    assert res.first_step == 0 and len(curves) == res.engine.steps + 1
-    curves = curves.copy()
+def full_history(res):
+    """`res.p_up` of a loading whose window holds every step, at every step:
+    the rows past a drained step copy it, as stepping on would."""
+    assert res.first_step == 0 and len(res.p_up) == res.engine.steps + 1
+    curves = res.p_up.copy()
     if res.drained_step is not None:
         curves[res.drained_step + 1:] = curves[res.drained_step]
     return curves
@@ -146,7 +140,7 @@ def assert_matches_reference(res, rates):
     """
     ref = reference_loading(res.engine, rates)
     atol = 1e-12 * rates.sum() * res.engine.grid.dt
-    for name in ("n_up", "n_down", "q_arrivals", "q_releases", "exited_by_link"):
+    for name in ("n_up", "n_down", "q_arrivals", "q_releases", "queued", "exited_by_link"):
         np.testing.assert_allclose(getattr(res, name), getattr(ref, name),
                                    rtol=0, atol=atol, err_msg=name)
     try:

@@ -327,7 +327,7 @@ def reference_loading(engine, rates: np.ndarray):
     each approach's per-path exit composition from its own searchsorted
     inversion of the link's entry curve: its state is per (link, path), not
     per suffix node.  Returns a `LoadingResult` on `engine`, whose per-path
-    curves are per-link and per-queue lists.
+    entry curves are per-link lists.
     """
     net = engine.net
     E, T, dt, K = len(engine.link_ids), engine.steps, engine.grid.dt, engine.grid.num_intervals
@@ -405,7 +405,6 @@ def reference_loading(engine, rates: np.ndarray):
     Q = len(engine.queues)
     q_arr = np.zeros((Q, T + 1))
     q_rel = np.zeros((Q, T + 1))
-    q_path = [np.zeros((q.rows.size, T + 1)) for q in engine.queues]
     q_now = [np.zeros(q.rows.size) for q in engine.queues]
     exited = np.zeros(E)
     cap = engine.capacity * dt
@@ -438,7 +437,6 @@ def reference_loading(engine, rates: np.ndarray):
                 if total_avail <= 1e-15:
                     q_now[qi] = avail
                     q_rel[qi, k + 1] = q_rel[qi, k]
-                    q_path[qi][:, k + 1] = avail
                     continue
                 # a backed-up queue sends big M, an empty one its inflow
                 d_rate = engine.big_m if q_now[qi].sum() > 0 else float(arr_in.sum()) / dt
@@ -454,7 +452,6 @@ def reference_loading(engine, rates: np.ndarray):
                 if kind == "queue" and th <= 0:
                     q_now[key] = data
                     q_rel[key, k + 1] = q_rel[key, k]
-                    q_path[key][:, k + 1] = data
                 elif kind == "link" and th > 0:
                     e, (per_slot, sink_src) = key, extra
                     moved = th * data
@@ -471,15 +468,17 @@ def reference_loading(engine, rates: np.ndarray):
                     rel_p = avail * (released / avail.sum())
                     q_now[qi] = avail - rel_p
                     q_rel[qi, k + 1] = q_rel[qi, k] + released
-                    q_path[qi][:, k + 1] = q_now[qi]
                     pu_inc[q.link_idx][queue_dst[qi]] += rel_p
                     up_inc[q.link_idx] += released
         n_up[:, k + 1] = n_up[:, k] + up_inc
         n_down[:, k + 1] = n_down[:, k] + down_inc
         for e in range(E):
             p_up[e][:, k + 1] = p_up[e][:, k] + pu_inc[e]
+    queued = np.zeros(engine.num_paths)
+    for q, now in zip(engine.queues, q_now):
+        queued[q.rows] = now
     return LoadingResult(engine=engine, n_up=n_up, n_down=n_down, p_up=p_up,
-                         q_arrivals=q_arr, q_releases=q_rel, q_paths=q_path,
+                         q_arrivals=q_arr, q_releases=q_rel, queued=queued,
                          exited_by_link=exited)
 
 

@@ -259,8 +259,10 @@ class TestArtifacts:
 class TestValidate:
     def test_nguyen_all_pass(self, nguyen_dir, capsys):
         assert main(["validate", str(nguyen_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
+        assert capsys.readouterr().out.splitlines() == [
+            "13 nodes, 19 links, 4 O-D pairs, 24 paths",
+            "target times nonnegative  pass",
+            "1/1 checks passed"]
 
     def test_corrupted_path_row_fails_with_line(self, tmp_path, capsys):
         d = write_minimal_instance(

@@ -3,8 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import (assert_matches_reference, assert_same_engine, build_line_network, full_history,
-                      uniform_profile)
+from conftest import assert_matches_reference, assert_same_engine, build_line_network, uniform_profile
 from due.errors import ConfigurationError, UnfinishedTripError, ValidationError
 from due.loading import LoadingResult, _Engine, effective_delay, run_dnl
 from due.network import Link, Network, PathDef, load_network_dir
@@ -350,24 +349,22 @@ class TestOriginQueue:
         queue = res.q_arrivals[0] - res.q_releases[0]
         np.testing.assert_allclose(queue[:4], [0.0, 120.0, 40.0, 0.0], atol=1e-12)
 
-    def test_release_capped_by_content(self, full_window):
+    def test_release_capped_by_content(self):
         # the draining step releases only what is left: no queue goes negative
         for res in (burst(), burst(vehicles=170.0, tail_rate=300.0), spillback()[1]):
             queue = res.q_arrivals - res.q_releases
-            q_paths = full_history(res.q_paths, res)
             assert queue.min() >= 0.0
-            assert q_paths.min() >= 0.0
+            assert res.queued.min() >= 0.0
             np.testing.assert_allclose(
-                queue[:, -1], [q_paths[-1, q.rows].sum() for q in res.engine.queues])
+                queue[:, -1], [res.queued[q.rows].sum() for q in res.engine.queues])
 
-    def test_trickle_stays_queued(self, full_window):
+    def test_trickle_stays_queued(self):
         # 1e-16 vehicles a step are too few to release until they add up
-        # past 1e-15; meanwhile they stay in the per-path queue content
+        # past 1e-15; the last ones stay in the per-path queue content
         res = load(build_line_network(num_links=1), np.full(15, 1e-16 / DT))
         queue = res.q_arrivals[0] - res.q_releases[0]
-        assert queue.max() > 0.0
-        np.testing.assert_allclose(queue, full_history(res.q_paths, res)[:, 0],
-                                   rtol=0, atol=1e-30)
+        assert queue[-1] > 0.0
+        np.testing.assert_allclose(res.queued, queue[-1:], rtol=0, atol=1e-30)
 
 
 class TestExitTime:
@@ -523,15 +520,15 @@ class TestRunDnl:
         k = GRID.num_intervals + 2
         n_up = np.full((1, engine.steps + 1), 5.0)
         n_down = n_up.copy()
-        q_paths = np.zeros((engine.steps + 1, 1))
+        queued = np.zeros(1)
         if state == "link_holds":
             n_down[0, k] = 4.0
         elif state == "queue_holds":
-            q_paths[k] = 1e-12
+            queued[0] = 1e-12
         elif state == "recent_entry":
             n_up[0, :k] = 4.0
         floor_at = engine._read_schedule()[0][k, :1]  # n_up[0, k - 1]
-        assert engine._drained(n_up, n_down, q_paths[k], k, floor_at) == (state == "drained")
+        assert engine._drained(n_up, n_down, queued, k, floor_at) == (state == "drained")
 
     def test_invariants_on_loaded_network(self, nguyen):
         grid = TimeGrid(0.0, 2.0, 70)
@@ -585,6 +582,17 @@ class TestRunDnl:
         for e in range(len(res.engine.link_ids)):
             lam = probe_link_exit(res, e, bt)
             assert np.all(np.diff(lam) >= -1e-9)
+
+    def test_siouxfalls_result_keeps_no_per_path_history(self, siouxfalls_dir):
+        # the origin-queue content is one value per path where stepping stopped,
+        # not a column per path in each of the 24 window rows (2,892,896 bytes)
+        net = scaled(load_network_dir(siouxfalls_dir), 0.25)
+        grid = TimeGrid(0.0, 2.0, 100)
+        res = run_dnl(uniform_profile(net, grid), net, grid, buffer=2.0)
+        arrays = {name: v for name, v in vars(res).items() if isinstance(v, np.ndarray)}
+        assert res.queued.shape == (net.num_paths,)
+        assert [name for name, v in arrays.items() if net.num_paths in v.shape] == ["queued"]
+        assert sum(v.nbytes for v in arrays.values()) == 1_755_776
 
 
 class TestPathDelay:
@@ -852,7 +860,7 @@ class TestEngineLayout:
         got, want = (run_dnl(uniform_profile(n, grid), n, grid, buffer=2.5) for n in (net, built))
         assert want.engine.shape == (13, 3, 3)
         assert_same_engine(got.engine, want.engine)
-        for name in ("n_up", "n_down", "p_up", "q_arrivals", "q_releases", "q_paths",
+        for name in ("n_up", "n_down", "p_up", "q_arrivals", "q_releases", "queued",
                      "exited_by_link"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.path_delays().tobytes() == want.path_delays().tobytes()

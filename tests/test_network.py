@@ -220,11 +220,14 @@ class TestValidationErrors:
         ('"p\n1",w,a,b\n', ParseError, 2, f"path id 'p\\n1' {UNWRITABLE}"),
         ('"p,1",w,a,b\n"p,1",w,a,a,b\n', ParseError, 2, f"path id 'p,1' {UNWRITABLE}"),
         ('p1,w,a\n"p,2",w,a,b\n', ValidationError, 2, "path 'p1' ends at '1', not at destination '2'"),
+        # a row is named by the line it starts on, after a cell that spans two
+        ('p1,w,"a\n",b\np2,w,b\n', ValidationError, 4, "path 'p2' starts at '1', not at origin '0'"),
+        ('p1,w,"a\n",b\np2,w\n', ParseError, 4, "expected path_id,od_id,link_1,..."),
     ], ids=["duplicate_id", "unknown_od", "repeated_link", "unknown_link", "wrong_start",
             "wrong_end", "disconnected", "earlier_row_later_check", "earliest_of_three",
             "fault_before_short_row", "short_row_first", "short_row_without_paths",
             "comma_in_id", "empty_id", "quote_in_id", "line_break_in_id", "unwritable_before_duplicate",
-            "fault_before_unwritable_id"])
+            "fault_before_unwritable_id", "fault_after_line_break", "short_row_after_line_break"])
     def test_path_fault_names_first_failing_row(self, tmp_path, rows, cls, line, message):
         links = None
         if message.endswith("links 'a' and 'b'"):
@@ -281,6 +284,33 @@ class TestPathTable:
         with pytest.raises(ValidationError) as info:
             dataclasses.replace(line_network, paths=(PathDef("p1", "w", ("2", "1")),))
         assert str(info.value) == "path 'p1' starts at '1', not at origin '0'"
+
+    @pytest.mark.parametrize("kind, rid, endpoint, message", [
+        ("link", "1", "zz", "link '1' references unknown node 'zz'"),
+        ("O-D", "w", "zz", "O-D 'w' references unknown node 'zz'"),
+        ("node", "0,5", None, f"node id '0,5' {UNWRITABLE}"),
+        ("link", "1,x", None, f"link id '1,x' {UNWRITABLE}"),
+        ("O-D", "", None, f"O-D id '' {UNWRITABLE}"),
+    ], ids=["link_tail", "od_origin", "node_id", "link_id", "od_id"])
+    def test_network_built_in_code_names_bad_ids(self, line_network, kind, rid, endpoint, message):
+        # a network that `save_network` would write and `load_network` not read back
+        net = line_network
+        nodes, links, od_pairs = dict(net.nodes), dict(net.links), dict(net.od_pairs)
+        demands, targets = dict(net.trips.demands), dict(net.trips.target_times)
+        paths = net.paths
+        if kind == "node":
+            nodes[rid] = nodes.pop("0")
+        elif kind == "link":
+            old = links.pop("1")
+            links[rid] = Link(rid, endpoint or old.tail, *dataclasses.astuple(old)[2:])
+            paths = (PathDef("p1", "w", (rid, "2")),)
+        else:
+            od_pairs[rid] = (endpoint or "0", od_pairs.pop("w")[1])
+            demands[rid], targets[rid] = demands.pop("w"), targets.pop("w")
+            paths = (PathDef("p1", rid, ("1", "2")),)
+        with pytest.raises(ValidationError) as info:
+            Network(nodes, links, od_pairs, TripTable(demands, targets), paths)
+        assert str(info.value) == message
 
     def test_table_reads_as_the_path_defs(self, nguyen, siouxfalls_dir):
         for net in (nguyen, load_network_dir(siouxfalls_dir)):
@@ -405,9 +435,8 @@ class TestRoundTrip:
         assert_same_paths(again, net, TimeGrid(0.0, 2.0, intervals))
 
     def test_validation_report_all_pass(self, nguyen):
-        report = validate_network(nguyen)
-        failures = [row for row in report if not row[1]]
-        assert failures == []
+        # loading leaves only the target times to check
+        assert validate_network(nguyen) == [("target times nonnegative", True, "")]
 
     def test_reachability_along_paths(self, nguyen):
         for p in nguyen.paths:

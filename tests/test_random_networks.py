@@ -187,9 +187,8 @@ def test_drain_exit_matches_full_horizon(case, buffer_factor):
         mp.setattr(_Engine, "_drained", lambda *args: False)
         full = load(net, rates, buffer_factor=buffer_factor)
     assert full.drained_step is None
-    for name in ("p_up", "q_paths"):
-        setattr(res, name, full_history(getattr(res, name), res))
-    for name in ("n_up", "n_down", "p_up", "q_arrivals", "q_releases", "q_paths",
+    res.p_up = full_history(res)
+    for name in ("n_up", "n_down", "p_up", "q_arrivals", "q_releases", "queued",
                  "exited_by_link"):
         np.testing.assert_array_equal(bits(getattr(res, name)), bits(getattr(full, name)),
                                       err_msg=name)
@@ -207,17 +206,15 @@ def test_window_matches_full_history(case, buffer_factor):
         mp.setattr(_Engine, "_window_rows", lambda self: self.steps + 1)
         full = load(net, rates, buffer_factor=buffer_factor)
     assert res.drained_step == full.drained_step
-    for name in ("n_up", "n_down", "q_arrivals", "q_releases", "exited_by_link"):
+    for name in ("n_up", "n_down", "q_arrivals", "q_releases", "queued", "exited_by_link"):
         np.testing.assert_array_equal(bits(getattr(res, name)), bits(getattr(full, name)),
                                       err_msg=name)
     # the kept rows are those of the full history at their steps, then zeros
     last = (res.engine.steps if res.drained_step is None else res.drained_step) + 1
-    for name in ("p_up", "q_paths"):
-        kept = getattr(res, name)
-        np.testing.assert_array_equal(bits(kept[:last - res.first_step]),
-                                      bits(getattr(full, name)[res.first_step:last]),
-                                      err_msg=name)
-        assert not kept[last - res.first_step:].any()
+    kept = res.p_up
+    np.testing.assert_array_equal(bits(kept[:last - res.first_step]),
+                                  bits(full.p_up[res.first_step:last]))
+    assert not kept[last - res.first_step:].any()
     assert_same_delays(res, full)
 
 

@@ -106,8 +106,14 @@ class TestSchedules:
         assert parse_schedule("affine_pow(0.7, -0.7, 1, -0.7)").limit() == pytest.approx(0.7)
 
     def test_offset_shifts_index(self):
-        s = ScheduleSpec("rational", (10.0, 10.0, 1.0), offset=1)
-        assert s.value(0) == pytest.approx(10.0 / 11.0)
+        # rational(10, 10, 1) is 1 at index 0, outside (0, 1): its table starts at index 1
+        from due.solvers import _tabulate
+
+        s = ScheduleSpec("rational", (10.0, 10.0, 1.0))
+        values, offset, name = _tabulate(s, lambda v, n: 0 < v < 1, 5, "anchor weight")
+        assert (offset, name) == (1, "rational(10.0, 10.0, 1.0) [index offset 1]")
+        assert values == [s.raw(n + 1) for n in range(6)]
+        assert values[0] == pytest.approx(10.0 / 11.0)
 
     def test_out_of_range_families_auto_shift(self):
         # anchor families whose first term is >= 1 start one index later
@@ -116,12 +122,12 @@ class TestSchedules:
         cfg = SolverConfig(algorithm="ifbf", max_iterations=50, tau0=1.0,
                            beta_schedule="rational(10, 10, 1)",
                            eps_schedule="pow(0.1, -1.1, 1)")
-        beta_s, eps_s, notes = _check_anchor_schedules(
+        betas, eps, notes = _check_anchor_schedules(
             cfg, "beta", "eps", "inertia budget", lambda v, a: v > 0, outpaces_anchor=True)
-        assert beta_s.offset == 1
-        assert beta_s.value(0) == pytest.approx(10.0 / 11.0)
-        assert eps_s.offset == 0
-        assert any("shifted indices" in n for n in notes)
+        assert betas == [parse_schedule("rational(10, 10, 1)").raw(n + 1) for n in range(51)]
+        assert betas[0] == pytest.approx(10.0 / 11.0)
+        assert eps == [parse_schedule("pow(0.1, -1.1, 1)").raw(n) for n in range(51)]
+        assert any("shifted indices (beta 1, eps 0)" in n for n in notes)
 
 
 class TestRunFb:
@@ -291,7 +297,7 @@ class TestRunIfbf:
             h_next = (1 - cfg.lam) * w.rates + cfg.lam * corrected
             step = norm(h_next - h, vi.grid.dt)
             if step > 0:
-                assert alphas[n + 1] * step <= eps_s.value(n + 1) + 1e-12
+                assert alphas[n + 1] * step <= eps_s.raw(n + 1) + 1e-12
             h = h_next
 
     def test_two_calls_per_iteration(self):
