@@ -138,6 +138,12 @@ class Network:
                         raise ValidationError(f"{kind} id {rid!r} {_UNWRITABLE}")
                     if unknown := [n for n in pair if n not in self.nodes]:
                         raise ValidationError(f"{kind} {rid!r} references unknown node {unknown[0]!r}")
+            if renamed := [(e, l.id) for e, l in self.links.items() if l.id != e]:
+                raise ValidationError("link {!r} holds a Link with id {!r}".format(*renamed[0]))
+            demands = self.trips.demands
+            if unmatched := [w for w in (*self.od_pairs, *demands)
+                             if (w in demands) != (w in self.od_pairs)]:
+                raise ValidationError(f"O-D pair {unmatched[0]!r} is not both in od_pairs and in trips")
             od_index, link_index = _index(self.od_pairs), _index(self.links)
             hops = [link_index[e] for p in paths for e in p.links]
             paths = PathColumns([p.id for p in paths], [od_index[p.od] for p in paths], hops,

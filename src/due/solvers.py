@@ -14,8 +14,9 @@ The anchored variants drive the iterates to the minimum-norm equilibrium;
 their intermediate iterates intentionally leave the feasible set, so the
 returned final profile is projected once for reporting.
 
-The iterations run on (path, interval) rate arrays.  Only the operator inputs
-and the returned result are built as `PathFlowProfile`s.
+Each algorithm is an update rule; `solve` runs the one loop over them, on
+(path, interval) rate arrays.  Only the operator inputs and the returned
+result are built as `PathFlowProfile`s.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -38,9 +38,6 @@ __all__ = [
     "ScheduleSpec",
     "parse_schedule",
     "SolverConfig",
-    "run_fb",
-    "run_fbf",
-    "run_ifbf",
     "solve",
     "uniform_start",
 ]
@@ -229,35 +226,6 @@ def _check_anchor_schedules(config: SolverConfig, anchor: str, second: str, what
     return anchor_v, second_v, notes
 
 
-def _base_header(config: SolverConfig, op: DelayOperator, notes: list[str]) -> dict:
-    header = {
-        "algorithm": config.algorithm,
-        "max_iterations": config.max_iterations,
-        "tolerance": config.tolerance,
-        "mu": config.mu,
-        "lambda": config.lam,
-        "alpha": config.alpha,
-        "tau0": config.tau0,
-        "operator_calls_at_start": op.eval_count,
-        "notes": list(notes),
-    }
-    header["notes"].append(
-        "operator regularity (Lipschitz continuity, pseudo-monotonicity) is assumed, "
-        "not verified at runtime"
-    )
-    return header
-
-
-@contextmanager
-def _keeps_log(log: ConvergenceLog):
-    """Attach `log`, the iterations recorded so far, to a DueError raised inside."""
-    try:
-        yield
-    except DueError as exc:
-        exc.log = log
-        raise
-
-
 def uniform_start(grid, trips: TripTable, paths_by_od: Mapping[str, np.ndarray]) -> PathFlowProfile:
     """Feasible start: each O-D demand split evenly over its paths and time."""
     num_paths = sum(len(rows) for rows in paths_by_od.values())
@@ -268,100 +236,62 @@ def uniform_start(grid, trips: TripTable, paths_by_od: Mapping[str, np.ndarray])
     return PathFlowProfile(grid, rates)
 
 
-def run_fb(
-    op: DelayOperator,
-    config: SolverConfig,
-    h0: PathFlowProfile,
-    trips: TripTable,
-    paths_by_od: Mapping[str, np.ndarray],
-) -> tuple[PathFlowProfile, ConvergenceLog]:
+# An update rule checks its config and returns its header notes and `steps`: a
+# generator of (iterate, tau, alpha, beta, residual, energy), one per iteration.
+
+def _fb(config: SolverConfig):
     """Projected gradient with a fixed step; one operator call per iteration."""
     tau = config.tau_fixed if config.tau_fixed is not None else config.tau0
     if not tau > 0:
         raise ConfigurationError(f"fb needs a positive fixed step, got {tau}")
-    log = ConvergenceLog("fb", header=_base_header(config, op, []))
-    grid, dt = h0.grid, h0.grid.dt
-    layout = ODLayout.build(trips, paths_by_od, grid)
-    h = h0.rates
-    with _keeps_log(log):
-        for n in range(config.max_iterations):
-            ah = op.evaluate(PathFlowProfile(grid, h)).delays
-            y = project_feasible(h - tau * ah, layout)
-            residual = norm(h - y, dt)
-            energy = relative_energy(y, h, dt)
+
+    def steps(evaluate, project, h, dt):
+        while True:
+            ah = evaluate(h)
+            y = project(h - tau * ah)
+            yield y, tau, math.nan, math.nan, norm(h - y, dt), relative_energy(y, h, dt)
             h = y
-            log.append(IterationRecord(n, tau, math.nan, math.nan, residual, energy,
-                                       op.eval_count))
-            if config.tolerance > 0 and residual <= config.tolerance:
-                log.stop_reason = "residual_tolerance"
-                break
-    return PathFlowProfile(grid, h), log
+    return [], steps
 
 
-def run_fbf(
-    op: DelayOperator,
-    config: SolverConfig,
-    h0: PathFlowProfile,
-    trips: TripTable,
-    paths_by_od: Mapping[str, np.ndarray],
-) -> tuple[PathFlowProfile, ConvergenceLog]:
+def _fbf(config: SolverConfig):
     """Anchored forward-backward-forward; two operator calls per iteration."""
     alphas, betas, notes = _check_anchor_schedules(
         config, "alpha", "beta", "relaxation", lambda v, a: 0 < v < 1 - a, outpaces_anchor=False)
-    log = ConvergenceLog("fbf", header=_base_header(config, op, notes))
-    grid, dt = h0.grid, h0.grid.dt
-    layout = ODLayout.build(trips, paths_by_od, grid)
-    h = h0.rates
-    tau = config.tau0
-    with _keeps_log(log):
-        for n in range(config.max_iterations):
-            a_n, b_n = alphas[n], betas[n]
-            ah = op.evaluate(PathFlowProfile(grid, h)).delays
-            y = project_feasible(h - tau * ah, layout)
-            ay = op.evaluate(PathFlowProfile(grid, y)).delays
+
+    def steps(evaluate, project, h, dt):
+        tau = config.tau0
+        for a_n, b_n in zip(alphas, betas):
+            ah = evaluate(h)
+            y = project(h - tau * ah)
+            ay = evaluate(y)
             z = y + tau * (ah - ay)
             h_next = (1.0 - a_n - b_n) * h + b_n * z
             residual = norm(h - y, dt)
             energy = relative_energy(h_next, h, dt)
             tau_next = _adaptive_step(tau, config.mu, residual, ah, ay, dt)
-            log.append(IterationRecord(n, tau, a_n, b_n, residual, energy,
-                                       op.eval_count))
+            yield h_next, tau, a_n, b_n, residual, energy
             h, tau = h_next, tau_next
-            if config.tolerance > 0 and residual <= config.tolerance:
-                log.stop_reason = "residual_tolerance"
-                break
-    del ah, y, ay, z  # the loop's arrays: none is alive in the final projection
-    return PathFlowProfile(grid, project_feasible(h, layout)), log
+    return notes, steps
 
 
-def run_ifbf(
-    op: DelayOperator,
-    config: SolverConfig,
-    h0: PathFlowProfile,
-    trips: TripTable,
-    paths_by_od: Mapping[str, np.ndarray],
-) -> tuple[PathFlowProfile, ConvergenceLog]:
+def _ifbf(config: SolverConfig):
     """Inertial forward-backward-forward; two operator calls per iteration."""
     betas, eps, notes = _check_anchor_schedules(
         config, "beta", "eps", "inertia budget", lambda v, a: v > 0, outpaces_anchor=True)
-    log = ConvergenceLog("ifbf", header=_base_header(config, op, notes))
-    grid, dt = h0.grid, h0.grid.dt
-    layout = ODLayout.build(trips, paths_by_od, grid)
-    h_prev = h = h0.rates
-    tau = config.tau0
-    alpha_n = config.alpha
-    with _keeps_log(log):
-        for n in range(config.max_iterations):
-            b_n = betas[n]
+
+    def steps(evaluate, project, h, dt):
+        h_prev, tau, alpha_n = h, config.tau0, config.alpha
+        for b_n, eps_next in zip(betas, eps[1:]):
             # full-size arrays are built in place, with one temporary at most:
             # w = (1 - b_n) (h + alpha_n (h - h_prev))
             w = h - h_prev
             w *= alpha_n
             w += h
             w *= 1.0 - b_n
-            aw = op.evaluate(PathFlowProfile(grid, w)).delays
-            y = project_feasible(w - tau * aw, layout)
-            ay = op.evaluate(PathFlowProfile(grid, y)).delays
+            aw = evaluate(w)
+            y = project(w - tau * aw)
+            ay = evaluate(y)
             residual = norm(w - y, dt)
             tau_next = _adaptive_step(tau, config.mu, residual, aw, ay, dt)
             # h_next = (1 - lam) w + lam (y + tau (aw - ay)), aw and ay dropped
@@ -376,19 +306,11 @@ def run_ifbf(
             if np.array_equal(h_next, h):
                 alpha_next = config.alpha
             else:
-                alpha_next = min(config.alpha, eps[n + 1] / step)
-            log.append(IterationRecord(n, tau, alpha_n, b_n, residual, energy,
-                                       op.eval_count))
+                alpha_next = min(config.alpha, eps_next / step)
+            yield h_next, tau, alpha_n, b_n, residual, energy
             h_prev, h = h, h_next
             tau, alpha_n = tau_next, alpha_next
-            if config.tolerance > 0 and residual <= config.tolerance:
-                log.stop_reason = "residual_tolerance"
-                break
-    del w, y, h_prev  # the loop's arrays: none is alive in the final projection
-    return PathFlowProfile(grid, project_feasible(h, layout)), log
-
-
-_RUNNERS = {"fb": run_fb, "fbf": run_fbf, "ifbf": run_ifbf}
+    return notes, steps
 
 
 def solve(
@@ -398,4 +320,42 @@ def solve(
     trips: TripTable,
     paths_by_od: Mapping[str, np.ndarray],
 ) -> tuple[PathFlowProfile, ConvergenceLog]:
-    return _RUNNERS[config.algorithm](op, config, h0, trips, paths_by_od)
+    """Run `config.algorithm` from h0 for at most `max_iterations`, stopping at
+    the first residual within `tolerance`.  A DueError raised inside carries
+    `log`, the iterations recorded so far.  The anchored variants' last
+    iterate is projected once, with none of the loop's arrays alive."""
+    notes, steps = {"fb": _fb, "fbf": _fbf, "ifbf": _ifbf}[config.algorithm](config)
+    header = {
+        "algorithm": config.algorithm,
+        "max_iterations": config.max_iterations,
+        "tolerance": config.tolerance,
+        "mu": config.mu,
+        "lambda": config.lam,
+        "alpha": config.alpha,
+        "tau0": config.tau0,
+        "operator_calls_at_start": op.eval_count,
+        "notes": notes + ["operator regularity (Lipschitz continuity, pseudo-monotonicity) "
+                          "is assumed, not verified at runtime"],
+    }
+    log = ConvergenceLog(config.algorithm, header=header)
+    grid = h0.grid
+    layout = ODLayout.build(trips, paths_by_od, grid)
+    h = h0.rates
+    # the projection is looked up each call, so a wrapped `project_feasible` sees it
+    iterates = steps(lambda x: op.evaluate(PathFlowProfile(grid, x)).delays,
+                     lambda x: project_feasible(x, layout), h, grid.dt)
+    try:
+        # the count runs out first, so no operator call follows the last record
+        for n, (h, tau, alpha, beta, residual, energy) in zip(range(config.max_iterations),
+                                                              iterates):
+            log.append(IterationRecord(n, tau, alpha, beta, residual, energy, op.eval_count))
+            if config.tolerance > 0 and residual <= config.tolerance:
+                log.stop_reason = "residual_tolerance"
+                break
+    except DueError as exc:
+        exc.log = log
+        raise
+    iterates.close()  # frees the loop's arrays before the final projection
+    if config.algorithm != "fb":
+        h = project_feasible(h, layout)
+    return PathFlowProfile(grid, h), log

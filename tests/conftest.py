@@ -131,18 +131,23 @@ def assert_same_paths(net, want, grid):
     assert_same_engine(_Engine(net, grid, None), _Engine(want, grid, None))
 
 
-def assert_matches_reference(res, rates):
+def assert_matches_reference(res, rates, backward=False):
     """A `LoadingResult` against the junction-by-junction reference loader.
 
     Boundary curves, origin queues and exits agree within 1e-12 of the total
     demand, and path delays within a relative 1e-12 (or both name the same
-    unfinished trip).
+    unfinished trip).  With `backward`, the delays are checked hop by hop
+    instead, by `assert_probes_land`.
     """
+    rates = np.maximum(rates, 0.0)  # the engine clamps negative rates where a step reads them
     ref = reference_loading(res.engine, rates)
     atol = 1e-12 * rates.sum() * res.engine.grid.dt
     for name in ("n_up", "n_down", "q_arrivals", "q_releases", "queued", "exited_by_link"):
         np.testing.assert_allclose(getattr(res, name), getattr(ref, name),
                                    rtol=0, atol=atol, err_msg=name)
+    if backward:
+        assert_probes_land(res, ref, atol)
+        return
     try:
         expected = ref.path_delays()
     except UnfinishedTripError as exc:
@@ -151,3 +156,38 @@ def assert_matches_reference(res, rates):
         assert (info.value.path_id, info.value.interval) == (exc.path_id, exc.interval)
     else:
         np.testing.assert_allclose(res.path_delays(), expected, rtol=1e-12, atol=0)
+
+
+def assert_probes_land(res, ref, atol):
+    """A backward-error check of the engine's probes on the reference's curves.
+
+    Each hop of each probe row starts from the engine's entry times, as
+    `path_delays` probes it, whose delays the walk reproduces bit for bit.
+    At the engine's exit time, the reference's exit curve stands within `atol`
+    of its level at the reference's own exit time, and both probes finish on
+    the same cells.  A forward check of the exit times can fail where a curve
+    climbs through dust: inverting a nearly flat curve turns a tiny count
+    difference into a large time difference.
+    """
+    eng = res.engine
+    starts = eng.grid.starts()
+    exits = np.empty((eng.num_probe_rows, starts.size))
+    finished = []
+
+    def hop(rows, times, up, down, i, floor):
+        got, unfinished = res._probe_exit(getattr(res, up)[i], getattr(res, down)[i], times, floor)
+        want, ref_unfinished = ref._probe_exit(getattr(ref, up)[i], getattr(ref, down)[i],
+                                               times, floor)
+        np.testing.assert_array_equal(unfinished, ref_unfinished, err_msg=f"{down} {i}")
+        curve = getattr(ref, down)[i]
+        miss = np.abs(np.interp(got, eng.boundaries, curve) - np.interp(want, eng.boundaries, curve))
+        assert np.all(miss[~unfinished] <= atol), (down, i, miss.max(), atol)
+        exits[rows] = got
+        finished.append(not unfinished.any())
+
+    for qi, row in enumerate(eng.queue_row):
+        hop(row, starts, "q_arrivals", "q_releases", qi, 0.0)
+    for e, rows, parents in eng.probe_groups:
+        hop(rows, exits[parents], "n_up", "n_down", e, eng.ff_time[e])
+    if all(finished):
+        np.testing.assert_array_equal(exits[:eng.num_paths] - starts, res.path_delays())

@@ -15,7 +15,7 @@ from due.cli import main as cli_main
 from due.loading import effective_delay, run_dnl
 from due.metrics import od_gap
 from due.operators import affine_operator, dnl_operator, scaled_pseudo_monotone
-from due.solvers import SolverConfig, run_fb, run_fbf, run_ifbf, uniform_start
+from due.solvers import SolverConfig, solve, uniform_start
 from due.space import (
     PathFlowProfile,
     TimeGrid,
@@ -75,7 +75,7 @@ def test_criterion_02_step_size_lemma():
         for tau0 in (0.01, 10.0):
             cfg = SolverConfig(algorithm="ifbf", max_iterations=300, tau0=tau0,
                                mu=0.5, lam=0.5, alpha=0.7, **IFBF_SCHEDULES)
-            _, log = run_ifbf(vi.operator, cfg, h0, vi.trips, vi.paths_by_od)
+            _, log = solve(vi.operator, cfg, h0, vi.trips, vi.paths_by_od)
             taus = log.column("tau")
             assert np.all(np.diff(taus) <= 0.0)
             floor = min(cfg.mu / vi.lipschitz, tau0) - 1e-12
@@ -89,13 +89,13 @@ def test_criterion_03_strong_convergence_monotone(solved):
 
     vi = affine_unit_instance()
     cfg = SolverConfig(algorithm="fb", max_iterations=10_000, tau_fixed=0.5, tolerance=0.0)
-    h, _ = run_fb(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
+    h, _ = solve(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
     assert norm(h.rates - vi.solution.rates, vi.grid.dt) <= 1e-4
 
     vi = affine_unit_instance()
     cfg = SolverConfig(algorithm="fbf", max_iterations=10_000, tau0=10.0, mu=0.5,
                        **FBF_SCHEDULES)
-    h, _ = run_fbf(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
+    h, _ = solve(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
     assert norm(h.rates - vi.solution.rates, vi.grid.dt) <= 1e-4
 
     own = time.perf_counter() - start
@@ -116,7 +116,7 @@ def test_criterion_04_pseudo_monotone_non_monotone(solved):
 
     cfg = SolverConfig(algorithm="fbf", max_iterations=10_000, tau0=10.0, mu=0.5,
                        **FBF_SCHEDULES)
-    h, _ = run_fbf(scaled.operator, cfg, h_start, scaled.trips, scaled.paths_by_od)
+    h, _ = solve(scaled.operator, cfg, h_start, scaled.trips, scaled.paths_by_od)
     assert norm(h.rates - scaled.solution.rates, scaled.grid.dt) <= 1e-4
 
     own = time.perf_counter() - start
@@ -200,7 +200,7 @@ def nguyen_ifbf_run(nguyen):
                        mu=0.5, lam=0.5, alpha=0.7,
                        beta_schedule="pow(10, -2, 1)", eps_schedule="pow(1, -5, 32)")
     start = time.perf_counter()
-    h, log = run_ifbf(op, cfg, h0, nguyen.trips, by_od)
+    h, log = solve(op, cfg, h0, nguyen.trips, by_od)
     elapsed = time.perf_counter() - start
     res = run_dnl(h, nguyen, grid, buffer=2.5)
     eff = effective_delay(res.path_delays(), grid, nguyen.trips,
@@ -239,22 +239,22 @@ def test_criterion_09_operator_call_accounting():
 
     vi = affine_unit_instance()
     cfg = SolverConfig(algorithm="fb", max_iterations=17, tau_fixed=0.5)
-    run_fb(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
+    solve(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
     assert vi.operator.eval_count == 17
 
     vi = affine_unit_instance()
     cfg = SolverConfig(algorithm="fbf", max_iterations=17, tau0=1.0, **FBF_SCHEDULES)
-    run_fbf(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
+    solve(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
     assert vi.operator.eval_count == 34
 
     vi = affine_unit_instance()
     cfg = SolverConfig(algorithm="ifbf", max_iterations=17, tau0=1.0, **IFBF_SCHEDULES)
-    run_ifbf(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
+    solve(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
     assert vi.operator.eval_count == 34
 
     vi = affine_unit_instance()
     cfg = SolverConfig(algorithm="ifbf", max_iterations=1, tau0=1.0, **IFBF_SCHEDULES)
-    run_ifbf(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
+    solve(vi.operator, cfg, h_start, vi.trips, vi.paths_by_od)
     assert vi.operator.eval_count == 2
     _report(9, "operator-call accounting", time.perf_counter() - start, 10)
 

@@ -1,9 +1,12 @@
 import dataclasses
+import runpy
 
 import numpy as np
 import pytest
 
-from conftest import assert_matches_reference, assert_same_engine, build_line_network, uniform_profile
+from conftest import (REPO_ROOT, assert_matches_reference, assert_same_engine, build_line_network,
+                      uniform_profile)
+from due.cli import main as cli_main
 from due.errors import ConfigurationError, UnfinishedTripError, ValidationError
 from due.loading import LoadingResult, _Engine, effective_delay, run_dnl
 from due.network import Link, Network, PathDef, load_network_dir
@@ -728,6 +731,19 @@ class TestPathDelaysByPath:
         assert sum(np.prod(s) for s in shapes) == (76 + 6289) * 100
         np.testing.assert_array_equal(delays.view(np.int64),
                                       path_delays_by_path(res).view(np.int64))
+
+    def test_every_loading_of_a_short_solve(self, tmp_path, loadings):
+        # the benchmark's `nguyen_queued` run: Nguyen at about 1.5 times its
+        # demand, 10 ifbf iterations and the final report, 21 loadings.  Their
+        # delays can miss a relative 1e-12 where a probed curve climbs through
+        # dust, so they are checked backward, hop by hop
+        make_dnl = runpy.run_path(str(REPO_ROOT / "duebench" / "inputs.py"))["make_dnl"]
+        configs = make_dnl(REPO_ROOT, "nguyen_queued", 1, tmp_path)["configs"]
+        assert cli_main(["run", "-c", configs["a"]]) == 0
+        assert len(loadings) == 21
+        for rates, res in loadings:
+            assert_matches_reference(res, rates, backward=True)
+
 
 
 class TestReferenceLoading:

@@ -312,6 +312,26 @@ class TestPathTable:
             Network(nodes, links, od_pairs, TripTable(demands, targets), paths)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("change, message", [
+        ("link_id", "link '1' holds a Link with id 'x'"),
+        ("trips_keys", "O-D pair 'w' is not both in od_pairs and in trips"),
+        ("extra_trip", "O-D pair 'v' is not both in od_pairs and in trips"),
+    ], ids=["link_id", "trips_keys", "extra_trip"])
+    def test_network_built_in_code_checks_its_maps_agree(self, line_network, change, message):
+        # such a network would be written by `save_network` as files that do
+        # not load, or make it raise a bare KeyError
+        net = line_network
+        demands, targets = dict(net.trips.demands), dict(net.trips.target_times)
+        if change == "link_id":
+            fields = {"links": {**net.links, "1": dataclasses.replace(net.links["1"], id="x")}}
+        elif change == "trips_keys":
+            fields = {"trips": TripTable({"v": 10.0}, {"v": 1.0})}
+        else:
+            fields = {"trips": TripTable({**demands, "v": 1.0}, {**targets, "v": 1.0})}
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(net, **fields)
+        assert str(info.value) == message
+
     def test_table_reads_as_the_path_defs(self, nguyen, siouxfalls_dir):
         for net in (nguyen, load_network_dir(siouxfalls_dir)):
             # the loading horizon's default buffer, bit for bit

@@ -1,6 +1,7 @@
 import json
 import math
 import runpy
+import weakref
 
 import numpy as np
 import pytest
@@ -13,9 +14,6 @@ from due.solvers import (
     ScheduleSpec,
     SolverConfig,
     parse_schedule,
-    run_fb,
-    run_fbf,
-    run_ifbf,
     solve,
     uniform_start,
 )
@@ -135,28 +133,28 @@ class TestRunFb:
         vi = zero_instance()
         h0 = vertex_start(vi)
         cfg = SolverConfig(algorithm="fb", max_iterations=50, tau_fixed=1.0)
-        h, log = run_fb(vi.operator, cfg, h0, vi.trips, vi.paths_by_od)
+        h, log = solve(vi.operator, cfg, h0, vi.trips, vi.paths_by_od)
         assert norm(h.rates - h0.rates, vi.grid.dt) == 0.0
         assert all(r.residual == 0.0 for r in log.records)
 
     def test_cocoercive_linear_convergence(self):
         vi = cocoercive_instance()
         cfg = SolverConfig(algorithm="fb", max_iterations=200, tau_fixed=0.5)
-        h, log = run_fb(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        h, log = solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
         assert norm(h.rates - vi.solution.rates, vi.grid.dt) <= 1e-6
 
     def test_one_call_per_iteration(self):
         vi = cocoercive_instance()
         cfg = SolverConfig(algorithm="fb", max_iterations=37, tau_fixed=0.5)
         base = vi.operator.eval_count
-        _, log = run_fb(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        _, log = solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
         assert vi.operator.eval_count - base == 37
         assert log.iterations == 37
 
     def test_residual_drops_six_orders(self):
         vi = cocoercive_instance()
         cfg = SolverConfig(algorithm="fb", max_iterations=200, tau_fixed=0.5)
-        _, log = run_fb(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        _, log = solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
         res = log.column("residual")
         assert res[-1] <= 1e-6 * res[0]
 
@@ -177,14 +175,14 @@ class TestRunFbf:
     def test_equal_delays_keep_step(self):
         vi = zero_instance()
         cfg = SolverConfig(algorithm="fbf", max_iterations=20, tau0=3.0, **FBF_TEST)
-        _, log = run_fbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        _, log = solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
         assert all(r.tau == 3.0 for r in log.records)
 
     def test_two_calls_per_iteration(self):
         vi = cocoercive_instance()
         cfg = SolverConfig(algorithm="fbf", max_iterations=25, tau0=1.0, **FBF_TEST)
         base = vi.operator.eval_count
-        run_fbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
         assert vi.operator.eval_count - base == 50
 
     def test_schedule_violation_rejected_before_iterating(self):
@@ -193,14 +191,14 @@ class TestRunFbf:
                            alpha_schedule="const(0.5)", beta_schedule="const(0.7)")
         base = vi.operator.eval_count
         with pytest.raises(ConfigurationError):
-            run_fbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+            solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
         assert vi.operator.eval_count == base
 
     def test_missing_schedules_rejected(self):
         vi = cocoercive_instance()
         cfg = SolverConfig(algorithm="fbf", max_iterations=10, tau0=1.0)
         with pytest.raises(ConfigurationError, match="needs alpha_schedule"):
-            run_fbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+            solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
 
 
 class TestRunIfbf:
@@ -234,7 +232,7 @@ class TestRunIfbf:
         h0 = uniform_start(vi.grid, vi.trips, vi.paths_by_od)
         for tau0 in (0.01, 10.0):
             cfg = SolverConfig(algorithm="ifbf", max_iterations=300, tau0=tau0, **IFBF_TEST)
-            _, log = run_ifbf(vi.operator, cfg, h0, vi.trips, vi.paths_by_od)
+            _, log = solve(vi.operator, cfg, h0, vi.trips, vi.paths_by_od)
             taus = log.column("tau")
             assert np.all(np.diff(taus) <= 1e-15)
             assert taus.min() >= min(cfg.mu / vi.lipschitz, tau0) - 1e-12
@@ -254,7 +252,7 @@ class TestRunIfbf:
 
         op._compute = traced
         cfg = SolverConfig(algorithm="ifbf", max_iterations=40, tau0=5.0, **IFBF_TEST)
-        _, log = run_ifbf(op, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        _, log = solve(op, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
         op._compute = original
         taus = log.column("tau")
         mu = cfg.mu
@@ -283,7 +281,7 @@ class TestRunIfbf:
         op._compute = traced
         cfg = SolverConfig(algorithm="ifbf", max_iterations=150, tau0=10.0, **IFBF_TEST)
         h0 = vertex_start(vi)
-        _, log = run_ifbf(op, cfg, h0, vi.trips, vi.paths_by_od)
+        _, log = solve(op, cfg, h0, vi.trips, vi.paths_by_od)
         op._compute = original
 
         alphas = log.column("alpha")
@@ -304,25 +302,51 @@ class TestRunIfbf:
         vi = cocoercive_instance()
         cfg = SolverConfig(algorithm="ifbf", max_iterations=33, tau0=1.0, **IFBF_TEST)
         base = vi.operator.eval_count
-        run_ifbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
         assert vi.operator.eval_count - base == 66
 
     def test_final_profile_is_feasible(self):
         vi = cocoercive_instance()
         cfg = SolverConfig(algorithm="ifbf", max_iterations=50, tau0=1.0, **IFBF_TEST)
-        h, _ = run_ifbf(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        h, _ = solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
         assert np.all(h.rates >= 0)
         assert h.rates.sum() * vi.grid.dt == pytest.approx(2.0, rel=1e-9)
 
 
 class TestSolveDispatch:
     def test_dispatch_matches_direct_call(self):
+        # `solve` records what the fb update rule yields, driven here by hand
+        from due.solvers import _fb
+
         vi = cocoercive_instance()
         cfg = SolverConfig(algorithm="fb", max_iterations=10, tau_fixed=0.5)
-        h1, _ = solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        h, log = solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
         vi2 = cocoercive_instance()
-        h2, _ = run_fb(vi2.operator, cfg, vertex_start(vi2), vi2.trips, vi2.paths_by_od)
-        np.testing.assert_array_equal(h1.rates, h2.rates)
+        _notes, steps = _fb(cfg)
+        iterates = steps(lambda x: vi2.operator.evaluate(PathFlowProfile(vi2.grid, x)).delays,
+                         lambda x: project_feasible(x, vi2.layout),
+                         vertex_start(vi2).rates, vi2.grid.dt)
+        for record in log.records:
+            want, *values = next(iterates)
+            assert [record.tau, record.alpha, record.beta, record.residual,
+                    record.energy] == pytest.approx(values, rel=0, abs=0, nan_ok=True)
+        np.testing.assert_array_equal(h.rates, want)
+
+    @pytest.mark.parametrize("algorithm, schedules, tolerance, calls, iterations", [
+        ("fb", {}, 1e-3, 1, 11), ("fbf", FBF_TEST, 0.2, 2, 13), ("ifbf", IFBF_TEST, 0.2, 2, 21),
+    ], ids=["fb", "fbf", "ifbf"])
+    def test_tolerance_stops_at_first_small_residual(self, algorithm, schedules, tolerance,
+                                                    calls, iterations):
+        vi = cocoercive_instance()
+        cfg = SolverConfig(algorithm=algorithm, max_iterations=100, tau0=1.0, tau_fixed=0.5,
+                           tolerance=tolerance, **schedules)
+        _, log = solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        residuals = log.column("residual")
+        assert log.stop_reason == "residual_tolerance"
+        assert log.iterations == iterations
+        assert residuals[-1] <= tolerance and np.all(residuals[:-1] > tolerance)
+        # no evaluation after the stop
+        assert vi.operator.eval_count == log.records[-1].operator_calls == calls * iterations
 
     @pytest.mark.parametrize("algorithm, schedules, calls", [
         ("fb", {}, 3), ("fbf", FBF_TEST, 6), ("ifbf", IFBF_TEST, 6),
@@ -425,8 +449,11 @@ class TestBoundaryValidation:
             solve(op, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
         assert op.eval_count == 1
 
-    def test_profiles_built_only_at_boundaries(self, monkeypatch):
-        # two operator inputs per iteration plus the returned profile
+    @pytest.mark.parametrize("algorithm, schedules, calls", [
+        ("fb", {}, 1), ("fbf", FBF_TEST, 2), ("ifbf", IFBF_TEST, 2),
+    ], ids=["fb", "fbf", "ifbf"])
+    def test_profiles_built_only_at_boundaries(self, monkeypatch, algorithm, schedules, calls):
+        # one or two operator inputs per iteration plus the returned profile
         vi = cocoercive_instance()
         h0 = vertex_start(vi)
         built = []
@@ -437,9 +464,10 @@ class TestBoundaryValidation:
             post_init(profile)
 
         monkeypatch.setattr(PathFlowProfile, "__post_init__", counted)
-        cfg = SolverConfig(algorithm="ifbf", max_iterations=10, tau0=1.0, **IFBF_TEST)
+        cfg = SolverConfig(algorithm=algorithm, max_iterations=10, tau0=1.0, tau_fixed=0.5,
+                           **schedules)
         solve(vi.operator, cfg, h0, vi.trips, vi.paths_by_od)
-        assert len(built) == 2 * 10 + 1
+        assert len(built) == calls * 10 + 1
 
     @pytest.mark.parametrize("algorithm, schedules, final", [
         ("fb", {}, 0), ("fbf", FBF_TEST, 1), ("ifbf", IFBF_TEST, 1),
@@ -468,6 +496,36 @@ class TestBoundaryValidation:
         assert all(layout is calls[0] for layout in calls)
 
 
+    @pytest.mark.parametrize("algorithm, schedules", [("fbf", FBF_TEST), ("ifbf", IFBF_TEST)],
+                             ids=["fbf", "ifbf"])
+    def test_final_projection_holds_no_loop_array(self, monkeypatch, algorithm, schedules):
+        # every operator input and output but the start is dead by the final
+        # projection; the last iteration's first pair is alive at its own
+        import due.solvers as solvers
+
+        vi = cocoercive_instance()
+        op = vi.operator
+        arrays, alive = [], []
+        evaluate, project = op.evaluate, solvers.project_feasible
+
+        def traced(h):
+            out = evaluate(h)
+            arrays.extend([weakref.ref(h.rates.base), weakref.ref(out.delays)])
+            return out
+
+        def counted(rates, layout):
+            alive.append([ref() is not None for ref in arrays])
+            return project(rates, layout)
+
+        monkeypatch.setattr(op, "evaluate", traced)
+        monkeypatch.setattr(solvers, "project_feasible", counted)
+        cfg = SolverConfig(algorithm=algorithm, max_iterations=5, tau0=1.0, **schedules)
+        solve(op, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+        assert len(alive) == 5 + 1
+        assert alive[-2][-2:] == [True, True]
+        assert alive[-1][1:] == [False] * (4 * 5 - 1)
+
+
 class TestFbOnBenchmark:
     def test_energy_decays_on_nguyen(self, nguyen):
         # published protocol: constant step 10, 200 iterations
@@ -479,7 +537,7 @@ class TestFbOnBenchmark:
         op = dnl_operator(nguyen, grid, gamma=1.0, buffer=2.5)
         h0 = uniform_start(grid, nguyen.trips, by_od)
         cfg = SolverConfig(algorithm="fb", max_iterations=200, tau_fixed=10.0)
-        _, log = run_fb(op, cfg, h0, nguyen.trips, by_od)
+        _, log = solve(op, cfg, h0, nguyen.trips, by_od)
         energy = log.column("energy")
         head = float(np.median(energy[:20]))
         tail = float(np.median(energy[-20:]))
