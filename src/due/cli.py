@@ -308,15 +308,15 @@ def _execute_run(cfg: RunConfig) -> tuple[dict, ConvergenceLog]:
     ods = sorted(gaps)
     _write_csv(out / "od_gaps.csv", ["od_id", "gap"], [_csv(ods, _cells(gaps[od] for od in ods))])
     if cfg.dump_dnl:
-        engine = result.engine
+        links, E = result.engine.link_ids, len(result.engine.link_ids)
         index = list(_cells(result.grid_ext.boundaries().tolist()))
+        up, down = result.n_up, result.n_down  # the links' rows, then the queues'
         _write_csv(out / "dnl_curves.csv", ["link_id", "t", "n_up", "n_down"],
-                   _row_blocks(engine.link_ids, index, result.n_up, result.n_down))
-        queue_leads = [f"{q.node},{engine.link_ids[q.link_idx]}" for q in engine.queues]
+                   _row_blocks(links, index, up[:E], down[:E]))
+        queue_leads = [f"{net.links[links[e]].tail},{links[e]}" for e in result.engine.queue_link]
         _write_csv(out / "dnl_queues.csv",
                    ["origin", "link_id", "t", "arrivals", "releases", "queue"],
-                   _row_blocks(queue_leads, index, result.q_arrivals, result.q_releases,
-                               result.q_arrivals - result.q_releases))
+                   _row_blocks(queue_leads, index, up[E:], down[E:], up[E:] - down[E:]))
 
     summary = write_summary(log, final_loading={"steps": result.engine.steps,
                                                 "drained_step": result.drained_step})

@@ -7,9 +7,9 @@ boundary curve; junctions resolve the competing flows with a first-in
 first-out diverge (one scalar reduction factor per incoming approach) and a
 demand-proportional merge.  The junction rule needs only each vehicle's next
 link, so a link's vehicles are tracked per remaining route (the nodes of the
-paths' suffix trie), not per path.  Origins hold point queues, one per
-(origin node, first link) pair.  Path travel times come from composing exit-time functions
-along the path, origin queue first.
+paths' suffix trie), not per path.  Origins hold point queues, one per first
+link of the paths, on a link's two curves, in rows after the links'.  Path travel
+times come from composing exit-time functions along the path, origin queue first.
 
 The loading grid extends past the departure horizon by a configurable buffer
 so departing vehicles can finish their trips; delays are reported on the
@@ -54,15 +54,6 @@ def _first_at(hist: np.ndarray, levels: np.ndarray, start: int) -> np.ndarray:
     return above.argmax(axis=-1) + start
 
 
-class _QueueSpec:
-    __slots__ = ("node", "link_idx", "rows")
-
-    def __init__(self, node, link_idx, rows):
-        self.node = node
-        self.link_idx = link_idx
-        self.rows = rows
-
-
 class _Engine:
     """Precomputed index structure for loading one network on one grid.
 
@@ -99,7 +90,6 @@ class _Engine:
         self.storage = np.array([l.storage for l in links])
         self.lag_v = np.array([l.free_flow_time / dt for l in links])
         self.lag_w = np.array([l.length / l.w / dt for l in links])
-        self.ff_time = np.array([l.free_flow_time for l in links])
         self.big_m = 10.0 * max(l.capacity for l in links)
         node_of = {n: i for i, n in enumerate(net.nodes)}
         self.tail = np.array([node_of[l.tail] for l in links])
@@ -110,23 +100,21 @@ class _Engine:
         P = self.num_paths = net.num_paths
         hop_link, first, end = table.links, table.start[:-1], table.start[1:]
         lengths = end - first
-        # origin point queues, one per (origin node, first link), in the order
-        # of node id, then link
-        names = sorted(net.nodes)
-        origin = np.searchsorted(names, [o for o, _ in net.od_pairs.values()])
-        keys, self.queue_of_path = np.unique(origin[table.od] * E + hop_link[first],
+        # origin point queues, one per first link of the paths (its tail is
+        # their origin), in the order of node id, then link; a queue probes
+        # as a link that takes no time
+        rank = np.searchsorted(sorted(net.nodes), [l.tail for l in links])
+        keys, self.queue_of_path = np.unique(rank[hop_link[first]] * E + hop_link[first],
                                              return_inverse=True)
-        members = np.split(np.argsort(self.queue_of_path, kind="stable"),
-                           np.cumsum(np.bincount(self.queue_of_path))[:-1])
-        self.queues = [_QueueSpec(names[k // E], k % E, r) for k, r in zip(keys.tolist(), members)]
-        self.queue_node = np.array([node_of[q.node] for q in self.queues], dtype=int)
+        self.queue_link, Q = keys % E, keys.size
+        self.ff_time = np.r_[[l.free_flow_time for l in links], np.zeros(Q)]
 
         # the probe schedule runs on the prefix trie: a path's exit time after
         # its h-th link depends only on its origin queue and its first h links.
         # The distinct (queue, link prefix) nodes get ids after the queues, by
         # (hop, link, parent); their parents are queues or nodes one hop shorter
         deepest = self.queue_of_path.copy()  # each path's deepest node so far
-        n = Q = len(self.queues)
+        n = Q
         span = Q + hop_link.size  # above every id
         keys, rows = [], np.arange(P)
         for h in range(int(lengths.max())):
@@ -139,12 +127,12 @@ class _Engine:
         group, parent = np.divmod(np.concatenate(keys), span)  # of the ids Q..n-1
         # probe rows: path r's deepest node is row r (a node that ends several
         # paths is probed once for each, and its children read any of those
-        # equal rows), the other ids follow, queues first
+        # equal rows), the other ids follow, queues first, then a spare row
         row = np.full(n, -1)
         row[deepest] = np.arange(P)
         other = np.flatnonzero(row < 0)
         row[other] = P + np.arange(other.size)
-        self.queue_row = row[:Q]
+        spare = P + other.size
         inner = other[other >= Q]
         node = np.concatenate((deepest, inner)) - Q  # the node of each probed row
         order = np.argsort(group[node], kind="stable")
@@ -152,10 +140,12 @@ class _Engine:
         probed = np.concatenate((np.arange(P), row[inner]))[order]
         parents = row[parent[node]]
         lo = np.flatnonzero(np.diff(group[node], prepend=-1)).tolist()
-        # (link, rows, parents' rows) per (hop, link) group, by hop
-        self.probe_groups = [(int(group[node[a]] % E), probed[a:b], parents[a:b])
-                             for a, b in zip(lo, lo[1:] + [node.size])]
-        self.num_probe_rows = P + other.size
+        # (curve row, rows, parents' rows) per group: each queue, from the
+        # spare row (the departure starts), then each (hop, link), by hop
+        self.probe_groups = [(E + q, row[q:q + 1], np.array([spare])) for q in range(Q)]
+        self.probe_groups += [(int(group[node[a]] % E), probed[a:b], parents[a:b])
+                              for a, b in zip(lo, lo[1:] + [node.size])]
+        self.num_probe_rows = spare + 1
 
         # stepping runs on the suffix trie: downstream of a link, a vehicle's
         # way depends only on its remaining route, so the state is held per
@@ -190,8 +180,9 @@ class _Engine:
             if self.link_count[e]:
                 app_of_link[e] = n_app[self.head[e]]
                 n_app[self.head[e]] += 1
-        app_of_queue = np.zeros(len(self.queues), dtype=int)
-        for qi, j in enumerate(self.queue_node):
+        queue_node = self.tail[self.queue_link]
+        app_of_queue = np.zeros(Q, dtype=int)
+        for qi, j in enumerate(queue_node):
             app_of_queue[qi] = n_app[j]
             n_app[j] += 1
         A, S = int(n_app.max()), int(n_out.max())
@@ -202,8 +193,8 @@ class _Engine:
         self.supply_at = np.full((J, S), 2 * E)
         self.supply_at[self.tail, slot] = E + np.arange(E)
         self.link_app = self.head * A + app_of_link
-        self.queue_app = self.queue_node * A + app_of_queue
-        self.queue_seg = self.queue_app * S + slot[[q.link_idx for q in self.queues]]
+        self.queue_app = queue_node * A + app_of_queue
+        self.queue_seg = self.queue_app * S + slot[self.queue_link]
 
         # suffix nodes in CSR order, segmented by (link, out-slot): link-major,
         # then the out-slot of the next link (0: the paths end here), then id
@@ -222,7 +213,7 @@ class _Engine:
         self.link_start = np.flatnonzero(np.r_[True, np.diff(self.link_of) != 0])
         self.link_used = self.link_of[self.link_start]
         # a step's per-link sums of entries, then of exits, in n_up and n_down
-        self.sum_rows = np.concatenate((self.link_used, E + self.link_used))
+        self.sum_rows = np.concatenate((self.link_used, E + Q + self.link_used))
         self.sum_starts = np.concatenate((self.link_start, n + self.link_start))
         self.seg_start = np.flatnonzero(
             np.r_[True, (np.diff(self.link_of) != 0) | (np.diff(key) != 0)])
@@ -250,22 +241,22 @@ class _Engine:
         dt = self.grid.dt
         K = self.grid.num_intervals
         P = self.num_paths
-        Q = len(self.queues)
+        Q = self.queue_link.size
         N = self.link_of.size
         J, A, S = self.shape
         link_of, qop = self.link_of, self.queue_of_path
         floor_at, next_at, frac, now_at = self._read_schedule()
         cap = np.tile(self.capacity * dt, 2)
 
-        counts = np.zeros((2 * E, T + 1))  # the boundary curves, n_up on n_down
-        n_up, n_down = counts[:E], counts[E:]
+        # the boundary curves: link entries, queue arrivals, link exits, queue
+        # releases; n_up and n_down are the links' rows
+        counts = np.zeros((2 * (E + Q), T + 1))
+        n_up, n_down = counts[:E], counts[E + Q:2 * E + Q]
         # time-major entries per suffix node from step `start` on; rows not
         # yet written are zero
         p_up = np.zeros((self._window_rows(), N))
         start = 0
         queued = np.zeros(P)  # the content of each path's origin queue
-        # per-queue arrivals and releases by step, summed into curves at the end
-        q_steps = np.zeros((2 * Q, T + 1))
         no_arrivals = np.zeros(P)
         # sending and receiving flows, then a zero supply for padded out-slots
         limits = np.zeros(2 * E + 1)
@@ -277,7 +268,7 @@ class _Engine:
         slots = amounts[:-1].reshape(J, A, S)
         flows = np.empty(2 * N + P)  # entries and exits per node, releases per path
         entered, moved, rel_p = flows[:N], flows[N:2 * N], flows[2 * N:]
-        column = np.zeros(2 * E)  # one step's per-link entries and exits
+        column = np.zeros(2 * (E + Q))  # one step's increments of counts
         exited = np.zeros(self.end_node.size)
 
         drained = None
@@ -320,7 +311,7 @@ class _Engine:
             arr_in = np.maximum(rates[:, k], 0.0) * dt if k < K else no_arrivals
             avail = queued + arr_in
             total_avail = np.bincount(qop, avail, Q)
-            arr_sum = q_steps[:Q, k + 1] = np.bincount(qop, arr_in, Q)
+            arr_sum = column[E:E + Q] = np.bincount(qop, arr_in, Q)
             live = total_avail > 1e-15
             d_rate = np.where(np.bincount(qop, queued, Q) > 0, self.big_m, arr_sum / dt)
             want = np.where(live, np.minimum(d_rate * dt, total_avail), 0.0)
@@ -328,7 +319,7 @@ class _Engine:
 
             theta = self._resolve(slots, limits.take(self.supply_at), self.rounds).ravel()
             np.multiply(np.repeat(theta.take(self.link_app), self.link_count), comp, out=moved)
-            released = np.multiply(theta.take(self.queue_app), want, out=q_steps[Q:, k + 1])
+            released = np.multiply(theta.take(self.queue_app), want, out=column[2 * E + Q:])
             share = np.divide(released, total_avail, out=np.zeros(Q), where=live)
             np.multiply(avail, share.take(qop), out=rel_p)
             np.subtract(avail, rel_p, out=queued)
@@ -338,15 +329,11 @@ class _Engine:
             np.add(counts[:, k], column, out=counts[:, k + 1])
             exited += moved.take(self.end_node)
 
-        q_arr, q_rel = np.cumsum(q_steps, axis=1, out=q_steps).reshape(2, Q, T + 1)
-
         return LoadingResult(
             engine=self,
-            n_up=n_up,
-            n_down=n_down,
+            n_up=counts[:E + Q],
+            n_down=counts[E + Q:],
             p_up=p_up,
-            q_arrivals=q_arr,
-            q_releases=q_rel,
             queued=queued,
             exited_by_link=np.bincount(link_of[self.end_node], exited, E),
             drained_step=drained,
@@ -354,17 +341,17 @@ class _Engine:
         )
 
     def _read_schedule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per step k and row of the raveled stacked (n_up, n_down) curves: the
+        """Per step k and link row of the raveled counts (n_up, then n_down): the
         floor column of the read at k + 1 - lag (lag_v, lag_w), the next (the
         last at most), the fraction between, and column k of the opposite curve:
         the per-step operations vectorised over k, bitwise the same.  Column 0
         holds zeros, so a read before it needs no mask: 0 + 0 * x is +0.0.
         """
-        E, T = len(self.link_ids), self.steps
+        E, Q, T = len(self.link_ids), self.queue_link.size, self.steps
         lag = np.concatenate((self.lag_v, self.lag_w))
         pos = np.maximum(np.arange(1, T + 1)[:, None] - lag, 0.0)
         fl = np.floor(pos).astype(int)
-        row = np.arange(2 * E) * (T + 1)
+        row = np.r_[:E, E + Q:2 * E + Q] * (T + 1)
         opposite = np.concatenate((row[E:], row[:E])) + np.arange(T)[:, None]
         return fl + row, np.minimum(fl + 1, T) + row, pos - fl, opposite
 
@@ -377,7 +364,7 @@ class _Engine:
         up = n_up[:, k]
         if not (up <= n_down[:, k]).all():
             return False
-        if not (np.bincount(self.queue_of_path, queued, len(self.queues)) <= 1e-15).all():
+        if not (np.bincount(self.queue_of_path, queued, self.queue_link.size) <= 1e-15).all():
             return False
         return bool((n_up.take(floor_at) == up).all())
 
@@ -464,11 +451,9 @@ class LoadingResult:
     loading: the state on which the tests audit its invariants (`audit_loading`)."""
 
     engine: _Engine
-    n_up: np.ndarray
-    n_down: np.ndarray
+    n_up: np.ndarray  # (link, then origin queue; step): entries, or arrivals at a queue
+    n_down: np.ndarray  # as n_up: exits, or releases from a queue
     p_up: np.ndarray  # (step - first_step, suffix node): entries per (link, remaining route)
-    q_arrivals: np.ndarray
-    q_releases: np.ndarray
     queued: np.ndarray  # (path,): content of the path's origin queue where stepping stopped
     exited_by_link: np.ndarray  # vehicles that ended their trips at each link's exit
     drained_step: int | None = None  # where stepping stopped; None: the full horizon
@@ -499,11 +484,12 @@ class LoadingResult:
     def path_delays(self) -> np.ndarray:
         """Travel time per (path, departure interval) on the departure grid.
 
-        Probes the engine's prefix trie into one stacked array of exit times:
-        the origin queues on the departure starts, then each (hop, link)
-        group of nodes once, from its parents' rows.  Each row is probed on
-        its own, so a path takes its last node's exit times bit for bit; as
-        path r's last node is row r, the delays are the first rows, in place.
+        Probes the engine's prefix trie into one stacked array of exit times,
+        each group of nodes once, from its parents' rows: the origin queues
+        from the spare last row, which holds the departure starts, then each
+        (hop, link) group.  Each row is probed on its own, so a path takes its
+        last node's exit times bit for bit; as path r's last node is row r,
+        the delays are the first rows, in place.
         A failure passes from parent to child: an unfinished trip is reported
         for the lowest path row that has one, at its earliest failing hop and
         that hop's first failing interval.
@@ -511,12 +497,8 @@ class LoadingResult:
         eng = self.engine
         starts = eng.grid.starts()
         exits = np.empty((eng.num_probe_rows, starts.size))
+        exits[-1] = starts
         first_bad = np.full(eng.num_probe_rows, -1)  # first failing interval per row
-        for qi, row in enumerate(eng.queue_row):
-            exits[row], unfinished = self._probe_exit(self.q_arrivals[qi], self.q_releases[qi],
-                                                      starts, 0.0)
-            if unfinished.any():
-                first_bad[row] = int(np.argmax(unfinished))
         for e, rows, parents in eng.probe_groups:
             exits[rows], unfinished = self._probe_exit(
                 self.n_up[e], self.n_down[e], exits[parents], eng.ff_time[e])

@@ -153,6 +153,8 @@ class Network:
 
     @property
     def paths(self) -> tuple[PathDef, ...]:
+        """The paths as `PathDef`s, rebuilt from the table on each read (about
+        6–9 ms for Sioux Falls' 6,180 paths): read it once, not in a loop."""
         hops = list(map(list(self.links).__getitem__, self.table.links.tolist()))
         start = self.table.start.tolist()
         return tuple(PathDef(r, od, tuple(hops[a:b]))

@@ -108,10 +108,7 @@ def assert_same_engine(engine, want):
         if name == "net":
             continue
         other = getattr(want, name)
-        if name == "queues":
-            value, other = ([(q.node, q.link_idx, q.rows.tobytes()) for q in qs]
-                            for qs in (value, other))
-        elif name == "probe_groups":
+        if name == "probe_groups":
             value, other = ([(e, rows.tobytes(), parents.tobytes()) for e, rows, parents in gs]
                             for gs in (value, other))
         if isinstance(value, np.ndarray):
@@ -134,15 +131,15 @@ def assert_same_paths(net, want, grid):
 def assert_matches_reference(res, rates, backward=False):
     """A `LoadingResult` against the junction-by-junction reference loader.
 
-    Boundary curves, origin queues and exits agree within 1e-12 of the total
-    demand, and path delays within a relative 1e-12 (or both name the same
-    unfinished trip).  With `backward`, the delays are checked hop by hop
-    instead, by `assert_probes_land`.
+    Boundary curves (the links' and the origin queues'), queue content and
+    exits agree within 1e-12 of the total demand, and path delays within a
+    relative 1e-12 (or both name the same unfinished trip).  With `backward`,
+    the delays are checked hop by hop instead, by `assert_probes_land`.
     """
     rates = np.maximum(rates, 0.0)  # the engine clamps negative rates where a step reads them
     ref = reference_loading(res.engine, rates)
     atol = 1e-12 * rates.sum() * res.engine.grid.dt
-    for name in ("n_up", "n_down", "q_arrivals", "q_releases", "queued", "exited_by_link"):
+    for name in ("n_up", "n_down", "queued", "exited_by_link"):
         np.testing.assert_allclose(getattr(res, name), getattr(ref, name),
                                    rtol=0, atol=atol, err_msg=name)
     if backward:
@@ -172,22 +169,17 @@ def assert_probes_land(res, ref, atol):
     eng = res.engine
     starts = eng.grid.starts()
     exits = np.empty((eng.num_probe_rows, starts.size))
+    exits[-1] = starts
     finished = []
-
-    def hop(rows, times, up, down, i, floor):
-        got, unfinished = res._probe_exit(getattr(res, up)[i], getattr(res, down)[i], times, floor)
-        want, ref_unfinished = ref._probe_exit(getattr(ref, up)[i], getattr(ref, down)[i],
-                                               times, floor)
-        np.testing.assert_array_equal(unfinished, ref_unfinished, err_msg=f"{down} {i}")
-        curve = getattr(ref, down)[i]
+    for e, rows, parents in eng.probe_groups:
+        times = exits[parents]
+        got, unfinished = res._probe_exit(res.n_up[e], res.n_down[e], times, eng.ff_time[e])
+        want, ref_unfinished = ref._probe_exit(ref.n_up[e], ref.n_down[e], times, eng.ff_time[e])
+        np.testing.assert_array_equal(unfinished, ref_unfinished, err_msg=f"row {e}")
+        curve = ref.n_down[e]
         miss = np.abs(np.interp(got, eng.boundaries, curve) - np.interp(want, eng.boundaries, curve))
-        assert np.all(miss[~unfinished] <= atol), (down, i, miss.max(), atol)
+        assert np.all(miss[~unfinished] <= atol), (e, miss.max(), atol)
         exits[rows] = got
         finished.append(not unfinished.any())
-
-    for qi, row in enumerate(eng.queue_row):
-        hop(row, starts, "q_arrivals", "q_releases", qi, 0.0)
-    for e, rows, parents in eng.probe_groups:
-        hop(rows, exits[parents], "n_up", "n_down", e, eng.ff_time[e])
     if all(finished):
         np.testing.assert_array_equal(exits[:eng.num_paths] - starts, res.path_delays())

@@ -151,8 +151,8 @@ def audit_loading(res: LoadingResult) -> dict[str, float]:
     curves of an engine's `LoadingResult` after the fact; a value at or
     below zero, up to rounding, means the invariant holds.
 
-    - `monotone`: the largest decrease of `n_up`, `n_down`, `q_arrivals`,
-      `q_releases` and the kept rows of `p_up`.
+    - `monotone`: the largest decrease of `n_up` and `n_down` (the links'
+      rows and the origin queues') and of the kept rows of `p_up`.
     - `occupancy`: the largest excess of n_up - n_down over storage or below 0.
     - `flow_bounds`: the largest excess of a step's realized entries or
       exits (the steps of n_up and n_down) over capacity * dt.
@@ -166,12 +166,13 @@ def audit_loading(res: LoadingResult) -> dict[str, float]:
       links into the node, relative to max(1, the total entering).
     """
     eng, net = res.engine, res.engine.net
+    E = len(eng.link_ids)
     node_of = {n: j for j, n in enumerate(net.nodes)}
     head = [node_of[net.links[lid].head] for lid in eng.link_ids]
     tail = [node_of[net.links[lid].tail] for lid in eng.link_ids]
-    d_up, d_down = np.diff(res.n_up), np.diff(res.n_down)
+    d_up, d_down = np.diff(res.n_up[:E]), np.diff(res.n_down[:E])
     cap = eng.capacity[:, None] * eng.grid.dt
-    occ = res.n_up - res.n_down
+    occ = res.n_up[:E] - res.n_down[:E]
     last = eng.steps if res.drained_step is None else res.drained_step
     kept = res.p_up[:last + 1 - res.first_step]
     by_link = np.zeros((kept.shape[1], len(eng.link_ids)))
@@ -179,7 +180,7 @@ def audit_loading(res: LoadingResult) -> dict[str, float]:
 
     inflow = np.zeros((len(node_of), eng.steps))
     np.add.at(inflow, head, d_down)
-    np.add.at(inflow, [node_of[q.node] for q in eng.queues], np.diff(res.q_releases))
+    np.add.at(inflow, [tail[e] for e in eng.queue_link], np.diff(res.n_down[E:]))
     ending = inflow.copy()
     np.subtract.at(ending, tail, d_up)
     rel = ending / np.maximum(1.0, inflow)
@@ -193,11 +194,10 @@ def audit_loading(res: LoadingResult) -> dict[str, float]:
         return max(float(np.max(x, initial=-np.inf)) for x in parts)
 
     return {
-        "monotone": worst(-d_up, -d_down, -np.diff(res.q_arrivals), -np.diff(res.q_releases),
-                          -np.diff(kept, axis=0)),
+        "monotone": worst(-np.diff(res.n_up), -np.diff(res.n_down), -np.diff(kept, axis=0)),
         "occupancy": worst(occ - eng.storage[:, None], -occ),
         "flow_bounds": worst(d_up - cap, d_down - cap),
-        "path_split": worst(np.abs(kept @ by_link - res.n_up[:, res.first_step:last + 1].T)),
+        "path_split": worst(np.abs(kept @ by_link - res.n_up[:E, res.first_step:last + 1].T)),
         "junction_conservation": worst(-rel, np.abs(rel[~ends_here]), miss),
     }
 
@@ -220,18 +220,17 @@ def probe_link_exit(res, link_idx: int, times: np.ndarray, path_id=None,
 def path_delays_by_path(res) -> np.ndarray:
     """Path delays of a `LoadingResult`, probed one path at a time.
 
-    Each path rides its origin queue's curves and then `probe_link_exit` link
-    by link.  The first path row with an unfinished probe raises, at its first
-    failing hop.
+    Each path rides its origin queue's curves (the rows after the links') and
+    then `probe_link_exit` link by link.  The first path row with an
+    unfinished probe raises, at its first failing hop.
     """
     eng = res.engine
     starts = eng.grid.starts()
     intervals = np.arange(starts.size)
-    queue_of = {int(r): qi for qi, q in enumerate(eng.queues) for r in q.rows}
     out = np.empty((eng.num_paths, starts.size))
     for r, path in enumerate(eng.net.paths):
-        qi = queue_of[r]
-        s, unfinished = res._probe_exit(res.q_arrivals[qi], res.q_releases[qi], starts, 0.0)
+        q = len(eng.link_ids) + eng.queue_of_path[r]
+        s, unfinished = res._probe_exit(res.n_up[q], res.n_down[q], starts, 0.0)
         if np.any(unfinished):
             raise UnfinishedTripError(path.id, int(np.argmax(unfinished)))
         for lid in path.links:
@@ -326,15 +325,22 @@ def reference_loading(engine, rates: np.ndarray):
     this loop walks every junction, then every approach of it, and gathers
     each approach's per-path exit composition from its own searchsorted
     inversion of the link's entry curve: its state is per (link, path), not
-    per suffix node.  Returns a `LoadingResult` on `engine`, whose per-path
-    entry curves are per-link lists.
+    per suffix node.  Its origin queues, one per first link of the paths, come
+    from the paths, in the order of origin node id, then link.  Returns a
+    `LoadingResult` on `engine`, whose boundary curves hold the links' rows,
+    then the queues', and whose per-path entry curves are per-link lists.
     """
     net = engine.net
     E, T, dt, K = len(engine.link_ids), engine.steps, engine.grid.dt, engine.grid.num_intervals
     index_of = engine.index_of
+    paths = net.paths
+    firsts = np.array([index_of[p.links[0]] for p in paths])
+    queues = [(node, e, np.flatnonzero(firsts == e))
+              for node, e in sorted({(net.links[p.links[0]].tail, e)
+                                     for p, e in zip(paths, firsts.tolist())})]
     rows_by_link: list[list[int]] = [[] for _ in range(E)]
     next_link: dict[tuple[int, int], int] = {}
-    for r, p in enumerate(net.paths):
+    for r, p in enumerate(paths):
         seq = [index_of[e] for e in p.links]
         for pos, e in enumerate(seq):
             rows_by_link[e].append(r)
@@ -360,11 +366,11 @@ def reference_loading(engine, rates: np.ndarray):
                 per_slot.append((src, np.array([local_of[jl][rows[e][i]] for i in src], dtype=int)))
             approaches.append((e, per_slot, np.nonzero(nxt == -1)[0]))
         junctions[node] = (out_idx, approaches, [])
-    for qi, q in enumerate(engine.queues):
-        junctions[q.node][2].append(qi)
-    queue_slot = [junctions[q.node][0].index(q.link_idx) for q in engine.queues]
-    queue_dst = [np.array([local_of[q.link_idx][r] for r in q.rows], dtype=int)
-                 for q in engine.queues]
+    for qi, (node, _e, _members) in enumerate(queues):
+        junctions[node][2].append(qi)
+    queue_slot = [junctions[node][0].index(e) for node, e, _members in queues]
+    queue_dst = [np.array([local_of[e][r] for r in members], dtype=int)
+                 for _node, e, members in queues]
 
     def eval_paths(p_up_e, pos):
         fl = int(pos)
@@ -402,10 +408,10 @@ def reference_loading(engine, rates: np.ndarray):
     n_up = np.zeros((E, T + 1))
     n_down = np.zeros((E, T + 1))
     p_up = [np.zeros((r.size, T + 1)) for r in rows]
-    Q = len(engine.queues)
+    Q = len(queues)
     q_arr = np.zeros((Q, T + 1))
     q_rel = np.zeros((Q, T + 1))
-    q_now = [np.zeros(q.rows.size) for q in engine.queues]
+    q_now = [np.zeros(members.size) for _node, _e, members in queues]
     exited = np.zeros(E)
     cap = engine.capacity * dt
     for k in range(T):
@@ -415,7 +421,7 @@ def reference_loading(engine, rates: np.ndarray):
         up_inc = np.zeros(E)
         down_inc = np.zeros(E)
         pu_inc = [np.zeros(r.size) for r in rows]
-        for out_idx, approaches, queues in junctions.values():
+        for out_idx, approaches, at_node in junctions.values():
             payloads, slot_amounts = [], []
             for e, per_slot, sink_src in approaches:
                 if d_veh[e] <= 1e-15:
@@ -428,9 +434,9 @@ def reference_loading(engine, rates: np.ndarray):
                         amounts[s + 1] = comp[src].sum()
                 payloads.append(("link", e, comp, (per_slot, sink_src)))
                 slot_amounts.append(amounts)
-            for qi in queues:
-                q = engine.queues[qi]
-                arr_in = rates[q.rows, k] * dt if k < K else np.zeros(q.rows.size)
+            for qi in at_node:
+                members = queues[qi][2]
+                arr_in = rates[members, k] * dt if k < K else np.zeros(members.size)
                 avail = q_now[qi] + arr_in
                 total_avail = float(avail.sum())
                 q_arr[qi, k + 1] = q_arr[qi, k] + arr_in.sum()
@@ -463,22 +469,22 @@ def reference_loading(engine, rates: np.ndarray):
                     exited[e] += moved[sink_src].sum()
                 elif kind == "queue":
                     qi, avail, want = key, data, extra
-                    q = engine.queues[qi]
+                    e = queues[qi][1]
                     released = th * want
                     rel_p = avail * (released / avail.sum())
                     q_now[qi] = avail - rel_p
                     q_rel[qi, k + 1] = q_rel[qi, k] + released
-                    pu_inc[q.link_idx][queue_dst[qi]] += rel_p
-                    up_inc[q.link_idx] += released
+                    pu_inc[e][queue_dst[qi]] += rel_p
+                    up_inc[e] += released
         n_up[:, k + 1] = n_up[:, k] + up_inc
         n_down[:, k + 1] = n_down[:, k] + down_inc
         for e in range(E):
             p_up[e][:, k + 1] = p_up[e][:, k] + pu_inc[e]
     queued = np.zeros(engine.num_paths)
-    for q, now in zip(engine.queues, q_now):
-        queued[q.rows] = now
-    return LoadingResult(engine=engine, n_up=n_up, n_down=n_down, p_up=p_up,
-                         q_arrivals=q_arr, q_releases=q_rel, queued=queued,
+    for (_node, _e, members), now in zip(queues, q_now):
+        queued[members] = now
+    return LoadingResult(engine=engine, n_up=np.vstack((n_up, q_arr)),
+                         n_down=np.vstack((n_down, q_rel)), p_up=p_up, queued=queued,
                          exited_by_link=exited)
 
 

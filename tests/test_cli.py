@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import due.cli as cli
 from due.cli import _BLOCK_CELLS, EXIT_CODES, _row_blocks, _write_csv, main
 from test_network import write_minimal_instance
 
@@ -66,6 +67,55 @@ class TestRun:
         assert main(["run", "-c", str(cfg), "--dump-dnl"]) == 0
         assert (tmp_path / "dump" / "dnl_curves.csv").exists()
         assert (tmp_path / "dump" / "dnl_queues.csv").exists()
+
+    def test_dump_dnl_reads_back_as_the_curves(self, tmp_path, monkeypatch):
+        # 2000 vehicles in 0.5 h over link a (2400 an hour) back up the origin
+        # queue at node 0; O-D v queues at node 1 before link b
+        net_dir = write_minimal_instance(
+            tmp_path / "net",
+            **{"od.csv": "od_id,origin,dest,demand,target_time\nw,0,2,2000.0,1.0\nv,1,2,50.0,1.0\n",
+               "paths.csv": "path_id,od_id,links\np1,w,a,b\np2,v,b\n"})
+        cfg = line_config(tmp_path, net_dir, out_name="dump")
+        raw = json.loads(cfg.read_text())
+        raw["horizon_buffer"] = 1.5
+        cfg.write_text(json.dumps(raw))
+        results = []
+        run_dnl = cli.run_dnl
+
+        def keep(*args, **kwargs):
+            results.append(run_dnl(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_dnl", keep)
+        assert main(["run", "-c", str(cfg), "--dump-dnl"]) == 0
+        res = results[-1]  # the final loading, which the dump writes
+        links, E = res.engine.link_ids, len(res.engine.link_ids)
+        bt = res.grid_ext.boundaries()
+
+        def read(name):
+            rows = [line.split(",") for line in (tmp_path / "dump" / name).read_text().splitlines()]
+            return rows[0], rows[1:]
+
+        def bits(cells, count):
+            return np.array(cells, dtype=float).reshape(count, bt.size).view(np.int64)
+
+        header, rows = read("dnl_curves.csv")
+        assert header == ["link_id", "t", "n_up", "n_down"]
+        assert [r[0] for r in rows] == [lid for lid in links for _ in bt]
+        cols = list(zip(*rows))
+        for got, want in ((cols[1], np.tile(bt, E)), (cols[2], res.n_up[:E]),
+                          (cols[3], res.n_down[:E])):
+            np.testing.assert_array_equal(bits(got, E), want.reshape(E, -1).view(np.int64))
+
+        header, rows = read("dnl_queues.csv")
+        assert header == ["origin", "link_id", "t", "arrivals", "releases", "queue"]
+        assert [(r[0], r[1]) for r in rows] == [("0", "a")] * bt.size + [("1", "b")] * bt.size
+        cols = list(zip(*rows))
+        arrivals, releases = res.n_up[E:], res.n_down[E:]
+        assert (arrivals - releases)[0].max() > 100.0  # the queue at node 0 backs up
+        for got, want in ((cols[2], np.tile(bt, 2)), (cols[3], arrivals), (cols[4], releases),
+                          (cols[5], arrivals - releases)):
+            np.testing.assert_array_equal(bits(got, 2), want.reshape(2, -1).view(np.int64))
 
     def test_numeric_cells_parse(self, tmp_path, instance_dir):
         cfg = line_config(tmp_path, instance_dir, out_name="cells")

@@ -47,6 +47,12 @@ def curves(res, lid):
     return res.n_up[e], res.n_down[e]
 
 
+def queue_curves(res, q=0):
+    """Arrivals and releases of origin queue `q`: the curves' rows after the links'."""
+    row = len(res.engine.link_ids) + q
+    return res.n_up[row], res.n_down[row]
+
+
 def burst(vehicles=200.0, tail_rate=0.0):
     """One-link line; `vehicles` depart in the first interval, then a steady trickle."""
     rates = np.full(15, tail_rate)
@@ -241,7 +247,7 @@ class TestLinkDemandSupply:
         np.testing.assert_allclose(np.diff(up1)[-10:], rate, rtol=1e-9)
         assert up1[-1] - down1[-1] == pytest.approx(
             net.links["1"].storage - 3 * rate, rel=1e-9)
-        np.testing.assert_allclose(np.diff(res.q_releases[0])[-10:], rate, rtol=1e-9)
+        np.testing.assert_allclose(np.diff(queue_curves(res)[1])[-10:], rate, rtol=1e-9)
 
 
 class TestJunctionFlows:
@@ -326,10 +332,9 @@ class TestOriginQueue:
     def test_origin_demand_branches(self):
         # a backed-up queue sends big M, so the link's supply sets its release;
         # an empty one sends its inflow
-        res = burst(tail_rate=600.0)
-        arrivals = np.diff(res.q_arrivals[0])
-        released = np.diff(res.q_releases[0])
-        queue = (res.q_arrivals[0] - res.q_releases[0])[:-1]
+        up, down = queue_curves(burst(tail_rate=600.0))
+        arrivals, released = np.diff(up), np.diff(down)
+        queue = (up - down)[:-1]
         backed_up = queue > 0
         assert 0 < backed_up.sum() < queue.size
         np.testing.assert_allclose(
@@ -340,32 +345,34 @@ class TestOriginQueue:
 
     def test_free_flow_through(self):
         res = load(build_line_network(num_links=1), np.full(15, 600.0))
-        np.testing.assert_array_equal(res.q_releases[0], res.q_arrivals[0])
+        arrivals, releases = queue_curves(res)
+        np.testing.assert_array_equal(releases, arrivals)
         up, _down = curves(res, "1")
-        np.testing.assert_array_equal(up, res.q_releases[0])
+        np.testing.assert_array_equal(up, releases)
 
     def test_supply_bound_builds_queue(self):
         # 200 vehicles at once: 80 leave a step, so the queue builds to 120
         # and drains at capacity
-        res = burst()
-        np.testing.assert_allclose(np.diff(res.q_releases[0])[:4], [80.0, 80.0, 40.0, 0.0])
-        queue = res.q_arrivals[0] - res.q_releases[0]
+        arrivals, releases = queue_curves(burst())
+        np.testing.assert_allclose(np.diff(releases)[:4], [80.0, 80.0, 40.0, 0.0])
+        queue = arrivals - releases
         np.testing.assert_allclose(queue[:4], [0.0, 120.0, 40.0, 0.0], atol=1e-12)
 
     def test_release_capped_by_content(self):
         # the draining step releases only what is left: no queue goes negative
         for res in (burst(), burst(vehicles=170.0, tail_rate=300.0), spillback()[1]):
-            queue = res.q_arrivals - res.q_releases
+            queue = (res.n_up - res.n_down)[len(res.engine.link_ids):]
             assert queue.min() >= 0.0
             assert res.queued.min() >= 0.0
             np.testing.assert_allclose(
-                queue[:, -1], [res.queued[q.rows].sum() for q in res.engine.queues])
+                queue[:, -1], np.bincount(res.engine.queue_of_path, res.queued))
 
     def test_trickle_stays_queued(self):
         # 1e-16 vehicles a step are too few to release until they add up
         # past 1e-15; the last ones stay in the per-path queue content
         res = load(build_line_network(num_links=1), np.full(15, 1e-16 / DT))
-        queue = res.q_arrivals[0] - res.q_releases[0]
+        arrivals, releases = queue_curves(res)
+        queue = arrivals - releases
         assert queue[-1] > 0.0
         np.testing.assert_allclose(res.queued, queue[-1:], rtol=0, atol=1e-30)
 
@@ -414,11 +421,9 @@ class TestExitTime:
         # second link, as the path-by-path probe does
         _net, res = two_lines()
         starts = GRID.starts()
-        queue_of = {int(q.rows[0]): qi for qi, q in enumerate(res.engine.queues)}
         for row, stalls in ((0, False), (1, True)):
-            qi = queue_of[row]
-            _exits, unfinished = res._probe_exit(res.q_arrivals[qi], res.q_releases[qi],
-                                                 starts, 0.0)
+            qi = res.engine.queue_of_path[row]
+            _exits, unfinished = res._probe_exit(*queue_curves(res, qi), starts, 0.0)
             assert unfinished.any() == stalls
         with pytest.raises(UnfinishedTripError) as batched:
             res.path_delays()
@@ -436,8 +441,7 @@ class TestExitTime:
         intervals = np.arange(starts.size)
 
         def ride(row, links):
-            qi = eng.queue_of_path[row]
-            t, unfinished = res._probe_exit(res.q_arrivals[qi], res.q_releases[qi],
+            t, unfinished = res._probe_exit(*queue_curves(res, eng.queue_of_path[row]),
                                             starts, 0.0)
             assert not unfinished.any()
             for lid in links:
@@ -668,7 +672,8 @@ class TestPathDelaysByPath:
         net = scaled(nguyen, factor)
         grid = TimeGrid(0.0, 2.0, 70)
         res = run_dnl(uniform_profile(net, grid), net, grid, buffer=2.5)
-        assert (np.max(res.q_arrivals - res.q_releases) > 0) == (factor > 1)
+        queue = (res.n_up - res.n_down)[len(res.engine.link_ids):]
+        assert (np.max(queue) > 0) == (factor > 1)
         assert res.drained_step is not None
         np.testing.assert_array_equal(res.path_delays(), path_delays_by_path(res))
         ((rates, _res),) = loadings
@@ -724,10 +729,9 @@ class TestPathDelaysByPath:
         with monkeypatch.context() as mp:
             mp.setattr(LoadingResult, "_probe_exit", counted)
             delays = res.path_delays()
-        queue_rows = [s for s in shapes if len(s) == 1]
-        assert queue_rows == [(100,)] * 76
-        assert sum(s[0] for s in shapes if len(s) == 2) == 6289
-        assert {s[1] for s in shapes if len(s) == 2} == {100}
+        assert shapes[:76] == [(1, 100)] * 76  # the queues, one row each
+        assert sum(s[0] for s in shapes[76:]) == 6289
+        assert {s[1] for s in shapes} == {100}
         assert sum(np.prod(s) for s in shapes) == (76 + 6289) * 100
         np.testing.assert_array_equal(delays.view(np.int64),
                                       path_delays_by_path(res).view(np.int64))
@@ -780,17 +784,17 @@ class TestEngineLayout:
         eng = res.engine
         E = len(eng.link_ids)
         floor_at, next_at, frac, now_at = eng._read_schedule()
-        stacked = np.vstack((res.n_up, res.n_down))
+        stacked = np.vstack((res.n_up, res.n_down))  # each with the queues' rows last
+        up, down = res.n_up[:E], res.n_down[:E]
         before_start = 0
         for k in range(eng.steps):
             base = stacked.take(floor_at[k])
             reads = base + frac[k] * (stacked.take(next_at[k]) - base)
             pos = np.r_[k + 1 - eng.lag_v, k + 1 - eng.lag_w]
-            expected = np.r_[interp_rowwise(res.n_up, pos[:E]), interp_rowwise(res.n_down, pos[E:])]
+            expected = np.r_[interp_rowwise(up, pos[:E]), interp_rowwise(down, pos[E:])]
             np.testing.assert_array_equal(reads.view(np.int64), expected.view(np.int64))
             assert np.all(reads[pos < 0].view(np.int64) == 0)
-            np.testing.assert_array_equal(stacked.take(now_at[k]),
-                                          np.r_[res.n_down[:, k], res.n_up[:, k]])
+            np.testing.assert_array_equal(stacked.take(now_at[k]), np.r_[down[:, k], up[:, k]])
             before_start += np.count_nonzero(pos < 0)
         assert before_start > 0
 
@@ -843,7 +847,8 @@ class TestEngineLayout:
 
     def test_probe_rows_put_each_path_first(self):
         # p3 repeats p1's origin and links, and p2 is their one-link prefix:
-        # each path's exit times are probed into its own row, the queue after
+        # each path's exit times are probed into its own row, the queue after,
+        # from the spare last row
         net = build_line_network(num_links=2)
         net = dataclasses.replace(
             net, od_pairs={**net.od_pairs, "v": ("0", "1")},
@@ -852,9 +857,10 @@ class TestEngineLayout:
         h = PathFlowProfile(GRID, np.array([[900.0] * 15, [600.0] * 15, [1500.0] * 15]))
         res = run_dnl(h, net, GRID, buffer=1.0)
         eng = res.engine
-        assert eng.num_probe_rows == 4 and eng.queue_row.tolist() == [3]
-        assert [(eng.link_ids[e], rows.tolist(), parents.tolist())
-                for e, rows, parents in eng.probe_groups] == [("1", [1], [3]),
+        assert eng.num_probe_rows == 5
+        assert [((eng.link_ids + ["queue"])[e], rows.tolist(), parents.tolist())
+                for e, rows, parents in eng.probe_groups] == [("queue", [3], [4]),
+                                                              ("1", [1], [3]),
                                                               ("2", [0, 2], [1, 1])]
         delays = res.path_delays()
         assert delays.shape == (3, 15)
@@ -876,8 +882,7 @@ class TestEngineLayout:
         got, want = (run_dnl(uniform_profile(n, grid), n, grid, buffer=2.5) for n in (net, built))
         assert want.engine.shape == (13, 3, 3)
         assert_same_engine(got.engine, want.engine)
-        for name in ("n_up", "n_down", "p_up", "q_arrivals", "q_releases", "queued",
-                     "exited_by_link"):
+        for name in ("n_up", "n_down", "p_up", "queued", "exited_by_link"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.path_delays().tobytes() == want.path_delays().tobytes()
 

@@ -336,15 +336,16 @@ class TestPathTable:
         for net in (nguyen, load_network_dir(siouxfalls_dir)):
             # the loading horizon's default buffer, bit for bit
             assert net.longest_free_flow_time().hex() == python_longest_free_flow_time(net).hex()
+            paths = net.paths  # each read rebuilds every PathDef
             rows = net.path_rows_by_od()
             assert list(rows) == list(net.od_pairs)
             for od, r in rows.items():
                 assert r.dtype == int
-                assert r.tolist() == [i for i, p in enumerate(net.paths) if p.od == od]
-            assert net.od_by_path() == [p.od for p in net.paths]
+                assert r.tolist() == [i for i, p in enumerate(paths) if p.od == od]
+            assert net.od_by_path() == [p.od for p in paths]
             ids = list(net.links)
             assert [tuple(ids[e] for e in net.table.links[a:b])
-                    for a, b in zip(net.table.start, net.table.start[1:])] == [p.links for p in net.paths]
+                    for a, b in zip(net.table.start, net.table.start[1:])] == [p.links for p in paths]
 
     @pytest.mark.parametrize("instance, intervals", [("nguyen", 70), ("siouxfalls", 100)])
     def test_network_built_in_code_matches_the_loaded_one(self, instance, intervals):
@@ -422,11 +423,12 @@ class TestClassifyJunctions:
         # the loading engine keeps origin point queues at the origin nodes
         # only, each sending into its first link's out-slot
         engine = _Engine(nguyen, TimeGrid(0.0, 2.0, 70), None)
-        E, (_J, _A, S) = len(engine.link_ids), engine.shape
-        assert {q.node for q in engine.queues} == {"1", "4"}
-        for q, j, seg in zip(engine.queues, engine.queue_node, engine.queue_seg):
-            assert list(nguyen.nodes)[j] == q.node == nguyen.links[engine.link_ids[q.link_idx]].tail
-            assert engine.supply_at[j, seg % S] == E + q.link_idx
+        E, (_J, A, S) = len(engine.link_ids), engine.shape
+        nodes = list(nguyen.nodes)
+        assert {nodes[engine.tail[e]] for e in engine.queue_link} == {"1", "4"}
+        for e, seg in zip(engine.queue_link, engine.queue_seg):
+            assert seg // S // A == engine.tail[e]
+            assert engine.supply_at[engine.tail[e], seg % S] == E + e
 
 
 class TestRoundTrip:

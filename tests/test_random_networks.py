@@ -138,7 +138,7 @@ def test_loading_properties(case):
     res = load(net, rates)
     assert max(audit_loading(res).values()) <= 1e-9
     demand = rates.sum() * DT
-    held = (res.n_up - res.n_down)[:, -1].sum() + (res.q_arrivals - res.q_releases)[:, -1].sum()
+    held = (res.n_up - res.n_down)[:, -1].sum()  # on the links and in the origin queues
     assert total_exited(res) + held == pytest.approx(demand, rel=1e-9, abs=1e-9)
     if free:
         assert total_exited(res) == pytest.approx(demand, rel=1e-9, abs=1e-9)
@@ -188,8 +188,7 @@ def test_drain_exit_matches_full_horizon(case, buffer_factor):
         full = load(net, rates, buffer_factor=buffer_factor)
     assert full.drained_step is None
     res.p_up = full_history(res)
-    for name in ("n_up", "n_down", "p_up", "q_arrivals", "q_releases", "queued",
-                 "exited_by_link"):
+    for name in ("n_up", "n_down", "p_up", "queued", "exited_by_link"):
         np.testing.assert_array_equal(bits(getattr(res, name)), bits(getattr(full, name)),
                                       err_msg=name)
     assert_same_delays(res, full)
@@ -206,7 +205,7 @@ def test_window_matches_full_history(case, buffer_factor):
         mp.setattr(_Engine, "_window_rows", lambda self: self.steps + 1)
         full = load(net, rates, buffer_factor=buffer_factor)
     assert res.drained_step == full.drained_step
-    for name in ("n_up", "n_down", "q_arrivals", "q_releases", "queued", "exited_by_link"):
+    for name in ("n_up", "n_down", "queued", "exited_by_link"):
         np.testing.assert_array_equal(bits(getattr(res, name)), bits(getattr(full, name)),
                                       err_msg=name)
     # the kept rows are those of the full history at their steps, then zeros

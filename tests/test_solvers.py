@@ -13,6 +13,7 @@ from due.operators import DelayOperator, affine_operator, scaled_pseudo_monotone
 from due.solvers import (
     ScheduleSpec,
     SolverConfig,
+    _adaptive_step,
     parse_schedule,
     solve,
     uniform_start,
@@ -169,8 +170,16 @@ class TestRunFbf:
         np.testing.assert_allclose(h.rates, target, atol=1e-2)
 
     def test_step_rule_arithmetic(self):
-        # ||y-h|| = 1, ||A(y)-A(h)|| = 4, mu = 0.5, tau = 10 -> next tau 0.125
-        assert min(10.0, 0.5 * 1.0 / 4.0) == pytest.approx(0.125)
+        # ||x - y|| = 1, ||A(x) - A(y)|| = 4, mu = 0.5, tau = 10: the next tau
+        # is 0.5 * 1 / 4; a smaller tau caps it; with equal delays, tau is kept
+        dt = 0.25
+        x, y = np.array([[2.0, 0.0]]), np.zeros((1, 2))
+        a_x, a_y = np.array([[3.0, 5.0]]), np.array([[3.0, -3.0]])
+        residual = norm(x - y, dt)
+        assert (residual, norm(a_x - a_y, dt)) == (1.0, 4.0)
+        assert _adaptive_step(10.0, 0.5, residual, a_x, a_y, dt) == 0.125
+        assert _adaptive_step(0.1, 0.5, residual, a_x, a_y, dt) == 0.1
+        assert _adaptive_step(10.0, 0.5, residual, a_x, a_x.copy(), dt) == 10.0
 
     def test_equal_delays_keep_step(self):
         vi = zero_instance()
