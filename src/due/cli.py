@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -222,26 +222,47 @@ def _csv(*columns: Iterable[str]) -> str:
     return "\n".join([*map(",".join, zip(*columns)), ""])
 
 
-# Cells per block of `_row_blocks`, summed over the table's arrays.  Per-path
-# tables repeat values (0.0 on unused paths, free-flow delays), so a block
-# formats far fewer values than it has cells, and its text stays small.
+# Cells per block of `_row_blocks`, summed over the table's arrays: the lines
+# of a block are joined in one call.
 _BLOCK_CELLS = 1024
+
+# Groups per table of `_row_blocks`: each distinct value of a group of rows is
+# formatted once.  Per-path tables repeat values across rows (0.0 on unused
+# paths, free-flow delays), so a larger group formats fewer values but holds
+# more text; a 128th of the rows keeps a table's writer under a twentieth of
+# its file size (tests/test_cli.py, test_table_not_held_in_memory).
+_TABLE_GROUPS = 128
 
 
 def _row_blocks(leads: list[str], index: list[str], *arrays: np.ndarray) -> Iterator[str]:
-    """One block of CSV lines per row r of float arrays shaped (len(leads),
-    len(index)): line k of the block is leads[r], index[k], then entry (r, k)
-    of each array.  Rows are converted a few at a time, and each distinct value
-    among them is formatted once.  Values are told apart by their bits, since
-    0.0 == -0.0 but the two print differently."""
-    step = max(1, _BLOCK_CELLS // (len(arrays) * len(index)))
-    for r0 in range(0, len(leads), step):
-        block = np.stack([a[r0:r0 + step] for a in arrays], dtype=np.float64)
-        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    """Blocks of CSV lines for float arrays shaped (len(leads), len(index)):
+    line k of row r is leads[r], index[k], then entry (r, k) of each array.
+    Rows are taken a group at a time (1/_TABLE_GROUPS of them, at least one
+    block), and each distinct value of a group is formatted once.  Values are
+    told apart by their bits, since 0.0 == -0.0 but the two print differently.
+    A group's lines are then built a block (about _BLOCK_CELLS cells) at a time
+    as one object array of their pieces: lead and comma, index and comma, then
+    each value and its comma or newline, joined in one call."""
+    width = len(arrays)
+    step = max(1, _BLOCK_CELLS // (width * len(index)))
+    group = max(step, -(-len(leads) // _TABLE_GROUPS))
+    parts = np.empty((step, len(index), 2 * width + 2), dtype=object)
+    parts[:, :, 1] = np.array([f"{i}," for i in index], dtype=object)
+    parts[:, :, 3::2] = ","
+    parts[:, :, -1] = "\n"
+    for g0 in range(0, len(leads), group):
+        values = np.stack([a[g0:g0 + group] for a in arrays], axis=-1, dtype=np.float64)
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
         text = np.array(list(_cells(bits.view(np.float64).tolist())), dtype=object)
-        cells = text[inverse.reshape(block.shape)].tolist()
-        for j, lead in enumerate(leads[r0:r0 + step]):
-            yield _csv(repeat(lead), index, *(c[j] for c in cells))
+        inverse = inverse.reshape(values.shape)
+        heads = np.array([f"{lead}," for lead in leads[g0:g0 + group]], dtype=object)
+        for r0 in range(0, len(heads), step):
+            rows = heads[r0:r0 + step]
+            block = parts[:len(rows)]
+            block[:, :, 0] = rows[:, None]
+            block[:, :, 2::2] = text.take(inverse[r0:r0 + step])
+            yield "".join(block.ravel().tolist())
+        del text, inverse  # so that two groups' text is never held at once
 
 
 def _write_csv(path: Path, header: Iterable[str], blocks: Iterable[str]) -> None:

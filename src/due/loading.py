@@ -36,7 +36,22 @@ __all__ = [
     "DEFAULT_BUFFER_FACTOR",
 ]
 
-# count dust tolerated when inverting a cumulative curve
+# Count thresholds of the loading, absolute in vehicles or relative to a count
+# of at least one vehicle.  One ulp of a count is 1.8e-15 at 8 vehicles, so
+# above that EPS_ZERO tells only exact zeros apart (ROADMAP item 22).
+# vehicles: a link that sends no more reads an empty interval of its entry
+# curves, and an origin queue that holds or offers no more is empty, so that
+# rounding dust left by the step's subtractions moves nothing
+EPS_ZERO = 1e-15
+# relative: a junction's out-slot is over its supply only by more than this
+# share of max(supply, 1) plus EPS_ZERO, so rounding in the sums of flows a
+# round has already scaled to fit does not fire another round
+EPS_SUPPLY = 1e-12
+# relative: a link's per-node composition, read off the entry curves, is scaled
+# to its sending flow only if the two differ by more than this share of
+# max(sending, 1), beyond the rounding of the reads
+EPS_COMPOSITION = 1e-9
+# vehicles: count dust tolerated when inverting a cumulative curve (probing)
 EPS_COUNT = 1e-9
 
 DEFAULT_BUFFER_FACTOR = 2.0
@@ -81,6 +96,7 @@ class _Engine:
         self.steps = grid.num_intervals + int(math.ceil(buffer / dt - 1e-12))
         self.grid_ext = TimeGrid(grid.t0, grid.t0 + self.steps * dt, self.steps)
         self.boundaries = self.grid_ext.boundaries()
+        self.widths = np.diff(self.boundaries)  # of the steps, for probing
 
         self.link_ids = list(net.links)
         self.index_of = {lid: i for i, lid in enumerate(self.link_ids)}
@@ -294,13 +310,13 @@ class _Engine:
             # per-node share of each link's next sending vehicles to exit: the
             # entry curves read at the count levels [n_down, n_down + sending]
             # (FIFO: exit order equals entry order); a link that sends no more
-            # than 1e-15 reads an empty interval
+            # than EPS_ZERO reads an empty interval
             np.minimum(lo + sending, up, out=hi)
-            np.copyto(hi, lo, where=sending <= 1e-15)
+            np.copyto(hi, lo, where=sending <= EPS_ZERO)
             comp = self._entries_between(p_up, start, n_up[:, : k + 1], levels[:2])
             total = np.zeros(E)  # per link
             total[self.link_used] = np.add.reduceat(comp, self.link_start)
-            fix = (total > 0) & (np.abs(total - sending) > 1e-9 * np.maximum(1.0, sending))
+            fix = (total > 0) & (np.abs(total - sending) > EPS_COMPOSITION * np.maximum(1.0, sending))
             if fix.any():
                 comp *= np.repeat(np.divide(sending, total, out=np.ones(E), where=fix),
                                   self.link_count)
@@ -312,7 +328,7 @@ class _Engine:
             avail = queued + arr_in
             total_avail = np.bincount(qop, avail, Q)
             arr_sum = column[E:E + Q] = np.bincount(qop, arr_in, Q)
-            live = total_avail > 1e-15
+            live = total_avail > EPS_ZERO
             d_rate = np.where(np.bincount(qop, queued, Q) > 0, self.big_m, arr_sum / dt)
             want = np.where(live, np.minimum(d_rate * dt, total_avail), 0.0)
             amounts[self.queue_seg] = want
@@ -364,7 +380,7 @@ class _Engine:
         up = n_up[:, k]
         if not (up <= n_down[:, k]).all():
             return False
-        if not (np.bincount(self.queue_of_path, queued, self.queue_link.size) <= 1e-15).all():
+        if not (np.bincount(self.queue_of_path, queued, self.queue_link.size) <= EPS_ZERO).all():
             return False
         return bool((n_up.take(floor_at) == up).all())
 
@@ -426,7 +442,7 @@ class _Engine:
         (FIFO: one factor per approach).
         """
         theta = np.ones(amounts.shape[:2])
-        tol = 1e-12 * np.maximum(supplies, 1.0) + 1e-15
+        tol = EPS_SUPPLY * np.maximum(supplies, 1.0) + EPS_ZERO
         totals = amounts.sum(axis=1)  # theta * amounts, theta all ones
         for fires in rounds:
             mask = totals - supplies > tol
@@ -473,13 +489,14 @@ class LoadingResult:
         levels = np.interp(times, bt, up)
         unfinished = levels > down[-1] + EPS_COUNT
         idx = np.searchsorted(down, levels - EPS_COUNT, side="left")
-        idx = np.minimum(np.maximum(idx, 1), down.size - 1)
-        lo, hi = down[idx - 1], down[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(hi > lo, np.minimum((levels - lo) / (hi - lo), 1.0), 0.0)
-        raw = bt[idx - 1] + frac * (bt[idx] - bt[idx - 1])
-        raw = np.where(levels <= down[0] + EPS_COUNT, bt[0], raw)
-        return np.maximum(times + floor, raw), unfinished
+        np.clip(idx, 1, down.size - 1, out=idx)
+        below = idx - 1
+        lo, hi = down[below], down[idx]
+        frac = np.divide(levels - lo, hi - lo, out=np.zeros(levels.shape), where=hi > lo)
+        np.minimum(frac, 1.0, out=frac)
+        raw = bt[below] + frac * self.engine.widths[below]
+        raw[levels <= down[0] + EPS_COUNT] = bt[0]
+        return np.maximum(times + floor, raw, out=raw), unfinished
 
     def path_delays(self) -> np.ndarray:
         """Travel time per (path, departure interval) on the departure grid.

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -261,7 +262,8 @@ class TestArtifacts:
         assert parsed.tobytes() == rates.ravel().tobytes()
 
     def test_blocks_match_per_cell_repr(self, tmp_path):
-        # several whole blocks and a partial one; 0.0 and -0.0 must not share a cell
+        # several whole blocks and a partial one, as groups of one block each and
+        # as one group of the whole table; 0.0 and -0.0 must not share a cell
         k = 7
         rows = 2 * (_BLOCK_CELLS // (2 * k)) + 3
         pool = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e16, 0.1, 1 / 3, 7.0, 2.0**-1074 * 3])
@@ -272,12 +274,35 @@ class TestArtifacts:
         leads = [f"p{r},w" for r in range(rows)]
         index = [f"{c},{c / 10!r}" for c in range(k)]
         path = tmp_path / "delays.csv"
-        _write_csv(path, ["path_id", "od_id", "interval", "t_start", "delay", "eff"],
-                   _row_blocks(leads, index, delay, eff))
         cells = np.stack([delay, eff], axis=-1).tolist()
         expected = "".join(f"{leads[r]},{index[c]},{','.join(map(repr, cells[r][c]))}\n"
                            for r in range(rows) for c in range(k))
-        assert path.read_text().split("\n", 1)[1] == expected
+        for groups in (cli._TABLE_GROUPS, 1):
+            with mock.patch.object(cli, "_TABLE_GROUPS", groups):
+                _write_csv(path, ["path_id", "od_id", "interval", "t_start", "delay", "eff"],
+                           _row_blocks(leads, index, delay, eff))
+            assert path.read_text().split("\n", 1)[1] == expected
+
+    def test_each_value_formatted_once_per_group(self, monkeypatch):
+        # every row holds the same four values; a group of four rows spans two
+        # blocks and formats each of the four once
+        k, rows = _BLOCK_CELLS // 2, 4 * cli._TABLE_GROUPS
+        row = np.resize([0.0, -0.0, 1 / 3, 7.0], k)
+        leads = [f"p{r},w" for r in range(rows)]
+        index = [f"{c},{c / 10!r}" for c in range(k)]
+        formatted = []
+
+        def record(values):
+            formatted.append(list(values))
+            return map(repr, formatted[-1])
+
+        monkeypatch.setattr(cli, "_cells", record)
+        text = "".join(_row_blocks(leads, index, np.tile(row, (rows, 1))))
+        assert len(formatted) == cli._TABLE_GROUPS
+        assert all(sorted(map(repr, values)) == ["-0.0", "0.0", "0.3333333333333333", "7.0"]
+                   for values in formatted)
+        tail = [f"{i},{v!r}\n" for i, v in zip(index, row.tolist())]
+        assert text == "".join(f"{lead},{line}" for lead in leads for line in tail)
 
     def test_failure_keeps_previous_file(self, tmp_path):
         path = tmp_path / "flows.csv"
