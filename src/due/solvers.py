@@ -303,7 +303,7 @@ def _ifbf(config: SolverConfig):
             h_next += (1.0 - config.lam) * w
             step = norm(h_next - h, dt)
             energy = relative_step(step, h, dt)
-            if np.array_equal(h_next, h):
+            if step == 0.0 and np.array_equal(h_next, h):  # a nonzero step proves them apart
                 alpha_next = config.alpha
             else:
                 alpha_next = min(config.alpha, eps_next / step)

@@ -16,8 +16,9 @@ boundary record: the O-D blocks are checked and laid out once per solve, and
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -75,7 +76,7 @@ def _frozen_matrix(values, grid: TimeGrid, what: str) -> np.ndarray:
         raise ValidationError(
             f"{what} has {arr.shape[1]} columns but the grid has {grid.num_intervals} intervals"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -140,43 +141,23 @@ def norm(x: np.ndarray, dt: float) -> float:
     return math.sqrt(max(inner(x, x, dt), 0.0))
 
 
-# Cells per chunk of `project_feasible`.  A chunk holds three float arrays of
-# this size at once (the gathered rows, their sort, their cumulative sums), so
-# it bounds the projection's own memory whatever the grid, and at 128 KB each
-# they stay in cache.  A chunk is still large enough that the fixed numpy
-# cost per chunk is small.
+# Cells per chunk of `project_feasible`.  A chunk's gathered rows and their
+# cumulative sums live in the layout's two scratch arrays of at most this size
+# (a block larger than that is a chunk of its own), so they stay in cache and
+# bound the projection's own memory whatever the grid, while the fixed numpy
+# cost per chunk stays small.
 _CHUNK_CELLS = 1 << 14
-
-
-def _project_rows(y: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of y onto {x >= 0, sum(x) = total},
-    with one positive total per row (a (rows, 1) column).
-
-    Sort-based threshold algorithm, O(n log n) per row: sort descending, find
-    the last index k (1-based) with u_k * k > sum(u_1..u_k) - total, and shift
-    by theta = (sum(u_1..u_k) - total) / k.
-    """
-    u = np.negative(y)
-    u.sort(axis=1)
-    np.negative(u, out=u)
-    shifted = np.cumsum(u, axis=1)
-    shifted -= totals
-    n = y.shape[1]
-    u *= np.arange(1, n + 1)
-    support = u > shifted
-    last = n - 1 - np.argmax(support[:, ::-1], axis=1)
-    theta = shifted[np.arange(len(y)), last] / (last + 1)
-    out = np.subtract(y, theta[:, None], out=u)
-    return np.maximum(out, 0.0, out=out)
 
 
 def project_simplex(y: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection of a vector y onto {x >= 0, sum(x) = total},
-    total > 0: the one-row case of `project_feasible`."""
+    total > 0: `project_feasible` on one block over a grid with dt = 1."""
     if not total > 0:
         raise ValidationError(f"simplex total must be positive, got {total}")
     y = np.asarray(y, dtype=float)
-    return _project_rows(y.reshape(1, -1), np.array([[total]])).reshape(y.shape)
+    layout = ODLayout.build(TripTable({"": total}, {"": 0.0}), {"": np.zeros(1, dtype=int)},
+                            TimeGrid(0.0, float(y.size), y.size))
+    return project_feasible(y.reshape(1, -1), layout).reshape(y.shape)
 
 
 @dataclass(frozen=True)
@@ -184,15 +165,20 @@ class ODLayout:
     """The O-D blocks of the feasible set, checked and stacked once per solve.
 
     The path rows of every O-D pair must be distinct, in range, and together
-    cover every path exactly once.  Blocks with the same number of paths are
-    stacked into (blocks, paths) row-index arrays, beside their totals
-    Q_w / dt, and cut into chunks of at most `_CHUNK_CELLS` cells (a block
-    larger than that is a chunk of its own).
+    cover every path exactly once.  Blocks are numbered by size (then in trip
+    table order), `order` lists their path rows block by block, and `block_of`
+    maps a path row to its block.  Blocks of one size are cut into chunks of at
+    most `_CHUNK_CELLS` cells: slices of `order` and of the block ids, and the
+    blocks' totals Q_w / dt.  `project_feasible` reuses the two chunk-size
+    `scratch` arrays, so a layout serves one projection at a time.
     """
 
     grid: TimeGrid
     num_paths: int
-    chunks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    order: np.ndarray
+    block_of: np.ndarray
+    chunks: tuple[tuple[slice, slice, np.ndarray], ...]
+    scratch: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, trips: TripTable, paths_by_od: Mapping[str, np.ndarray],
@@ -219,46 +205,66 @@ class ODLayout:
                 f"outside rows 0..{num_paths - 1} of the {num_paths} paths listed; "
                 "every path must belong to exactly one O-D pair"
             )
-        order = np.argsort(flat, kind="stable")
-        twice = np.flatnonzero(flat[order[1:]] == flat[order[:-1]])
+        by_row = np.argsort(flat, kind="stable")
+        twice = np.flatnonzero(flat[by_row[1:]] == flat[by_row[:-1]])
         if twice.size:
-            i, j = order[twice[0]], order[twice[0] + 1]
+            i, j = by_row[twice[0]], by_row[twice[0] + 1]
             raise ConfigurationError(
                 f"path row {int(flat[i])} is listed by O-D pair {ods[owner[i]]!r} "
                 f"and again by {ods[owner[j]]!r}; "
                 "every path must belong to exactly one O-D pair"
             )
-        dt = grid.dt
-        chunks = []
-        for size in sorted(set(sizes.tolist())):
-            members = np.flatnonzero(sizes == size)
-            rows = np.stack([blocks[b] for b in members])
-            totals = np.array([[trips.demands[ods[b]] / dt] for b in members])
-            step = max(1, _CHUNK_CELLS // (size * grid.num_intervals))
-            chunks.extend((rows[c:c + step], totals[c:c + step])
-                          for c in range(0, len(members), step))
-        return cls(grid, num_paths, tuple(chunks))
+        stacked = np.argsort(sizes, kind="stable")
+        order = np.concatenate([np.zeros(0, dtype=int), *(blocks[b] for b in stacked)])
+        block_of = np.empty(num_paths, dtype=int)
+        block_of[order] = np.repeat(np.arange(len(ods)), sizes[stacked])
+        totals = np.array([[trips.demands[ods[b]] / grid.dt] for b in stacked])
+        by_size = sizes[stacked].tolist()
+        bounds, chunks, c = np.cumsum([0, *by_size]).tolist(), [], 0
+        while c < len(by_size):
+            size = by_size[c]
+            stop = min(c + max(1, _CHUNK_CELLS // (size * grid.num_intervals)),
+                       bisect.bisect_right(by_size, size))
+            chunks.append((slice(bounds[c], bounds[stop]), slice(c, stop), totals[c:stop]))
+            c = stop
+        cells = grid.num_intervals * max((r.stop - r.start for r, _, _ in chunks), default=0)
+        return cls(grid, num_paths, order, block_of, tuple(chunks), tuple(np.empty((2, cells))))
 
 
 def project_feasible(rates: np.ndarray, layout: ODLayout) -> np.ndarray:
     """Nearest rates (in the dt-weighted norm) that are nonnegative and, per
     O-D pair w, carry a total departing mass equal to Q_w.
 
-    The weight dt is uniform, so each O-D block is an ordinary Euclidean
-    simplex projection with target sum Q_w / dt; the blocks of one chunk of
-    `layout` are projected together, one row each.
+    The weight dt is uniform, so each O-D block is a Euclidean simplex
+    projection with target sum Q_w / dt: with u its n values in descending
+    order, the rates less theta = (u_1 + ... + u_k - Q_w / dt) / k for the
+    last k with u_k k > u_1 + ... + u_k - Q_w / dt, clamped at 0.  A chunk's
+    blocks are gathered into the first scratch array (mode "clip" writes
+    there unbuffered), one a row, and sorted ascending; the second holds the
+    reversed cumulative sums, so column j sums the n - j largest values.
     """
     rates = np.asarray(rates, dtype=float)
-    if rates.shape != (layout.num_paths, layout.grid.num_intervals):
+    num_intervals = layout.grid.num_intervals
+    if rates.shape != (layout.num_paths, num_intervals):
         raise ValidationError(
             f"rates of shape {rates.shape} do not match the {layout.num_paths} paths "
-            f"and {layout.grid.num_intervals} intervals of the O-D layout"
+            f"and {num_intervals} intervals of the O-D layout"
         )
-    out = np.empty_like(rates)
-    for rows, totals in layout.chunks:
-        block = rates[rows].reshape(len(rows), -1)
-        out[rows] = _project_rows(block, totals).reshape(rows.shape + (-1,))
-    return out
+    theta = np.empty(layout.chunks[-1][1].stop if layout.chunks else 0)
+    for rows, blocks, totals in layout.chunks:
+        cells = (rows.stop - rows.start) * num_intervals
+        u, s = (a[:cells].reshape(len(totals), -1) for a in layout.scratch)
+        rates.take(layout.order[rows], axis=0, out=u.reshape(-1, num_intervals), mode="clip")
+        u.sort(axis=1)
+        np.cumsum(u[:, ::-1], axis=1, out=s[:, ::-1])
+        s -= totals
+        n = u.shape[1]
+        u *= np.arange(n, 0, -1)
+        first = np.argmax(u > s, axis=1)
+        theta[blocks] = s[np.arange(len(s)), first] / (n - first)
+    out = np.repeat(theta.take(layout.block_of), num_intervals).reshape(rates.shape)
+    np.subtract(rates, out, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def residual_norm(h: np.ndarray, tau: float, ah: np.ndarray, layout: ODLayout) -> float:

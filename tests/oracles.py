@@ -16,18 +16,23 @@ Python's stable sort instead of numpy's sort of keys made unique; there
 and in the reference loader, each node's approaches and out-slots come from
 the link records, not from the engine's arrays.  The
 loading audit reads only a result's stored curves, none of the step's own
-arrays.  The monotonicity checks sample random pairs of profiles.
+arrays.  The monotonicity checks sample random pairs of profiles.  The
+reference iterations write each update of fb, fbf and ifbf as one plain
+expression of the paper's formula, with their own step rule and schedule
+reads, instead of the solver's in-place update rules and tabulated schedules.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from due.errors import UnfinishedTripError
 from due.loading import LoadingResult
-from due.space import PathFlowProfile
+from due.solvers import parse_schedule
+from due.space import PathFlowProfile, norm
 
 
 def qp_simplex_projection_active_set(y: np.ndarray, total: float) -> np.ndarray:
@@ -96,6 +101,91 @@ def project_feasible_by_block(rates: np.ndarray, dt: float, trips, paths_by_od) 
         theta = shifted[rho - 1] / rho
         out[rows] = np.maximum(y - theta, 0.0).reshape(len(rows), -1)
     return out
+
+
+def reference_iterates(op, config, h0: PathFlowProfile, trips, paths_by_od
+                       ) -> tuple[list[tuple], np.ndarray]:
+    """`config.max_iterations` iterations of fb, fbf or ifbf from the update
+    formulas, and the final profile.
+
+    Each record is (n, tau, alpha, beta, residual, energy, operator_calls),
+    the fields of `due.metrics.IterationRecord`.  The schedules are read with
+    `ScheduleSpec.raw` from index 0, so they must be admissible there; the
+    projection is `project_feasible_by_block`.  Norms of flows are
+    `due.space.norm` and norms of delay differences are square roots of
+    summed squares, the reductions that `due.solvers` uses, so the records can
+    agree bit for bit.  With ||x|| = norm(x) and P the projection:
+
+      fb    y = P(h - tau A(h)); residual ||h - y||; h <- y
+      fbf   y = P(h - tau A(h)), z = y + tau (A(h) - A(y)),
+            h <- (1 - alpha_n - beta_n) h + beta_n z; residual ||h - y||
+      ifbf  w = (1 - beta_n) (h + alpha_n (h - h_prev)), y = P(w - tau A(w)),
+            h <- (1 - lambda) w + lambda (y + tau (A(w) - A(y))); residual
+            ||w - y||; alpha_{n+1} = min(alpha, eps_{n+1} / ||h_{n+1} - h_n||)
+
+    where fbf and ifbf shrink the step by Tseng's rule, tau <- min(tau, mu
+    ||x - y|| / ||A(x) - A(y)||) at their forward points x, and keep tau when
+    ||A(x) - A(y)|| <= 1e-14 ||A(x)||.  energy is ||h_{n+1} - h_n|| / ||h_n||.
+    """
+    grid, dt = h0.grid, h0.grid.dt
+    calls = op.eval_count
+
+    def delays(x):
+        nonlocal calls
+        calls += 1
+        return op.evaluate(PathFlowProfile(grid, x)).delays
+
+    def project(x):
+        return project_feasible_by_block(x, dt, trips, paths_by_od)
+
+    def schedule(spec, n, low, high):
+        value = parse_schedule(spec).raw(n)
+        assert low < value < high, f"schedule {spec} leaves ({low}, {high}) at index {n}"
+        return value
+
+    def step_rule(tau, x, y, ax, ay):
+        gap = math.sqrt(float(np.sum((ax - ay) ** 2)) * dt)
+        if gap <= 1e-14 * math.sqrt(float(np.sum(ax ** 2)) * dt):
+            return tau
+        return min(tau, config.mu * norm(x - y, dt) / gap)
+
+    def energy(step, h):
+        return step / norm(h, dt) if norm(h, dt) != 0.0 else math.nan
+
+    records = []
+    h = h_prev = np.array(h0.rates)
+    tau, alpha = config.tau0, config.alpha
+    if config.algorithm == "fb" and config.tau_fixed is not None:
+        tau = config.tau_fixed
+    for n in range(config.max_iterations):
+        if config.algorithm == "fb":
+            y = project(h - tau * delays(h))
+            record = (n, tau, math.nan, math.nan, norm(h - y, dt), energy(norm(y - h, dt), h))
+            h_next = y
+        elif config.algorithm == "fbf":
+            a_n = schedule(config.alpha_schedule, n, 0.0, 1.0)
+            b_n = schedule(config.beta_schedule, n, 0.0, 1.0 - a_n)
+            ah = delays(h)
+            y = project(h - tau * ah)
+            ay = delays(y)
+            h_next = (1.0 - a_n - b_n) * h + b_n * (y + tau * (ah - ay))
+            record = (n, tau, a_n, b_n, norm(h - y, dt), energy(norm(h_next - h, dt), h))
+            tau = step_rule(tau, h, y, ah, ay)
+        else:
+            b_n = schedule(config.beta_schedule, n, 0.0, 1.0)
+            w = (1.0 - b_n) * (h + alpha * (h - h_prev))
+            aw = delays(w)
+            y = project(w - tau * aw)
+            ay = delays(y)
+            h_next = (1.0 - config.lam) * w + config.lam * (y + tau * (aw - ay))
+            step = norm(h_next - h, dt)
+            record = (n, tau, alpha, b_n, norm(w - y, dt), energy(step, h))
+            tau = step_rule(tau, w, y, aw, ay)
+            eps_next = schedule(config.eps_schedule, n + 1, 0.0, math.inf)
+            alpha = config.alpha if step == 0.0 else min(config.alpha, eps_next / step)
+        records.append(record + (calls,))
+        h_prev, h = h, h_next
+    return records, (h if config.algorithm == "fb" else project(h))
 
 
 def brute_force_inner(f_rates: np.ndarray, g_rates: np.ndarray, dt: float) -> float:

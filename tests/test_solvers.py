@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import runpy
@@ -6,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, SOLVE_INSTANCES
 from due.cli import RunConfig
 from due.errors import ConfigurationError, UnfinishedTripError, ValidationError
 from due.operators import DelayOperator, affine_operator, scaled_pseudo_monotone
@@ -18,7 +19,8 @@ from due.solvers import (
     solve,
     uniform_start,
 )
-from due.space import DelayProfile, PathFlowProfile, norm, project_feasible
+from due.space import DelayProfile, PathFlowProfile, TimeGrid, norm, project_feasible
+from oracles import project_feasible_by_block, reference_iterates
 
 
 def zero_instance():
@@ -320,6 +322,73 @@ class TestRunIfbf:
         h, _ = solve(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
         assert np.all(h.rates >= 0)
         assert h.rates.sum() * vi.grid.dt == pytest.approx(2.0, rel=1e-9)
+
+
+class SeparableOperator(DelayOperator):
+    """A(h) = D * (h - h_star), entrywise: monotone, solved by a feasible h_star."""
+
+    def __init__(self, d, h_star):
+        super().__init__(lipschitz=None)
+        self.d, self.h_star = d, h_star
+
+    def _compute(self, h):
+        return DelayProfile(h.grid, self.d * (h.rates - self.h_star))
+
+
+def assert_same_as_reference(op, cfg, h0, trips, by_od):
+    """`solve` and `reference_iterates` from one start, with the operator's
+    count reset before each: every record field and the final profile equal
+    bit for bit."""
+    op.reset_count()
+    h, log = solve(op, cfg, h0, trips, by_od)
+    op.reset_count()
+    records, h_ref = reference_iterates(op, cfg, h0, trips, by_od)
+    got = np.array([dataclasses.astuple(r) for r in log.records], dtype=float)
+    want = np.array(records, dtype=float)
+    assert got.shape == want.shape == (cfg.max_iterations, 7)
+    for column, name in enumerate(log.CSV_FIELDS):
+        assert np.array_equal(got[:, column].view(np.int64), want[:, column].view(np.int64)), name
+    assert np.array_equal(h.rates.view(np.int64), h_ref.view(np.int64))
+
+
+SCHEDULES = {"fb": dict(tau_fixed=0.5), "fbf": FBF_TEST, "ifbf": IFBF_TEST}
+
+
+class TestReferenceIterates:
+    @pytest.mark.parametrize("algorithm", ["fb", "fbf", "ifbf"])
+    @pytest.mark.parametrize("instance", sorted(SOLVE_INSTANCES))
+    def test_two_path_instances(self, instance, algorithm):
+        vi = SOLVE_INSTANCES[instance]()
+        cfg = SolverConfig(algorithm=algorithm, max_iterations=60, tau0=10.0,
+                           **SCHEDULES[algorithm])
+        assert_same_as_reference(vi.operator, cfg, vertex_start(vi), vi.trips, vi.paths_by_od)
+
+    def test_separable_vi_on_siouxfalls_blocks(self, siouxfalls_dir):
+        # the shape of the benchmark's vi_siouxfalls solve: 528 O-D blocks, 10 intervals
+        from due.network import load_network_dir
+
+        net = load_network_dir(siouxfalls_dir)
+        by_od = net.path_rows_by_od()
+        grid = TimeGrid(0.0, 2.0, 10)
+        rng = np.random.default_rng(28)
+        shape = (net.num_paths, grid.num_intervals)
+        h_star = project_feasible_by_block(rng.uniform(0.0, 50.0, size=shape), grid.dt,
+                                           net.trips, by_od)
+        op = SeparableOperator(rng.uniform(0.5, 2.0, size=shape), h_star)
+        cfg = SolverConfig(algorithm="ifbf", max_iterations=30, tau0=2000.0,
+                           beta_schedule="pow(10, -2, 1)", eps_schedule="pow(1, -5, 32)")
+        assert_same_as_reference(op, cfg, uniform_start(grid, net.trips, by_od),
+                                 net.trips, by_od)
+
+    def test_nguyen_ifbf(self, nguyen):
+        from due.operators import dnl_operator
+
+        run = RunConfig.from_file(REPO_ROOT / "configs" / "nguyen_ifbf.json")
+        cfg = dataclasses.replace(run.solver, max_iterations=5)
+        by_od = nguyen.path_rows_by_od()
+        op = dnl_operator(nguyen, run.grid, gamma=run.gamma, buffer=run.horizon_buffer)
+        assert_same_as_reference(op, cfg, uniform_start(run.grid, nguyen.trips, by_od),
+                                 nguyen.trips, by_od)
 
 
 class TestSolveDispatch:

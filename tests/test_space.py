@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -217,6 +218,25 @@ class TestProjectFeasible:
         want = project_feasible_by_block(rates, grid.dt, trips, by_od)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_results_do_not_share_the_scratch(self):
+        # the layout's scratch is reused by every call: a result owns its memory
+        rng = np.random.default_rng(23)
+        by_od = {"a": np.array([3, 0]), "b": np.array([2]), "c": np.array([1, 4])}
+        trips = TripTable({"a": 2.0, "b": 1.0, "c": 4.0}, dict.fromkeys("abc", 1.0))
+        grid = TimeGrid(0.0, 1.5, 3)
+        layout, other = ODLayout.build(trips, by_od, grid), ODLayout.build(trips, by_od, grid)
+        x1, x2 = rng.normal(scale=4.0, size=(2, 5, 3))
+        y1 = project_feasible(x1, layout)
+        kept = y1.copy()
+        y2 = project_feasible(x2, layout)
+        y3 = project_feasible(x2, other)
+        assert np.array_equal(y1, kept)
+        assert np.array_equal(y2, y3)
+        assert np.array_equal(y1, project_feasible_by_block(x1, grid.dt, trips, by_od))
+        for y in (y1, y2, y3):
+            for scratch in (*layout.scratch, *other.scratch):
+                assert not np.shares_memory(y, scratch)
+
     def test_group_larger_than_one_chunk(self):
         # one-path blocks of 100 intervals, more than one chunk holds
         k = 100
@@ -228,7 +248,9 @@ class TestProjectFeasible:
         grid = TimeGrid(0.0, 2.0, k)
         layout = ODLayout.build(trips, by_od, grid)
         assert len(layout.chunks) > 1
-        assert all(rows.size * k <= space._CHUNK_CELLS for rows, _ in layout.chunks)
+        for rows, blocks, totals in layout.chunks:  # one path per block
+            assert rows.stop - rows.start == blocks.stop - blocks.start == len(totals)
+            assert (rows.stop - rows.start) * k <= space._CHUNK_CELLS
         rates = rng.normal(scale=3.0, size=(n, k))
         got = project_feasible(rates, layout)
         want = project_feasible_by_block(rates, grid.dt, trips, by_od)
@@ -259,9 +281,11 @@ class TestODLayout:
         trips = TripTable({"a": 2.0, "b": 1.0, "c": 4.0}, dict.fromkeys("abc", 1.0))
         layout = ODLayout.build(trips, by_od, self.grid)
         assert layout.num_paths == 5
-        (one, one_totals), (two, two_totals) = layout.chunks
-        np.testing.assert_array_equal(one, [[2]])
-        np.testing.assert_array_equal(two, [[3, 0], [1, 4]])
+        (one, one_ids, one_totals), (two, two_ids, two_totals) = layout.chunks
+        np.testing.assert_array_equal(layout.order[one], [2])
+        np.testing.assert_array_equal(layout.order[two], [3, 0, 1, 4])
+        assert (one_ids, two_ids) == (slice(0, 1), slice(1, 3))
+        np.testing.assert_array_equal(layout.block_of, [1, 2, 0, 1, 2])
         np.testing.assert_array_equal(one_totals, [[2.0]])
         np.testing.assert_array_equal(two_totals, [[4.0], [8.0]])
 
@@ -312,6 +336,34 @@ class TestProfileArithmetic:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             make_profile([[np.nan]])
+
+    @pytest.mark.parametrize("record", [PathFlowProfile, DelayProfile])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_in_any_cell(self, record, bad):
+        grid = TimeGrid(0.0, 1.0, 3)
+        for cell in np.ndindex(2, 3):
+            values = np.ones((2, 3))
+            values[cell] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                record(grid, values)
+
+    @pytest.mark.parametrize("record", [PathFlowProfile, DelayProfile])
+    def test_opposite_infinities_rejected(self, record):
+        # their sum is nan: rejected without a floating-point warning
+        with warnings.catch_warnings(), pytest.raises(ValidationError, match="non-finite"):
+            warnings.simplefilter("error")
+            record(TimeGrid(0.0, 1.0, 2), np.array([[np.inf, -np.inf]]))
+
+    @pytest.mark.parametrize("record, field", [(PathFlowProfile, "rates"),
+                                               (DelayProfile, "delays")])
+    def test_finite_entries_whose_sum_overflows_accepted(self, record, field):
+        # a finiteness check by the sum alone would reject these, or warn
+        values = np.array([[1e308, 1e308], [-1e308, 1e308]])
+        for rows in (values[:1], values):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                kept = getattr(record(TimeGrid(0.0, 1.0, 2), rows), field)
+            assert np.array_equal(kept, rows)
 
     def test_wraps_without_copy_or_freezing_the_caller(self):
         rates = np.array([[1.0, 2.0], [3.0, 4.0]])
