@@ -56,6 +56,10 @@ EPS_COUNT = 1e-9
 
 DEFAULT_BUFFER_FACTOR = 2.0
 
+# Rows per block of `effective_delay`: its one temporary holds this many rows,
+# so the delays can be written over the travel times with no full-size array.
+_DELAY_BLOCK_ROWS = 256
+
 
 # --------------------------------------------------------------------------
 # loading engine
@@ -560,16 +564,28 @@ def effective_delay(
     trips: TripTable,
     od_by_path: Sequence[str],
     gamma: float = 1.0,
+    *,
+    out: np.ndarray | None = None,
 ) -> DelayProfile:
     """Travel time plus one-sided linear late-arrival penalty.
 
     The penalty is gamma * max(arrival - target, 0); early arrivals are free.
+    The effective delays go to `out`, a new array by default.  `out=delays`
+    writes them over the travel times, for a caller that owns `delays` and
+    needs them no more.  Each block of `_DELAY_BLOCK_ROWS` rows is computed in
+    one temporary of its size as penalty + travel time, so the values do not
+    depend on `out`.
     """
     delays = np.asarray(delays, dtype=float)
-    tau = np.array([trips.target_times[od] for od in od_by_path])
-    out = delays + grid.starts()  # the lateness, then the effective delay, in place
-    out -= tau[:, None]
-    np.maximum(out, 0.0, out=out)
-    out *= gamma
-    out += delays
+    if out is None:
+        out = np.empty_like(delays)
+    starts = grid.starts()
+    tau = np.array([trips.target_times[od] for od in od_by_path])[:, None]
+    for lo in range(0, delays.shape[0], _DELAY_BLOCK_ROWS):
+        rows = slice(lo, lo + _DELAY_BLOCK_ROWS)
+        pen = delays[rows] + starts  # the lateness, then the penalty, in place
+        pen -= tau[rows]
+        np.maximum(pen, 0.0, out=pen)
+        pen *= gamma
+        np.add(pen, delays[rows], out=out[rows])
     return DelayProfile(grid, out)

@@ -80,9 +80,11 @@ class DNLDelayOperator(DelayOperator):
         self._od_by_path = net.od_by_path()
 
     def _compute(self, h: PathFlowProfile) -> DelayProfile:
+        # the travel times are rows of this call's own probe array, which
+        # nothing else holds: the effective delays are written over them
         delays = self._engine.run(h.rates).path_delays()
         return effective_delay(delays, self.grid, self.net.trips,
-                               self._od_by_path, self.gamma)
+                               self._od_by_path, self.gamma, out=delays)
 
 
 def dnl_operator(net: Network, grid: TimeGrid, gamma: float = 1.0,

@@ -175,6 +175,14 @@ def _adaptive_step(tau: float, mu: float, residual: float,
     return tau if diff <= thresh else min(tau, mu * residual / diff)
 
 
+def _forward(x: np.ndarray, a: np.ndarray, tau: float) -> np.ndarray:
+    """The forward point x - tau a in one full-size array: (-tau) a + x is
+    bitwise the same, since x - y is x + (-y) and (-tau) a is -(tau a)."""
+    t = np.multiply(a, -tau)
+    t += x
+    return t
+
+
 def _tabulate(spec: ScheduleSpec, check, horizon: int, what: str) -> tuple[list[float], int, str]:
     """The values `spec.raw(n + k)` for n = 0 … `horizon`, k and the schedule's
     name at k, for the smallest index offset k that makes each keep `check(value,
@@ -227,17 +235,24 @@ def _check_anchor_schedules(config: SolverConfig, anchor: str, second: str, what
 
 
 def uniform_start(grid, trips: TripTable, paths_by_od: Mapping[str, np.ndarray]) -> PathFlowProfile:
-    """Feasible start: each O-D demand split evenly over its paths and time."""
+    """Feasible start: each O-D demand split evenly over its paths and time.
+
+    The profile stores one rate per path, a (paths, 1) column, and its rates
+    are a read-only broadcast of that column over the intervals, so a start
+    held through a solve costs P floats, not P x K.
+    """
     num_paths = sum(len(rows) for rows in paths_by_od.values())
-    rates = np.zeros((num_paths, grid.num_intervals))
+    rate = np.zeros((num_paths, 1))
     horizon = grid.t1 - grid.t0
     for od, rows in paths_by_od.items():
-        rates[np.asarray(rows, dtype=int), :] = trips.demands[od] / (len(rows) * horizon)
-    return PathFlowProfile(grid, rates)
+        rate[np.asarray(rows, dtype=int)] = trips.demands[od] / (len(rows) * horizon)
+    return PathFlowProfile(grid, np.broadcast_to(rate, (num_paths, grid.num_intervals)))
 
 
 # An update rule checks its config and returns its header notes and `steps`: a
 # generator of (iterate, tau, alpha, beta, residual, energy), one per iteration.
+# The first iterate `h` may be a read-only broadcast (`uniform_start`); the
+# rules read it only elementwise and through `norm`.
 
 def _fb(config: SolverConfig):
     """Projected gradient with a fixed step; one operator call per iteration."""
@@ -247,9 +262,9 @@ def _fb(config: SolverConfig):
 
     def steps(evaluate, project, h, dt):
         while True:
-            ah = evaluate(h)
-            y = project(h - tau * ah)
-            yield y, tau, math.nan, math.nan, norm(h - y, dt), relative_energy(y, h, dt)
+            y = project(_forward(h, evaluate(h), tau))
+            step = norm(h - y, dt)  # also ||y - h||, as h - y is exactly -(y - h)
+            yield y, tau, math.nan, math.nan, step, relative_step(step, h, dt)
             h = y
     return [], steps
 
@@ -263,7 +278,7 @@ def _fbf(config: SolverConfig):
         tau = config.tau0
         for a_n, b_n in zip(alphas, betas):
             ah = evaluate(h)
-            y = project(h - tau * ah)
+            y = project(_forward(h, ah, tau))
             ay = evaluate(y)
             z = y + tau * (ah - ay)
             h_next = (1.0 - a_n - b_n) * h + b_n * z
@@ -290,7 +305,7 @@ def _ifbf(config: SolverConfig):
             w += h
             w *= 1.0 - b_n
             aw = evaluate(w)
-            y = project(w - tau * aw)
+            y = project(_forward(w, aw, tau))
             ay = evaluate(y)
             residual = norm(w - y, dt)
             tau_next = _adaptive_step(tau, config.mu, residual, aw, ay, dt)

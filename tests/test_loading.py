@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import runpy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from conftest import (REPO_ROOT, assert_matches_reference, assert_same_engine, b
                       uniform_profile)
 from due.cli import main as cli_main
 from due.errors import ConfigurationError, UnfinishedTripError, ValidationError
-from due.loading import LoadingResult, _Engine, effective_delay, run_dnl
+from due.loading import _DELAY_BLOCK_ROWS, LoadingResult, _Engine, effective_delay, run_dnl
 from due.network import Link, Network, PathDef, load_network_dir
 from due.operators import DNLDelayOperator
 from due.solvers import uniform_start
@@ -709,6 +711,47 @@ class TestPathDelaysByPath:
         assert_matches_reference(res, rates)
         assert all(v <= AUDIT_BOUNDS[key] for key, v in audit_loading(res).items())
 
+    def test_operator_writes_over_its_probe_array(self, nguyen, monkeypatch):
+        # the effective delays are `effective_delay` of the travel times bit
+        # for bit, stored in the rows of the array they were probed into
+        grid = TimeGrid(0.0, 2.0, 70)
+        op = DNLDelayOperator(nguyen, grid, gamma=1.0, buffer=2.5)
+        probed = []
+        path_delays = LoadingResult.path_delays
+
+        def keep(result):
+            probed.append((result, path_delays(result)))
+            return probed[-1][1]
+
+        monkeypatch.setattr(LoadingResult, "path_delays", keep)
+        effective = op.evaluate(uniform_profile(nguyen, grid)).delays
+        monkeypatch.undo()
+        ((res, probe_rows),) = probed
+        want = effective_delay(res.path_delays(), grid, nguyen.trips, nguyen.od_by_path())
+        assert np.array_equal(effective.view(np.int64), want.delays.view(np.int64))
+        assert np.shares_memory(effective, probe_rows)
+
+    def test_siouxfalls_evaluation_holds_no_second_delay_array(self, siouxfalls_dir):
+        net = scaled(load_network_dir(siouxfalls_dir), 0.25)
+        grid = TimeGrid(0.0, 2.0, 100)
+        op = DNLDelayOperator(net, grid, gamma=1.0, buffer=2.0)
+        h0 = uniform_profile(net, grid)
+        res = op._engine.run(h0.rates)
+        result_bytes = sum(v.nbytes for v in vars(res).values() if isinstance(v, np.ndarray))
+        probe_bytes = res.engine.num_probe_rows * grid.num_intervals * 8
+        delay_bytes = net.num_paths * grid.num_intervals * 8
+        del res
+        gc.collect()
+        tracemalloc.start()
+        try:
+            op.evaluate(h0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the loading result and the probe array, and less than another
+        # (path, interval) array of delays beside them
+        assert peak < result_bytes + probe_bytes + delay_bytes / 2
+
     def test_siouxfalls_probes_each_node_once(self, siouxfalls_dir, monkeypatch):
         # 6,180 paths make 33,083 (link, path) incidences, stepped as 6,338
         # (link, remaining route) nodes; over 76 origin queues they make only
@@ -928,3 +971,24 @@ class TestEffectiveDelay:
         delays = np.random.default_rng(1).uniform(0.5, 4, size=(1, 10))
         a = effective_delay(delays, grid, trips, ["w"], gamma=2.0)
         assert np.all(a.delays >= delays - 1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 2.5])
+    def test_blocks_equal_the_allocating_formula(self, gamma):
+        # two full blocks and a partial one; targets 2 and 8 make rows that
+        # arrive on time and rows that arrive late
+        grid = self.grid()
+        rows = 2 * _DELAY_BLOCK_ROWS + 37
+        trips = TripTable({"early": 1.0, "late": 1.0}, {"early": 2.0, "late": 8.0})
+        od_by_path = ["early", "late"] * (rows // 2) + ["late"]
+        delays = np.random.default_rng(29).uniform(0.1, 6.0, size=(rows, 10))
+        tau = np.array([trips.target_times[od] for od in od_by_path])
+        late = delays + grid.starts() - tau[:, None]
+        assert (late > 0).any() and (late <= 0).any()
+        want = gamma * np.maximum(late, 0.0) + delays
+        kept = delays.copy()
+        fresh = effective_delay(delays, grid, trips, od_by_path, gamma).delays
+        assert np.array_equal(delays, kept)  # the travel times are left as they were
+        written = effective_delay(delays, grid, trips, od_by_path, gamma, out=delays).delays
+        assert np.shares_memory(written, delays)
+        for got in (fresh, written):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -456,6 +456,44 @@ class TestSolveDispatch:
         assert norm(h0.rates - proj, vi.grid.dt) <= 1e-12
 
 
+class TestUniformStart:
+    def test_broadcast_of_one_rate_per_path(self, nguyen):
+        grid = TimeGrid(0.0, 2.0, 70)
+        by_od = nguyen.path_rows_by_od()
+        h0 = uniform_start(grid, nguyen.trips, by_od)
+        dense = np.zeros((nguyen.num_paths, grid.num_intervals))
+        for od, rows in by_od.items():
+            dense[rows, :] = nguyen.trips.demands[od] / (len(rows) * (grid.t1 - grid.t0))
+        assert np.array_equal(h0.rates.view(np.int64), dense.view(np.int64))
+        assert not h0.rates.flags.writeable
+        with pytest.raises(ValueError):
+            h0.rates[0, 0] = 1.0
+        # one float per path, read along each row with stride 0
+        assert h0.rates.strides[1] == 0
+        owner = h0.rates
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == nguyen.num_paths * h0.rates.itemsize
+
+    @pytest.mark.parametrize("algorithm", ["fb", "fbf", "ifbf"])
+    def test_solve_as_from_a_dense_start(self, nguyen, algorithm):
+        from due.operators import dnl_operator
+
+        run = RunConfig.from_file(REPO_ROOT / "configs" / f"nguyen_{algorithm}.json")
+        cfg = dataclasses.replace(run.solver, max_iterations=3)
+        by_od = nguyen.path_rows_by_od()
+        h0 = uniform_start(run.grid, nguyen.trips, by_od)
+        solves = []
+        for start in (h0, PathFlowProfile(run.grid, np.array(h0.rates))):
+            op = dnl_operator(nguyen, run.grid, gamma=run.gamma, buffer=run.horizon_buffer)
+            h, log = solve(op, cfg, start, nguyen.trips, by_od)
+            solves.append((h.rates, np.array([dataclasses.astuple(r) for r in log.records])))
+        (h_b, log_b), (h_d, log_d) = solves
+        assert log_b.shape == (3, 7)
+        assert np.array_equal(log_b.view(np.int64), log_d.view(np.int64))
+        assert np.array_equal(h_b.view(np.int64), h_d.view(np.int64))
+
+
 REGULARITY = ("operator regularity (Lipschitz continuity, pseudo-monotonicity) is assumed, "
               "not verified at runtime")
 SUMMABLE = "anchor weights pow(10.0, -2.0, 1.0) are summable; strong convergence not guaranteed"
