@@ -11,7 +11,7 @@ Layers:
 """
 
 from .loading import effective_delay, run_dnl
-from .metrics import ConvergenceLog, od_gap, relative_energy
+from .metrics import ConvergenceLog, od_gap
 from .network import Network, load_network, load_network_dir, save_network
 from .operators import affine_operator, dnl_operator, scaled_pseudo_monotone
 from .solvers import SolverConfig, solve, uniform_start
@@ -45,7 +45,6 @@ __all__ = [
     "norm",
     "od_gap",
     "project_feasible",
-    "relative_energy",
     "residual_norm",
     "run_dnl",
     "save_network",

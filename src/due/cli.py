@@ -304,7 +304,7 @@ def _execute_run(cfg: RunConfig) -> tuple[dict, ConvergenceLog]:
     try:
         h_final, log = solve(op, cfg.solver, h0, net.trips, by_od)
         # final reporting loads once more outside the operator-call accounting
-        result = run_dnl(h_final, net, cfg.grid, buffer=cfg.horizon_buffer)
+        result = run_dnl(h_final, net, buffer=cfg.horizon_buffer)
         delays = result.path_delays()
     except DueError as exc:
         log = log or exc.log  # set when the solve finished

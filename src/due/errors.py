@@ -33,11 +33,10 @@ class UnfinishedTripError(DueError):
 
     category = "numeric"
 
-    def __init__(self, path_id, interval, message=None):
+    def __init__(self, path_id, interval):
         self.path_id = path_id
         self.interval = interval
         super().__init__(
-            message
-            or f"vehicle on path {path_id!r} departing in interval {interval} "
+            f"vehicle on path {path_id!r} departing in interval {interval} "
             "does not exit within the loading horizon; increase the horizon buffer"
         )

@@ -47,10 +47,6 @@ EPS_ZERO = 1e-15
 # share of max(supply, 1) plus EPS_ZERO, so rounding in the sums of flows a
 # round has already scaled to fit does not fire another round
 EPS_SUPPLY = 1e-12
-# relative: a link's per-node composition, read off the entry curves, is scaled
-# to its sending flow only if the two differ by more than this share of
-# max(sending, 1), beyond the rounding of the reads
-EPS_COMPOSITION = 1e-9
 # vehicles: count dust tolerated when inverting a cumulative curve (probing)
 EPS_COUNT = 1e-9
 
@@ -96,7 +92,6 @@ class _Engine:
             )
         if buffer is None:
             buffer = DEFAULT_BUFFER_FACTOR * net.longest_free_flow_time()
-        self.buffer = buffer
         self.steps = grid.num_intervals + int(math.ceil(buffer / dt - 1e-12))
         self.grid_ext = TimeGrid(grid.t0, grid.t0 + self.steps * dt, self.steps)
         self.boundaries = self.grid_ext.boundaries()
@@ -313,17 +308,11 @@ class _Engine:
 
             # per-node share of each link's next sending vehicles to exit: the
             # entry curves read at the count levels [n_down, n_down + sending]
-            # (FIFO: exit order equals entry order); a link that sends no more
-            # than EPS_ZERO reads an empty interval
+            # (FIFO: exit order equals entry order), which sum to `sending` within
+            # rounding; a link that sends no more than EPS_ZERO reads an empty interval
             np.minimum(lo + sending, up, out=hi)
             np.copyto(hi, lo, where=sending <= EPS_ZERO)
             comp = self._entries_between(p_up, start, n_up[:, : k + 1], levels[:2])
-            total = np.zeros(E)  # per link
-            total[self.link_used] = np.add.reduceat(comp, self.link_start)
-            fix = (total > 0) & (np.abs(total - sending) > EPS_COMPOSITION * np.maximum(1.0, sending))
-            if fix.any():
-                comp *= np.repeat(np.divide(sending, total, out=np.ones(E), where=fix),
-                                  self.link_count)
             amounts[self.seg_bin] = np.add.reduceat(comp, self.seg_start)
 
             # origin queues: a backed-up queue sends big M, an empty one its
@@ -541,21 +530,11 @@ class LoadingResult:
 # top-level operations
 
 
-def run_dnl(
-    h: PathFlowProfile,
-    net: Network,
-    grid: TimeGrid | None = None,
-    *,
-    buffer: float | None = None,
-) -> LoadingResult:
-    """Load the departure profile through the network."""
-    grid = grid or h.grid
-    if grid != h.grid:
-        raise ValidationError("profile grid differs from the loading grid")
+def run_dnl(h: PathFlowProfile, net: Network, *, buffer: float | None = None) -> LoadingResult:
+    """Load the departure profile through the network, on its grid."""
     if np.any(h.rates < 0):
         raise ValidationError("departure rates must be nonnegative for loading")
-    engine = _Engine(net, grid, buffer)
-    return engine.run(h.rates)
+    return _Engine(net, h.grid, buffer).run(h.rates)
 
 
 def effective_delay(

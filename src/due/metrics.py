@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ValidationError
 from .space import DelayProfile, PathFlowProfile, norm
 
-__all__ = ["IterationRecord", "ConvergenceLog", "od_gap", "relative_energy"]
+__all__ = ["IterationRecord", "ConvergenceLog", "od_gap"]
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,6 @@ class ConvergenceLog:
             out["gap_median"] = gaps[len(gaps) // 2]
             out["gap_max"] = gaps[-1]
         return out
-
-
-def relative_energy(h_next: np.ndarray, h_curr: np.ndarray, dt: float) -> float:
-    """Step between two rate arrays relative to the current one; nan when the
-    base is zero."""
-    return relative_step(norm(h_next - h_curr, dt), h_curr, dt)
 
 
 def relative_step(step: float, h_curr: np.ndarray, dt: float) -> float:

@@ -111,7 +111,6 @@ class SyntheticVI:
     trips: TripTable
     paths_by_od: Mapping[str, np.ndarray]
     solution: PathFlowProfile | None = None
-    lipschitz: float | None = None
 
     @property
     def num_paths(self) -> int:
@@ -164,13 +163,12 @@ def affine_operator(
         x = h.rates.ravel()
         return (m @ x + q).reshape(-1, cols)
 
-    lip = float(np.linalg.norm(m, 2))
-    op = _CallableOperator(apply, lipschitz=lip)
+    op = _CallableOperator(apply, lipschitz=float(np.linalg.norm(m, 2)))
     sol = None
     if solution is not None:
         sol = PathFlowProfile(grid, np.asarray(solution, dtype=float).reshape(-1, cols))
     vi = SyntheticVI(operator=op, grid=grid, trips=trips, paths_by_od=paths_by_od,
-                     solution=sol, lipschitz=lip)
+                     solution=sol)
     if sol is not None:
         vi.certify_solution()
         op.reset_count()
@@ -198,8 +196,7 @@ def scaled_pseudo_monotone(
 
     op = _CallableOperator(apply, lipschitz=None)
     vi = SyntheticVI(operator=op, grid=base.grid, trips=base.trips,
-                     paths_by_od=base.paths_by_od, solution=base.solution,
-                     lipschitz=None)
+                     paths_by_od=base.paths_by_od, solution=base.solution)
     if vi.solution is not None:
         vi.certify_solution()
         op.reset_count()

@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError, DueError
-from .metrics import ConvergenceLog, IterationRecord, relative_energy, relative_step
+from .metrics import ConvergenceLog, IterationRecord, relative_step
 from .operators import DelayOperator
 from .space import ODLayout, PathFlowProfile, TripTable, norm, project_feasible
 
@@ -283,7 +283,7 @@ def _fbf(config: SolverConfig):
             z = y + tau * (ah - ay)
             h_next = (1.0 - a_n - b_n) * h + b_n * z
             residual = norm(h - y, dt)
-            energy = relative_energy(h_next, h, dt)
+            energy = relative_step(norm(h_next - h, dt), h, dt)
             tau_next = _adaptive_step(tau, config.mu, residual, ah, ay, dt)
             yield h_next, tau, a_n, b_n, residual, energy
             h, tau = h_next, tau_next
@@ -318,10 +318,9 @@ def _ifbf(config: SolverConfig):
             h_next += (1.0 - config.lam) * w
             step = norm(h_next - h, dt)
             energy = relative_step(step, h, dt)
-            if step == 0.0 and np.array_equal(h_next, h):  # a nonzero step proves them apart
-                alpha_next = config.alpha
-            else:
-                alpha_next = min(config.alpha, eps_next / step)
+            # no cap at a zero step: the iterates are equal, or so close that
+            # the squares of their differences underflow
+            alpha_next = config.alpha if step == 0.0 else min(config.alpha, eps_next / step)
             yield h_next, tau, alpha_n, b_n, residual, energy
             h_prev, h = h, h_next
             tau, alpha_n = tau_next, alpha_next

@@ -95,10 +95,6 @@ class PathFlowProfile:
     def __post_init__(self):
         object.__setattr__(self, "rates", _frozen_matrix(self.rates, self.grid, "rates"))
 
-    @property
-    def num_paths(self) -> int:
-        return self.rates.shape[0]
-
 
 @dataclass(frozen=True)
 class DelayProfile:
@@ -109,10 +105,6 @@ class DelayProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "delays", _frozen_matrix(self.delays, self.grid, "delays"))
-
-    @property
-    def num_paths(self) -> int:
-        return self.delays.shape[0]
 
 
 @dataclass(frozen=True)
@@ -138,7 +130,9 @@ def inner(x: np.ndarray, y: np.ndarray, dt: float) -> float:
 
 
 def norm(x: np.ndarray, dt: float) -> float:
-    return math.sqrt(max(inner(x, x, dt), 0.0))
+    """sqrt(inner(x, x, dt)), with x raveled once: one copy at most."""
+    v = x.ravel()
+    return math.sqrt(inner(v, v, dt))
 
 
 # Cells per chunk of `project_feasible`.  A chunk's gathered rows and their

@@ -78,7 +78,7 @@ def test_criterion_02_step_size_lemma():
             _, log = solve(vi.operator, cfg, h0, vi.trips, vi.paths_by_od)
             taus = log.column("tau")
             assert np.all(np.diff(taus) <= 0.0)
-            floor = min(cfg.mu / vi.lipschitz, tau0) - 1e-12
+            floor = min(cfg.mu / vi.operator.lipschitz, tau0) - 1e-12
             assert np.all(taus >= floor)
     _report(2, "adaptive step floor", time.perf_counter() - start, 5)
 
@@ -153,7 +153,7 @@ def test_criterion_06_dnl_conservation_and_fifo(nguyen):
     start = time.perf_counter()
     grid = TimeGrid(0.0, 2.0, 70)
     h = uniform_profile(nguyen, grid)
-    res = run_dnl(h, nguyen, grid, buffer=2.5)
+    res = run_dnl(h, nguyen, buffer=2.5)
     total_demand = sum(nguyen.trips.demands.values())
     assert total_exited(res) == pytest.approx(total_demand, rel=1e-6)
     rep = audit_loading(res)
@@ -181,7 +181,7 @@ def test_criterion_07_free_flow_oracle(nguyen):
         1e-3 * nguyen.links[e].capacity / count for e, count in paths_per_link.items()
     )
     h = PathFlowProfile(grid, np.full((nguyen.num_paths, grid.num_intervals), cap))
-    res = run_dnl(h, nguyen, grid, buffer=1.0)
+    res = run_dnl(h, nguyen, buffer=1.0)
     delays = res.path_delays()
     for r, p in enumerate(nguyen.paths):
         ff = sum(nguyen.links[e].free_flow_time for e in p.links)
@@ -202,7 +202,7 @@ def nguyen_ifbf_run(nguyen):
     start = time.perf_counter()
     h, log = solve(op, cfg, h0, nguyen.trips, by_od)
     elapsed = time.perf_counter() - start
-    res = run_dnl(h, nguyen, grid, buffer=2.5)
+    res = run_dnl(h, nguyen, buffer=2.5)
     eff = effective_delay(res.path_delays(), grid, nguyen.trips,
                           nguyen.od_by_path(), 1.0)
     return dict(h=h, log=log, eff=eff, by_od=by_od, elapsed=elapsed, grid=grid)

@@ -41,7 +41,7 @@ def with_kjam(net, lid, kjam):
 
 def load(net, rates):
     h = PathFlowProfile(GRID, np.asarray(rates, dtype=float).reshape(1, -1))
-    return run_dnl(h, net, GRID, buffer=1.0)
+    return run_dnl(h, net, buffer=1.0)
 
 
 def curves(res, lid):
@@ -109,7 +109,7 @@ def two_lines():
                   paths=(PathDef("pa", "wa", ("a1", "a2", "a3")),
                          PathDef("pb", "wb", ("b1", "b2"))))
     rates = np.array([[300.0] * 15, [2400.0] * 15])
-    return net, run_dnl(PathFlowProfile(GRID, rates), net, GRID, buffer=1.0)
+    return net, run_dnl(PathFlowProfile(GRID, rates), net, buffer=1.0)
 
 
 def shared_prefix():
@@ -136,7 +136,7 @@ def shared_prefix():
                          PathDef("pb", "wb", ("b1", "b2", "b3")),
                          PathDef("pc", "wc", ("b1", "b2", "c3"))))
     rates = np.array([[100.0] * 15, [40.0] * 15, [40.0] * 15])
-    return net, run_dnl(PathFlowProfile(GRID, rates), net, GRID, buffer=1.0)
+    return net, run_dnl(PathFlowProfile(GRID, rates), net, buffer=1.0)
 
 
 def resolve_one(amounts, supplies):
@@ -470,7 +470,7 @@ class TestRunDnl:
     def test_zero_flow_zero_curves(self, line_network):
         grid = TimeGrid(0.0, 0.5, 15)
         h = PathFlowProfile(grid, np.zeros((1, grid.num_intervals)))
-        res = run_dnl(h, line_network, grid)
+        res = run_dnl(h, line_network)
         for lid in line_network.links:
             up, down = curves(res, lid)
             assert np.all(up == 0.0)
@@ -483,7 +483,7 @@ class TestRunDnl:
         rates = np.zeros((1, 15))
         rates[0, 0] = 10.0 / grid.dt  # all vehicles depart in the first interval
         h = PathFlowProfile(grid, rates)
-        res = run_dnl(h, net, grid, buffer=1.0)
+        res = run_dnl(h, net, buffer=1.0)
         assert total_exited(res) == pytest.approx(10.0, rel=1e-9)
         _up, down = curves(res, net.paths[0].links[-1])
         assert down[-1] == pytest.approx(10.0, rel=1e-9)
@@ -494,7 +494,7 @@ class TestRunDnl:
         grid = TimeGrid(0.0, 1.0, 30)
         rates = np.full((1, 30), 30.0)  # far below capacity
         h = PathFlowProfile(grid, rates)
-        res = run_dnl(h, net, grid, buffer=0.5)
+        res = run_dnl(h, net, buffer=0.5)
         up, down = curves(res, "1")
         bt = res.grid_ext.boundaries()
         lag = link.free_flow_time
@@ -505,7 +505,7 @@ class TestRunDnl:
         grid = TimeGrid(0.0, 1.0, 5)  # dt = 0.2 > L/v
         h = PathFlowProfile(grid, np.zeros((1, grid.num_intervals)))
         with pytest.raises(ConfigurationError, match="link"):
-            run_dnl(h, line_network, grid)
+            run_dnl(h, line_network)
 
     def test_disconnected_path_rejected(self, line_network):
         # c and d double links 1 and 2, so p1 leaves the origin and reaches the
@@ -519,7 +519,7 @@ class TestRunDnl:
         grid = TimeGrid(0.0, 0.5, 15)
         h = PathFlowProfile(grid, np.full((1, 15), -1.0))
         with pytest.raises(ValidationError):
-            run_dnl(h, line_network, grid)
+            run_dnl(h, line_network)
 
     @pytest.mark.parametrize("state", ["drained", "link_holds", "queue_holds", "recent_entry"])
     def test_drain_needs_empty_links_and_queues_and_flat_entries(self, state):
@@ -542,7 +542,7 @@ class TestRunDnl:
     def test_invariants_on_loaded_network(self, nguyen):
         grid = TimeGrid(0.0, 2.0, 70)
         h = uniform_profile(nguyen, grid)
-        res = run_dnl(h, nguyen, grid, buffer=2.5)
+        res = run_dnl(h, nguyen, buffer=2.5)
         rep = audit_loading(res)
         assert rep["junction_conservation"] <= 1e-12
         assert rep["occupancy"] <= 1e-9
@@ -557,7 +557,7 @@ class TestRunDnl:
     def test_audit_finds_corrupted_curves(self, nguyen, fault):
         # each fault corrupts a copy of one array of a clean loading
         grid = TimeGrid(0.0, 2.0, 70)
-        res = run_dnl(uniform_profile(nguyen, grid), nguyen, grid, buffer=2.5)
+        res = run_dnl(uniform_profile(nguyen, grid), nguyen, buffer=2.5)
         assert all(v <= AUDIT_BOUNDS[key] for key, v in audit_loading(res).items())
         eng, k = res.engine, 20
         e = int(np.argmax(res.n_up[:, k]))  # a loaded link
@@ -586,7 +586,7 @@ class TestRunDnl:
     def test_fifo_exit_times_monotone(self, nguyen):
         grid = TimeGrid(0.0, 2.0, 70)
         h = uniform_profile(nguyen, grid)
-        res = run_dnl(h, nguyen, grid, buffer=2.5)
+        res = run_dnl(h, nguyen, buffer=2.5)
         bt = res.grid_ext.boundaries()[:-20]
         for e in range(len(res.engine.link_ids)):
             lam = probe_link_exit(res, e, bt)
@@ -597,7 +597,7 @@ class TestRunDnl:
         # not a column per path in each of the 24 window rows (2,892,896 bytes)
         net = scaled(load_network_dir(siouxfalls_dir), 0.25)
         grid = TimeGrid(0.0, 2.0, 100)
-        res = run_dnl(uniform_profile(net, grid), net, grid, buffer=2.0)
+        res = run_dnl(uniform_profile(net, grid), net, buffer=2.0)
         arrays = {name: v for name, v in vars(res).items() if isinstance(v, np.ndarray)}
         assert res.queued.shape == (net.num_paths,)
         assert [name for name, v in arrays.items() if net.num_paths in v.shape] == ["queued"]
@@ -615,7 +615,7 @@ class TestPathDelay:
                       trips=net.trips, paths=net.paths)
         grid = TimeGrid(0.0, 1.0, 30)
         h = PathFlowProfile(grid, np.full((1, 30), 6.0))
-        d = run_dnl(h, net, grid, buffer=0.5).path_delays()
+        d = run_dnl(h, net, buffer=0.5).path_delays()
         ff = 2.0 / 60.0 + 3.0 / 60.0
         np.testing.assert_allclose(d[0], ff, atol=1e-9)
 
@@ -627,7 +627,7 @@ class TestPathDelay:
         rates = np.zeros((1, 30))
         rates[0, 0] = 100.0 / grid.dt  # burst: 100 vehicles in one interval
         h = PathFlowProfile(grid, rates)
-        res = run_dnl(h, net, grid, buffer=0.5)
+        res = run_dnl(h, net, buffer=0.5)
         d = res.path_delays()
         # the last vehicle of the burst waits (100/C - dt) in the queue
         wait = 100.0 / link.capacity
@@ -641,7 +641,7 @@ class TestPathDelay:
         net = build_line_network(num_links=2, demand=5.0)
         grid = TimeGrid(0.0, 0.5, 15)
         h = PathFlowProfile(grid, np.zeros((1, grid.num_intervals)))
-        res = run_dnl(h, net, grid)
+        res = run_dnl(h, net)
         d = res.path_delays()
         ff = sum(net.links[e].free_flow_time for e in net.paths[0].links)
         np.testing.assert_allclose(d[0], ff, atol=1e-12)
@@ -663,17 +663,17 @@ class TestPathDelaysByPath:
             net = build_line_network(num_links=2)
             net = dataclasses.replace(net, paths=(*net.paths, PathDef("p2", "w", ("1", "2"))))
             h = PathFlowProfile(GRID, np.array([[900.0] * 15, [1500.0] * 15]))
-            res = run_dnl(h, net, GRID, buffer=1.0)
+            res = run_dnl(h, net, buffer=1.0)
         np.testing.assert_array_equal(res.path_delays(), path_delays_by_path(res))
         ((rates, _res),) = loadings
         assert_matches_reference(res, rates)
 
-    @pytest.mark.parametrize("factor", [1.0, 1.5])
+    @pytest.mark.parametrize("factor", [1.0, 1.5, 2.0])
     def test_nguyen_uniform_start(self, nguyen, factor, loadings):
-        # at 1.5 times the demand, origin queues form
+        # above the shipped demand, origin queues form
         net = scaled(nguyen, factor)
         grid = TimeGrid(0.0, 2.0, 70)
-        res = run_dnl(uniform_profile(net, grid), net, grid, buffer=2.5)
+        res = run_dnl(uniform_profile(net, grid), net, buffer=2.5)
         queue = (res.n_up - res.n_down)[len(res.engine.link_ids):]
         assert (np.max(queue) > 0) == (factor > 1)
         assert res.drained_step is not None
@@ -758,7 +758,7 @@ class TestPathDelaysByPath:
         # 6,289 distinct (queue, link prefix) nodes to probe
         net = scaled(load_network_dir(siouxfalls_dir), 0.25)
         grid = TimeGrid(0.0, 2.0, 100)
-        res = run_dnl(uniform_start(grid, net.trips, net.path_rows_by_od()), net, grid,
+        res = run_dnl(uniform_start(grid, net.trips, net.path_rows_by_od()), net,
                       buffer=2.0)
         assert sum(len(p.links) for p in net.paths) == 33083
         assert res.engine.link_count.sum() == 6338
@@ -820,7 +820,7 @@ class TestEngineLayout:
         # fall before column 0 and must read +0.0, as the oracle's mask does
         if case == "nguyen":
             net, grid = scaled(nguyen, 1.5), TimeGrid(0.0, 2.0, 70)
-            res = run_dnl(uniform_profile(net, grid), net, grid, buffer=2.5)
+            res = run_dnl(uniform_profile(net, grid), net, buffer=2.5)
         else:
             res = {"burst": lambda: burst(tail_rate=600.0), "bottleneck": lambda: bottleneck()[1],
                    "spillback": lambda: spillback()[1]}[case]()
@@ -881,9 +881,9 @@ class TestEngineLayout:
         rates[1, 5] = 5e-15 / DT
         h = PathFlowProfile(GRID, rates)
         monkeypatch.setattr(_Engine, "_window_rows", lambda self: 2)
-        res = run_dnl(h, net, GRID, buffer=1.0)
+        res = run_dnl(h, net, buffer=1.0)
         monkeypatch.setattr(_Engine, "_window_rows", lambda self: self.steps + 1)
-        full = run_dnl(h, net, GRID, buffer=1.0)
+        full = run_dnl(h, net, buffer=1.0)
         assert res.first_step > 5
         assert res.exited_by_link.tolist() == full.exited_by_link.tolist() == [480.0, 5e-15]
         np.testing.assert_array_equal(res.path_delays(), full.path_delays())
@@ -898,7 +898,7 @@ class TestEngineLayout:
             trips=TripTable({"w": 10.0, "v": 5.0}, {"w": 1.0, "v": 1.0}),
             paths=(*net.paths, PathDef("p2", "v", ("1",)), PathDef("p3", "w", ("1", "2"))))
         h = PathFlowProfile(GRID, np.array([[900.0] * 15, [600.0] * 15, [1500.0] * 15]))
-        res = run_dnl(h, net, GRID, buffer=1.0)
+        res = run_dnl(h, net, buffer=1.0)
         eng = res.engine
         assert eng.num_probe_rows == 5
         assert [((eng.link_ids + ["queue"])[e], rows.tolist(), parents.tolist())
@@ -922,7 +922,7 @@ class TestEngineLayout:
         built = Network(nodes=net.nodes, links=links, od_pairs=net.od_pairs,
                         trips=net.trips, paths=paths)
         grid = TimeGrid(0.0, 2.0, 70)
-        got, want = (run_dnl(uniform_profile(n, grid), n, grid, buffer=2.5) for n in (net, built))
+        got, want = (run_dnl(uniform_profile(n, grid), n, buffer=2.5) for n in (net, built))
         assert want.engine.shape == (13, 3, 3)
         assert_same_engine(got.engine, want.engine)
         for name in ("n_up", "n_down", "p_up", "queued", "exited_by_link"):

@@ -5,8 +5,8 @@ import pytest
 
 from due.cli import _write_log
 from due.errors import ValidationError
-from due.metrics import ConvergenceLog, IterationRecord, od_gap, relative_energy
-from due.space import DelayProfile, PathFlowProfile, TimeGrid
+from due.metrics import ConvergenceLog, IterationRecord, od_gap, relative_step
+from due.space import DelayProfile, PathFlowProfile, TimeGrid, norm
 
 
 def profiles(rates, delays):
@@ -67,6 +67,11 @@ class TestOdGap:
         _, a = profiles([[1.0, 2.0]], [[1.0, 2.0]])
         with pytest.raises(ValidationError):
             od_gap(h, a, {"w": np.array([0])})
+
+
+def relative_energy(h_next, h_curr, dt):
+    """The solvers' energy: the step's norm relative to the current iterate's."""
+    return relative_step(norm(h_next - h_curr, dt), h_curr, dt)
 
 
 class TestRelativeEnergy:

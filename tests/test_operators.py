@@ -58,7 +58,7 @@ class TestAffineOperator:
             ax = vi.operator._compute(x).delays
             ay = vi.operator._compute(y).delays
             da = float(np.sqrt(((ax - ay) ** 2).sum() * grid.dt))
-            assert da <= vi.lipschitz * dx * (1 + 1e-9)
+            assert da <= vi.operator.lipschitz * dx * (1 + 1e-9)
 
     def test_eval_counter(self):
         vi = cocoercive_instance()

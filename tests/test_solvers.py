@@ -19,7 +19,7 @@ from due.solvers import (
     solve,
     uniform_start,
 )
-from due.space import DelayProfile, PathFlowProfile, TimeGrid, norm, project_feasible
+from due.space import DelayProfile, PathFlowProfile, TimeGrid, TripTable, norm, project_feasible
 from oracles import project_feasible_by_block, reference_iterates
 
 
@@ -246,7 +246,7 @@ class TestRunIfbf:
             _, log = solve(vi.operator, cfg, h0, vi.trips, vi.paths_by_od)
             taus = log.column("tau")
             assert np.all(np.diff(taus) <= 1e-15)
-            assert taus.min() >= min(cfg.mu / vi.lipschitz, tau0) - 1e-12
+            assert taus.min() >= min(cfg.mu / vi.operator.lipschitz, tau0) - 1e-12
 
     def test_step_bound_consequence(self):
         # after each update, operator variation is within (mu / tau_next) of the
@@ -308,6 +308,33 @@ class TestRunIfbf:
             if step > 0:
                 assert alphas[n + 1] * step <= eps_s.raw(n + 1) + 1e-12
             h = h_next
+
+    def test_inertia_uncapped_after_an_underflowing_step(self):
+        # iterates about 1e-170 apart: the squares of their differences
+        # underflow, so the step is 0.0 while the iterates differ
+        from due.solvers import _ifbf
+
+        grid = TimeGrid(0.0, 1.0, 1)
+        trips = TripTable({"w": 1e-170}, {"w": 1.0})
+        by_od = {"w": np.arange(2)}
+        vi = affine_operator(np.eye(2), np.array([0.0, 1.0]), trips, by_od, grid)
+        h0 = PathFlowProfile(grid, [[1e-170], [0.0]])
+        cfg = SolverConfig(algorithm="ifbf", max_iterations=5, tau0=1.0,
+                           beta_schedule="pow(10, -2, 1)", eps_schedule="pow(1, -5, 32)")
+        _h, log = solve(vi.operator, cfg, h0, trips, by_od)
+        assert log.iterations == 5
+        _notes, steps = _ifbf(cfg)
+        iterates = steps(lambda x: vi.operator.evaluate(PathFlowProfile(grid, x)).delays,
+                         lambda x: project_feasible(x, vi.layout), h0.rates, grid.dt)
+        h, zero_steps = h0.rates, 0
+        for n, (h_next, *_values) in zip(range(cfg.max_iterations - 1), iterates):
+            if norm(h_next - h, grid.dt) == 0.0:
+                zero_steps += 1
+                assert not np.array_equal(h_next, h)
+                assert log.records[n + 1].alpha == cfg.alpha
+            h = h_next
+        assert zero_steps > 0
+        assert_same_as_reference(vi.operator, cfg, h0, trips, by_od)
 
     def test_two_calls_per_iteration(self):
         vi = cocoercive_instance()

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -69,6 +70,25 @@ class TestInnerAndNorm:
 
     def test_single_entry_norm(self):
         assert norm(np.array([[3.0]]), 1.0) == pytest.approx(3.0, abs=1e-15)
+
+    def test_broadcast_start_norm_makes_one_copy(self, siouxfalls_dir):
+        # the uniform start at Sioux Falls, 6,180 paths over 100 intervals, is
+        # a broadcast of one column: its norm copies it once, 4.9 MB
+        from due.network import load_network_dir
+        from due.solvers import uniform_start
+
+        net = load_network_dir(siouxfalls_dir)
+        grid = TimeGrid(0.0, 2.0, 100)
+        rates = uniform_start(grid, net.trips, net.path_rows_by_od()).rates
+        dense = np.array(rates)
+        assert norm(rates, grid.dt) == norm(dense, grid.dt)
+        tracemalloc.start()
+        try:
+            norm(rates, grid.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * dense.nbytes
 
     def test_against_brute_force_sum(self):
         rng = np.random.default_rng(7)
